@@ -97,16 +97,10 @@ def cmd_vertices(args) -> int:
 
     with open(args.hom) as fh:
         data = json.load(fh)
-    rows = [(jsonio.json_to_vec(r["normal"]), Fraction(r["offset"]))
-            for r in data["inequalities"]]
-    m, n = data["source_dim"], data["target_dim"]
-    ambient = data["ambient_dim"]
+    rows, m, n, ambient = jsonio.hom_system_from_json(data)
     _check_large(args, ambient, len(rows))
-    if "insertion_order" in data:
-        ordered = [rows[k] for k in data["insertion_order"]]
-        verts = dd.polytope_vertices(ordered, ambient, order="given")
-    else:
-        verts = dd.polytope_vertices(rows, ambient)
+    order = "given" if "insertion_order" in data else "mincutoff"
+    verts = dd.polytope_vertices(rows, ambient, order=order)
     maps = [unflatten_map(w, m, n) for w in verts]
     payload: dict = {"count": len(maps)}
     lines = [f"vertex maps: {len(maps)}"]

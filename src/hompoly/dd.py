@@ -15,8 +15,15 @@ Representation choices, all in service of exactness and speed:
 - Active constraint sets are bitmasks over the row indices.  Two rays
   are adjacent iff no third extreme ray's active set contains the
   intersection of theirs (the standard combinatorial test, exact when
-  the maintained set is precisely the extreme rays); a popcount filter
-  and per-constraint ray lists keep the test cheap.
+  the maintained set is precisely the extreme rays).  A popcount filter
+  drops pairs whose common active set is too small for a 2-face; the
+  test itself runs word-parallel on bitsets over ray ids.  Each row
+  keeps the set of ids of the rays active on it, and a pair is
+  adjacent iff the live rays other than the two, ANDed with the set of
+  every row in the common active set, leave nothing.
+- Initial basis selection and the initial simplicial cone use
+  fraction-free integer elimination, so Fractions appear only in the
+  conversion of the input rows and of the output vertices.
 - Functionals are inserted in order of ascending number of currently
   violated rays, recomputed each round from cached evaluation values;
   ties break by input position, so runs are deterministic.
@@ -33,10 +40,10 @@ from __future__ import annotations
 import logging
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import UnboundedPolytopeError
-from .linalg import Vec, rref
+from .linalg import Vec, _eliminate, _int_rref
 
 __all__ = ["cone_extreme_rays", "polytope_vertices"]
 
@@ -44,13 +51,13 @@ log = logging.getLogger(__name__)
 
 
 class _Ray:
-    __slots__ = ("coords", "mask", "vals", "alive")
+    __slots__ = ("coords", "mask", "vals", "id")
 
     def __init__(self, coords, mask, vals):
         self.coords = coords
         self.mask = mask
         self.vals = vals
-        self.alive = True
+        self.id = -1
 
 
 def _reduce(coords: list[int]) -> list[int]:
@@ -63,18 +70,48 @@ def _reduce(coords: list[int]) -> list[int]:
 
 
 def _independent_rows(rows: list[tuple[int, ...]], dim: int) -> list[int]:
-    """Indices of the first dim linearly independent rows, greedily."""
+    """Indices of the first dim linearly independent rows, greedily.
+
+    Each row is reduced once against an integer echelon basis of the
+    rows chosen before it; it is chosen iff something nonzero remains.
+    """
     chosen: list[int] = []
-    work: list[list[Fraction]] = []
+    basis: list[tuple[int, list[int]]] = []  # (pivot column, row)
     for i, row in enumerate(rows):
-        cand = work + [[Fraction(x) for x in row]]
-        red, pivots = rref(cand)
-        if len(pivots) > len(work):
-            chosen.append(i)
-            work = red
-            if len(chosen) == dim:
-                break
+        red = list(row)
+        for c, brow in basis:
+            if red[c]:
+                red = _eliminate(red, brow, c)
+        c = next((c for c, a in enumerate(red) if a), None)
+        if c is None:
+            continue
+        basis.append((c, red))
+        chosen.append(i)
+        if len(chosen) == dim:
+            break
     return chosen
+
+
+def _bitsets(rays: list[_Ray], n_rows: int, first: int) -> list[int]:
+    """Give rays[k] the id first + k; return, per row, the id bitset of
+    the given rays active on that row."""
+    bufs = [bytearray((len(rays) + 7) >> 3) for _ in range(n_rows)]
+    for k, ray in enumerate(rays):
+        ray.id = first + k
+        byte, bit = k >> 3, 1 << (k & 7)
+        m = ray.mask
+        while m:
+            b = m & -m
+            bufs[b.bit_length() - 1][byte] |= bit
+            m ^= b
+    return [int.from_bytes(buf, "little") << first for buf in bufs]
+
+
+def _id_set(rays: list[_Ray], n_ids: int) -> int:
+    buf = bytearray((n_ids + 7) >> 3)
+    for ray in rays:
+        buf[ray.id >> 3] |= 1 << (ray.id & 7)
+    return int.from_bytes(buf, "little")
 
 
 def cone_extreme_rays(rows: list[tuple[int, ...]],
@@ -86,8 +123,8 @@ def cone_extreme_rays(rows: list[tuple[int, ...]],
     rank (the cone then contains a line).
 
     `order` picks the insertion heuristic: "mincutoff" inserts the row
-    violated by the fewest current rays, "maxcutoff" the most, "given"
-    keeps the input order.  All are deterministic.
+    violated by the fewest current rays, "given" keeps the input order.
+    Both are deterministic.
     """
     rows = [row for row in rows if any(row)]
     if not rows:
@@ -99,22 +136,19 @@ def cone_extreme_rays(rows: list[tuple[int, ...]],
     if len(basis_idx) < dim:
         raise UnboundedPolytopeError("constraint rows do not span; cone contains a line")
 
-    # Initial simplicial cone from the basis rows; its extreme rays are
-    # the (sign-corrected) columns of the inverse of the basis matrix.
-    basis = [rows[i] for i in basis_idx]
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(dim)]
-           for i, row in enumerate(basis)]
-    red, pivots = rref(aug)
-    inv_cols: list[list[Fraction]] = [[red[i][dim + j] for i in range(dim)] for j in range(dim)]
+    # Initial simplicial cone from the basis rows B; its extreme rays are
+    # the columns of B^-1.  Gauss-Jordan on [B | I] leaves row k as
+    # p_k e_k | p_k (row k of B^-1), and L = lcm |p_k| clears them all.
+    aug = [list(rows[i]) + [int(k == j) for j in range(dim)]
+           for k, i in enumerate(basis_idx)]
+    red, _ = _int_rref(aug)
+    L = lcm(*[row[k] for k, row in enumerate(red)])
+    scale = [L // row[k] for k, row in enumerate(red)]
 
     remaining = [i for i in range(n_rows) if i not in set(basis_idx)]
     rays: list[_Ray] = []
     for j in range(dim):
-        col = inv_cols[j]
-        m = 1
-        for x in col:
-            m = m * x.denominator // gcd(m, x.denominator)
-        coords = _reduce([int(x * m) for x in col])
+        coords = _reduce([row[dim + j] * f for row, f in zip(red, scale)])
         mask = 0
         for i, bi in enumerate(basis_idx):
             if i != j:
@@ -131,43 +165,19 @@ def cone_extreme_rays(rows: list[tuple[int, ...]],
             if ray.vals[i] < 0:
                 counts[i] += 1
 
-    act_lists: dict[int, list[_Ray]] = {i: [] for i in range(n_rows)}
-    for ray in rays:
-        m = ray.mask
-        while m:
-            b = m & -m
-            act_lists[b.bit_length() - 1].append(ray)
-            m ^= b
+    # Adjacency is tested on id bitsets: cols[i] holds the ids of the rays
+    # active on row i (dead ids may linger), live the ids of current rays.
+    cols = _bitsets(rays, n_rows, 0)
+    n_ids = len(rays)
+    live = (1 << n_ids) - 1
 
     need = dim - 2  # active-set size needed for a 2-face
-    dead_entries = 0
-    live_entries = dim * (dim - 1)
-
-    def adjacent(u: _Ray, w: _Ray, s: int) -> bool:
-        if s:
-            best = None
-            m = s
-            while m:
-                b = m & -m
-                lst = act_lists[b.bit_length() - 1]
-                if best is None or len(lst) < len(best):
-                    best = lst
-                m ^= b
-            scan = best
-        else:
-            scan = rays
-        for r in scan:
-            if r.alive and r is not u and r is not w and (r.mask & s) == s:
-                return False
-        return True
 
     trace = log.isEnabledFor(logging.DEBUG)
     step = 0
     while remaining:
         if order == "mincutoff":
             j = min(remaining, key=lambda i: (counts[i], i))
-        elif order == "maxcutoff":
-            j = min(remaining, key=lambda i: (-counts[i], i))
         elif order == "given":
             j = remaining[0]
         else:
@@ -179,6 +189,8 @@ def cone_extreme_rays(rows: list[tuple[int, ...]],
 
         pos: list[_Ray] = []
         neg: list[_Ray] = []
+        zero: list[_Ray] = []
+        bit_j = 1 << j
         for ray in rays:
             v = ray.vals[j]
             if v > 0:
@@ -186,22 +198,31 @@ def cone_extreme_rays(rows: list[tuple[int, ...]],
             elif v < 0:
                 neg.append(ray)
             else:
-                ray.mask |= 1 << j
-                act_lists[j].append(ray)
-                live_entries += 1
+                ray.mask |= bit_j
+                zero.append(ray)
+        cols[j] = _id_set(zero, n_ids)
 
         newborn: list[_Ray] = []
-        bit_j = 1 << j
         for w in neg:
             wv = w.vals[j]
             w_mask = w.mask
             w_coords = w.coords
             w_vals = w.vals
+            others = live ^ (1 << w.id)
             # cheap popcount prefilter in a single C-level pass
             cands = [u for u in pos if (u.mask & w_mask).bit_count() >= need]
             for u in cands:
                 s = u.mask & w_mask
-                if not adjacent(u, w, s):
+                # adjacent iff no third live ray is active on every row of s
+                x = others ^ (1 << u.id)
+                m = s
+                while m:
+                    b = m & -m
+                    x &= cols[b.bit_length() - 1]
+                    if not x:
+                        break
+                    m ^= b
+                if x:
                     continue
                 uv = u.vals[j]
                 u_coords = u.coords
@@ -222,8 +243,6 @@ def cone_extreme_rays(rows: list[tuple[int, ...]],
                 newborn.append(_Ray(tuple(coords), s | bit_j, vals))
 
         for w in neg:
-            w.alive = False
-            dead_entries += w.mask.bit_count()
             for i in rem:
                 if w.vals[i] < 0:
                     counts[i] -= 1
@@ -232,14 +251,8 @@ def cone_extreme_rays(rows: list[tuple[int, ...]],
             for i in rem:
                 if ray.vals[i] < 0:
                     counts[i] += 1
-            m = ray.mask
-            while m:
-                b = m & -m
-                act_lists[b.bit_length() - 1].append(ray)
-                live_entries += 1
-                m ^= b
 
-        rays = [r for r in rays if r.alive] + newborn
+        rays = [r for r in rays if r.vals[j] >= 0] + newborn
         if trace:
             log.debug("insert %d/%d row %d: rays %d (+%d -%d) %.2fs",
                       step, step + len(remaining), j, len(rays), len(newborn),
@@ -247,17 +260,17 @@ def cone_extreme_rays(rows: list[tuple[int, ...]],
         if not rays:
             return []
 
-        if dead_entries > live_entries:
-            act_lists = {i: [] for i in range(n_rows)}
-            live_entries = 0
-            for ray in rays:
-                m = ray.mask
-                while m:
-                    b = m & -m
-                    act_lists[b.bit_length() - 1].append(ray)
-                    live_entries += 1
-                    m ^= b
-            dead_entries = 0
+        if n_ids + len(newborn) > 2 * len(rays):
+            # more ids dead than live: renumber the current rays from 0
+            cols = _bitsets(rays, n_rows, 0)
+            n_ids = len(rays)
+            live = (1 << n_ids) - 1
+        else:
+            live ^= _id_set(neg, n_ids)
+            new_cols = _bitsets(newborn, n_rows, n_ids)
+            cols = [a | b for a, b in zip(cols, new_cols)]
+            live |= ((1 << len(newborn)) - 1) << n_ids
+            n_ids += len(newborn)
 
     return [r.coords for r in rays]
 

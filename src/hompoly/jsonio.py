@@ -26,6 +26,8 @@ def rat_to_str(x) -> str:
 
 
 def str_to_rat(s: str) -> Fraction:
+    if isinstance(s, bool) or not isinstance(s, (str, int)):
+        raise ValueError(f"expected a rational string, got {s!r}")
     return Fraction(s)
 
 
@@ -33,16 +35,42 @@ def vec_to_json(v: Vec) -> list[str]:
     return [rat_to_str(x) for x in v]
 
 
-def json_to_vec(data) -> Vec:
-    return tuple(Fraction(x) for x in data)
+def json_to_vec(data, length: int | None = None) -> Vec:
+    if not isinstance(data, list):
+        raise ValueError(f"expected a list of rationals, got {data!r}")
+    if length is not None and len(data) != length:
+        raise ValueError(f"expected {length} coordinates, got {len(data)}")
+    return tuple(str_to_rat(x) for x in data)
 
 
 def _rows_to_json(rows):
     return [{"normal": vec_to_json(n), "offset": rat_to_str(c)} for n, c in rows]
 
 
-def _rows_from_json(data):
-    return [(json_to_vec(r["normal"]), Fraction(r["offset"])) for r in data]
+def _rows_from_json(data, dim: int):
+    if not isinstance(data, list):
+        raise ValueError(f"expected a list of rows, got {data!r}")
+    out = []
+    for r in data:
+        if not isinstance(r, dict) or "normal" not in r or "offset" not in r:
+            raise ValueError(f"row needs a 'normal' and an 'offset': {r!r}")
+        out.append((json_to_vec(r["normal"], dim), str_to_rat(r["offset"])))
+    return out
+
+
+def _require_object(data, keys, what: str) -> None:
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} JSON must be an object")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} JSON lacks {key!r}")
+
+
+def _dim(data, key: str) -> int:
+    d = data[key]
+    if isinstance(d, bool) or not isinstance(d, int) or d < 0:
+        raise ValueError(f"{key} must be a nonnegative integer, got {d!r}")
+    return d
 
 
 def polytope_to_json(P: Polytope, include_vertices: bool = True,
@@ -58,16 +86,19 @@ def polytope_to_json(P: Polytope, include_vertices: bool = True,
 
 
 def polytope_from_json(data: dict) -> Polytope:
-    ambient = data["ambient_dim"]
+    _require_object(data, ("ambient_dim",), "polytope")
+    ambient = _dim(data, "ambient_dim")
     vrep = None
     hrep = None
     if "vertices" in data:
-        vrep = VRep(tuple(sorted(json_to_vec(v) for v in data["vertices"])))
+        if not isinstance(data["vertices"], list):
+            raise ValueError("polytope 'vertices' must be a list")
+        vrep = VRep(tuple(sorted(json_to_vec(v, ambient) for v in data["vertices"])))
     if "inequalities" in data or "equations" in data:
         from .polytope import _canonical_hrep
 
-        hrep = _canonical_hrep(_rows_from_json(data.get("inequalities", [])),
-                               _rows_from_json(data.get("equations", [])))
+        hrep = _canonical_hrep(_rows_from_json(data.get("inequalities", []), ambient),
+                               _rows_from_json(data.get("equations", []), ambient))
     return Polytope(ambient, vrep=vrep, hrep=hrep)
 
 
@@ -101,6 +132,29 @@ def hom_to_json(H: HomPolytope, source_desc: dict, target_desc: dict) -> dict:
         "pairs": [list(p) for p in H.pairs],
         "insertion_order": structured_row_order(H),
     }
+
+
+def hom_system_from_json(data: dict) -> tuple[list, int, int, int]:
+    """Inequality rows of a hom JSON file (`hom_to_json`), in insertion order.
+
+    Returns (rows, source_dim, target_dim, ambient_dim).  The rows come
+    in the file's `insertion_order` when it has one, which must be a
+    permutation of the row indices.
+    """
+    keys = ("source_dim", "target_dim", "ambient_dim", "inequalities")
+    _require_object(data, keys, "hom")
+    m, n, ambient = (_dim(data, key) for key in keys[:3])
+    if ambient != n * (m + 1):
+        raise ValueError(f"ambient_dim {ambient} is not target_dim * (source_dim + 1)")
+    rows = _rows_from_json(data["inequalities"], ambient)
+    if "insertion_order" in data:
+        order = data["insertion_order"]
+        if (not isinstance(order, list) or any(type(k) is not int for k in order)
+                or sorted(order) != list(range(len(rows)))):
+            raise ValueError(f"insertion_order must be a permutation of "
+                             f"0..{len(rows) - 1}")
+        rows = [rows[k] for k in order]
+    return rows, m, n, ambient
 
 
 def count_report_to_json(r: CountReport) -> dict:

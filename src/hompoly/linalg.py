@@ -10,6 +10,10 @@ values exist only in CLI pretty-printing.
 Rank is computed by fraction-free (Bareiss) elimination on an
 integer-cleared copy of the matrix, which keeps intermediate entries
 small even for the dimension-16 inequality systems produced elsewhere.
+The reduced row echelon form comes from fraction-free Gauss-Jordan
+elimination on the same integer-cleared rows, each row divided by its
+content after every step; rows are divided by their pivots only on
+return.
 """
 
 from __future__ import annotations
@@ -96,32 +100,75 @@ def primitive(v: Vec, orient: bool = False) -> Vec:
     nonzero entry is positive (for equations, where both signs describe
     the same hyperplane).
     """
-    if is_zero(v):
-        return zero_vec(len(v))
-    m = 1
-    for x in v:
-        m = lcm(m, x.denominator)
-    ints = [int(x * m) for x in v]
-    g = 0
-    for a in ints:
-        g = gcd(g, a)
-    ints = [a // g for a in ints]
-    if orient:
-        lead = next(a for a in ints if a)
-        if lead < 0:
-            ints = [-a for a in ints]
+    ints = _int_row(v)
+    if orient and next((a for a in ints if a), 0) < 0:
+        ints = [-a for a in ints]
     return tuple(Fraction(a) for a in ints)
 
 
-def _integer_rows(rows) -> list[list[int]]:
-    # clear denominators row-wise; preserves the row space
-    out = []
-    for row in rows:
-        m = 1
-        for x in row:
-            m = lcm(m, x.denominator)
-        out.append([int(x * m) for x in row])
+def _int_row(row) -> list[int]:
+    """Primitive integer row spanning the same line as a rational row.
+
+    Only positive scalings are applied; a zero row stays zero.
+    """
+    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+    m = lcm(*[x.denominator for x in row])
+    if m == 1:
+        ints = [x.numerator for x in row]
+    else:
+        ints = [x.numerator * (m // x.denominator) for x in row]
+    g = gcd(*ints)
+    if g > 1:
+        ints = [a // g for a in ints]
+    return ints
+
+
+def _eliminate(row: list[int], prow: list[int], c: int) -> list[int]:
+    """Integer row spanning with prow the same plane as row, zero in column c.
+
+    prow[c] must be nonzero.  The result is a positive multiple of
+    row - (row[c] / prow[c]) prow, divided by its content.
+    """
+    p, f = prow[c], row[c]
+    if p < 0:
+        p, f = -p, -f
+    g = gcd(p, f)
+    if g > 1:
+        p //= g
+        f //= g
+    out = [p * a - f * b for a, b in zip(row, prow)]
+    g = gcd(*out)
+    if g > 1:
+        out = [a // g for a in out]
     return out
+
+
+def _int_rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix.
+
+    Returns the nonzero rows and their pivot columns.  Row k is zero in
+    every pivot column except pivots[k]; dividing it by its pivot entry
+    gives row k of the reduced row echelon form.
+    """
+    work = list(rows)
+    n_rows = len(work)
+    n_cols = len(work[0]) if work else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(n_cols):
+        piv = next((i for i in range(r, n_rows) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        prow = work[r]
+        for i in range(n_rows):
+            if i != r and work[i][c]:
+                work[i] = _eliminate(work[i], prow, c)
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return work[:r], pivots
 
 
 def int_rank(rows: list[list[int]]) -> int:
@@ -162,40 +209,23 @@ def int_rank(rows: list[list[int]]) -> int:
 
 def rank(M) -> int:
     """Exact matrix rank (fraction-free elimination)."""
-    rows = [r for r in _integer_rows(M) if any(r)]
+    rows = [r for r in map(_int_row, M) if any(r)]
     return int_rank(rows)
 
 
 def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over the rationals.
 
-    Returns the nonzero rows and the pivot column indices.
+    Returns the nonzero rows and the pivot column indices.  Elimination
+    runs on integer-cleared rows (`_int_rref`); entries become
+    Fractions only in the returned rows.
     """
-    work = [[Fraction(x) for x in row] for row in rows]
-    n_rows = len(work)
-    n_cols = len(work[0]) if work else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        piv = None
-        for i in range(r, n_rows):
-            if work[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        p = work[r][c]
-        work[r] = [x / p for x in work[r]]
-        for i in range(n_rows):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return work[:r], pivots
+    red, pivots = _int_rref([_int_row(row) for row in rows])
+    out = []
+    for row, c in zip(red, pivots):
+        p = row[c]
+        out.append([Fraction(a, p) if a else ZERO for a in row])
+    return out, pivots
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ finish in minutes; the extended suite adds the long enumerations.
 
 from __future__ import annotations
 
+import inspect
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -459,8 +460,13 @@ CLAIMS = {
 def run_claim(claim_id: str, params: dict) -> VerificationResult:
     if claim_id not in CLAIMS:
         raise ValueError(f"unknown claim {claim_id!r}; known: {sorted(CLAIMS)}")
+    claim = CLAIMS[claim_id]
+    try:
+        inspect.signature(claim).bind(**params)
+    except TypeError as exc:
+        raise ValueError(f"bad parameters for claim {claim_id!r}: {exc}") from None
     start = time.perf_counter()
-    ok, witness = CLAIMS[claim_id](**params)
+    ok, witness = claim(**params)
     elapsed = time.perf_counter() - start
     return VerificationResult(claim_id, dict(params), "pass" if ok else "fail",
                               witness, elapsed)

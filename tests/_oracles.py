@@ -1,9 +1,50 @@
-"""Independent brute-force oracles used to cross-check the fast paths."""
+"""Independent brute-force oracles used to cross-check the fast paths.
+
+Nothing here imports hompoly: the oracles do their own textbook
+Fraction elimination, so a defect in `hompoly.linalg` cannot hide in
+both sides of a comparison.
+"""
 
 from fractions import Fraction
 from itertools import combinations
 
-from hompoly.linalg import dot, mat, rank, solve, vec
+
+def oracle_rref(rows):
+    """Reduced row echelon form by Gauss-Jordan elimination over Fractions.
+
+    Returns the nonzero rows and the pivot column indices.
+    """
+    work = [[Fraction(x) for x in row] for row in rows]
+    n_cols = len(work[0]) if work else 0
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        lead = work[r][c]
+        work[r] = [x / lead for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+    return work[:r], pivots
+
+
+def _unique_solution(rows, rhs):
+    """The solution of rows . x = rhs if there is exactly one, else None."""
+    n_cols = len(rows[0])
+    red, pivots = oracle_rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    if pivots != list(range(n_cols)):
+        return None  # inconsistent (pivot in the last column) or a free column
+    return tuple(row[-1] for row in red)
+
+
+def _dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 def brute_force_vertices(ineqs, eqs, dim):
@@ -13,20 +54,17 @@ def brute_force_vertices(ineqs, eqs, dim):
     subset of inequalities turned into equalities) and keeps the unique
     solutions that are feasible.  Exponential; only for small systems.
     """
-    ineqs = [(vec(n), Fraction(c)) for n, c in ineqs]
-    eqs = [(vec(n), Fraction(c)) for n, c in eqs]
+    ineqs = [(tuple(Fraction(x) for x in n), Fraction(c)) for n, c in ineqs]
+    eqs = [(tuple(Fraction(x) for x in n), Fraction(c)) for n, c in eqs]
     eq_normals = [n for n, _ in eqs]
-    eq_rank = rank(mat(eq_normals)) if eq_normals else 0
+    eq_rank = len(oracle_rref(eq_normals)[1]) if eq_normals else 0
     k = dim - eq_rank
     found = set()
     for subset in combinations(range(len(ineqs)), k):
         rows = eq_normals + [ineqs[i][0] for i in subset]
         rhs = [c for _, c in eqs] + [ineqs[i][1] for i in subset]
-        sol = solve(mat(rows), vec(rhs))
-        if sol is None or not sol.unique:
-            continue
-        x = sol.particular
-        if all(dot(n, x) <= c for n, c in ineqs):
+        x = _unique_solution(rows, rhs)
+        if x is not None and all(_dot(n, x) <= c for n, c in ineqs):
             found.add(x)
     return sorted(found)
 
@@ -35,7 +73,7 @@ def brute_force_extreme_points(points):
     """Extreme points of a finite set: p is extreme iff it is not in the
     hull of the others, decided by exact LP-free barycentric search over
     small support sets (works because the sets here are tiny)."""
-    points = [vec(p) for p in points]
+    points = [tuple(Fraction(x) for x in p) for p in points]
     out = []
     for i, p in enumerate(points):
         others = [q for j, q in enumerate(points) if j != i]
@@ -52,10 +90,7 @@ def _in_hull(p, points):
         for subset in combinations(points, k):
             rows = [list(col) for col in zip(*subset)] + [[1] * k]
             rhs = list(p) + [1]
-            sol = solve(mat(rows), vec(rhs))
-            if sol is None:
-                continue
-            lam = sol.particular
-            if sol.unique and all(x >= 0 for x in lam):
+            lam = _unique_solution(rows, rhs)
+            if lam is not None and all(x >= 0 for x in lam):
                 return True
     return False

@@ -162,3 +162,49 @@ def test_json_text_carry_same_numbers(capsys):
     payload = json.loads(json_out)
     assert str(payload["closed_form"]) in text_out
     assert payload["closed_form"] == 90
+
+
+def _bad_hom(tmp_path, capsys, edit):
+    hom_file = tmp_path / "hom.json"
+    code, _, _ = run_cli(capsys, "construct", "cube:2", "simplex:2", "--out", str(hom_file))
+    assert code == 0
+    data = json.loads(hom_file.read_text())
+    edit(data)
+    hom_file.write_text(json.dumps(data))
+    return run_cli(capsys, "vertices", str(hom_file), "--json")
+
+
+@pytest.mark.parametrize("order", [
+    [0, *range(11)],         # index 0 twice, 11 missing
+    [-1, *range(1, 12)],     # negative index
+    [*range(11), 12],        # out of range
+])
+def test_vertices_rejects_bad_insertion_order(tmp_path, capsys, order):
+    code, out, err = _bad_hom(tmp_path, capsys,
+                              lambda d: d.update(insertion_order=order))
+    assert code == 2
+    assert out == "" and "insertion_order" in err
+
+
+def test_vertices_rejects_hom_without_inequalities(tmp_path, capsys):
+    code, _, err = _bad_hom(tmp_path, capsys, lambda d: d.pop("inequalities"))
+    assert code == 2
+    assert "inequalities" in err
+
+
+@pytest.mark.parametrize("payload", [
+    {"vertices": [["0"], ["1"]]},   # no ambient_dim
+    [["0"], ["1"]],                 # top level is a list
+])
+def test_malformed_polytope_file_is_usage_error(tmp_path, capsys, payload):
+    poly_file = tmp_path / "poly.json"
+    poly_file.write_text(json.dumps(payload))
+    code, _, err = run_cli(capsys, "construct", f"file:{poly_file}", "cube:1")
+    assert code == 2
+    assert "polytope JSON" in err
+
+
+def test_verify_missing_param_is_usage_error(capsys):
+    code, _, err = run_cli(capsys, "verify", "--claim", "beta-value", "--param", "n=2")
+    assert code == 2
+    assert "expected" in err
