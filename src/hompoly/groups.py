@@ -94,15 +94,26 @@ def orbit_count(tuples, group) -> tuple[int, bool]:
     Also reports whether the action is free (every orbit has full group
     size).  Deterministic: orbit representatives are visited in sorted
     order.
+
+    The sweep acts on point ids: the distinct points of the set are
+    numbered in sorted order, and each element's move table (the id of
+    the image of every point) is computed once, with one `act_point` per
+    element and point.  Ids keep the order of the points, so sorting id
+    tuples visits the representatives in the same order.
     """
     pool = set(tuples)
+    points = sorted({x for t in pool for x in t})
+    ids = {x: k for k, x in enumerate(points)}
+    # id -1 marks an image outside the set, so its tuples fail the check below
+    moves = [tuple(ids.get(act_point(g, x), -1) for x in points) for g in group]
+    pool = {tuple(map(ids.__getitem__, t)) for t in pool}
     seen = set()
     orbits = 0
     free = True
     for t in sorted(pool):
         if t in seen:
             continue
-        orbit = {act_tuple(g, t) for g in group}
+        orbit = {tuple(map(move.__getitem__, t)) for move in moves}
         if not orbit <= pool:
             raise ValueError("tuple set is not closed under the group action")
         orbits += 1

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .counts import CountReport
 from .homs import AffineMap, HomPolytope, map_rank
 from .linalg import Vec
-from .polytope import HRep, Polytope, VRep
+from .polytope import Polytope, VRep, from_inequalities, from_points
 from .verify import VerificationResult
 
 
@@ -86,20 +86,33 @@ def polytope_to_json(P: Polytope, include_vertices: bool = True,
 
 
 def polytope_from_json(data: dict) -> Polytope:
+    """Polytope from its JSON form, validated like any other input.
+
+    The listed points go through `from_points`, so points that are not
+    vertices (interior points, duplicates) are dropped, and the rows go
+    through `from_inequalities`.  When both are given they must describe
+    the same polytope; a mismatch raises ValueError.
+    """
     _require_object(data, ("ambient_dim",), "polytope")
     ambient = _dim(data, "ambient_dim")
-    vrep = None
-    hrep = None
-    if "vertices" in data:
+    has_v = "vertices" in data
+    has_h = "inequalities" in data or "equations" in data
+    if not (has_v or has_h):
+        raise ValueError("polytope JSON needs 'vertices' or 'inequalities'")
+    if has_v:
         if not isinstance(data["vertices"], list):
             raise ValueError("polytope 'vertices' must be a list")
-        vrep = VRep(tuple(sorted(json_to_vec(v, ambient) for v in data["vertices"])))
-    if "inequalities" in data or "equations" in data:
-        from .polytope import _canonical_hrep
-
-        hrep = _canonical_hrep(_rows_from_json(data.get("inequalities", []), ambient),
-                               _rows_from_json(data.get("equations", []), ambient))
-    return Polytope(ambient, vrep=vrep, hrep=hrep)
+        P = from_points([json_to_vec(v, ambient) for v in data["vertices"]], ambient)
+        if not has_h:
+            return P
+    Q = from_inequalities(_rows_from_json(data.get("inequalities", []), ambient),
+                          _rows_from_json(data.get("equations", []), ambient), ambient)
+    if not has_v:
+        return Q
+    if Q.vertices != P.vertices:
+        raise ValueError("polytope JSON: 'vertices' and the inequalities describe "
+                         "different polytopes")
+    return Polytope(ambient, vrep=VRep(P.vertices), hrep=Q.hrep)
 
 
 def map_to_json(f: AffineMap, is_vertex: bool | None = None) -> dict:

@@ -7,9 +7,10 @@ value is immutable and hashable and every operation is a pure function.
 Nothing in the computation path touches floating point; approximate
 values exist only in CLI pretty-printing.
 
-Rank is computed by fraction-free (Bareiss) elimination on an
-integer-cleared copy of the matrix, which keeps intermediate entries
-small even for the dimension-16 inequality systems produced elsewhere.
+Rank and integer determinants are computed by one fraction-free
+(Bareiss) elimination loop on an integer-cleared copy of the matrix,
+which keeps intermediate entries small even for the dimension-16
+inequality systems produced elsewhere.
 The reduced row echelon form comes from fraction-free Gauss-Jordan
 elimination on the same integer-cleared rows, each row divided by its
 content after every step; rows are divided by their pivots only on
@@ -171,12 +172,19 @@ def _int_rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return work[:r], pivots
 
 
-def int_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by Bareiss elimination (destructive)."""
+def _bareiss(rows: list[list[int]]) -> tuple[int, int, int]:
+    """Bareiss elimination of an integer matrix, in place.
+
+    Returns (rank, sign, last pivot): the sign of the row permutation
+    and the last pivot found.  Every entry stays an integer because each
+    step divides exactly by the previous pivot; for a square matrix of
+    full rank, sign * last pivot is the determinant.
+    """
     if not rows:
-        return 0
+        return 0, 1, 1
     n_rows, n_cols = len(rows), len(rows[0])
     r = 0
+    sign = 1
     prev = 1
     for c in range(n_cols):
         piv = None
@@ -188,6 +196,7 @@ def int_rank(rows: list[list[int]]) -> int:
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
         p = rows[r][c]
         for i in range(r + 1, n_rows):
             ri = rows[i]
@@ -204,7 +213,22 @@ def int_rank(rows: list[list[int]]) -> int:
         r += 1
         if r == n_rows:
             break
-    return r
+    return r, sign, prev
+
+
+def int_rank(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix by Bareiss elimination (destructive)."""
+    return _bareiss(rows)[0]
+
+
+def int_det(rows) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination.
+
+    The rows are copied, so the argument is left as it is.
+    """
+    n = len(rows)
+    r, sign, last = _bareiss([list(row) for row in rows])
+    return sign * last if r == n else 0
 
 
 def rank(M) -> int:

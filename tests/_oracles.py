@@ -69,6 +69,20 @@ def brute_force_vertices(ineqs, eqs, dim):
     return sorted(found)
 
 
+def origin_inside_oracle(points):
+    """Is 0 strictly inside the simplex spanned by the n+1 points of R^n?
+
+    Solves the barycentric system (the points as columns over a row of
+    ones, right-hand side (0, ..., 0, 1)) and demands a unique, strictly
+    positive solution.
+    """
+    n = len(points) - 1
+    rows = [[Fraction(p[r]) for p in points] for r in range(n)]
+    rows.append([Fraction(1)] * (n + 1))
+    lam = _unique_solution(rows, [Fraction(0)] * n + [Fraction(1)])
+    return lam is not None and all(x > 0 for x in lam)
+
+
 def brute_force_extreme_points(points):
     """Extreme points of a finite set: p is extreme iff it is not in the
     hull of the others, decided by exact LP-free barycentric search over

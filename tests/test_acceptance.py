@@ -195,7 +195,6 @@ def test_criterion_13_property_suites():
              "vertex-image law, face law: zero counterexamples")
 
 
-@pytest.mark.extended
 def test_criterion_04_extended_beta_5():
     assert beta(5) == 408
     note("4-extended", "beta(5) = 408")

@@ -204,6 +204,28 @@ def test_malformed_polytope_file_is_usage_error(tmp_path, capsys, payload):
     assert "polytope JSON" in err
 
 
+def test_polytope_file_interior_point_is_not_a_vertex(tmp_path, capsys):
+    # (1, 1) lies inside the triangle: 3 source vertices x 2 segment facets
+    poly_file = tmp_path / "tri.json"
+    poly_file.write_text(json.dumps({"ambient_dim": 2, "vertices": [
+        ["0", "0"], ["4", "0"], ["0", "4"], ["1", "1"]]}))
+    code, out, _ = run_cli(capsys, "construct", f"file:{poly_file}", "cube:1")
+    assert code == 0
+    assert "inequalities 6" in out
+
+
+def test_polytope_file_vertices_and_rows_must_agree(tmp_path, capsys):
+    # the rows describe [0, 2], the vertices [0, 1]
+    poly_file = tmp_path / "bad.json"
+    poly_file.write_text(json.dumps({
+        "ambient_dim": 1, "vertices": [["0"], ["1"]],
+        "inequalities": [{"normal": ["1"], "offset": "2"},
+                         {"normal": ["-1"], "offset": "0"}]}))
+    code, out, err = run_cli(capsys, "construct", "cube:1", f"file:{poly_file}")
+    assert code == 2
+    assert out == "" and "different polytopes" in err
+
+
 def test_verify_missing_param_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "--claim", "beta-value", "--param", "n=2")
     assert code == 2

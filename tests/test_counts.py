@@ -1,9 +1,9 @@
-from fractions import Fraction
 from itertools import product
 from math import comb, factorial
 
 import pytest
 
+from _oracles import origin_inside_oracle
 from hompoly.counts import (
     beta,
     bound_box_diamond,
@@ -23,7 +23,6 @@ from hompoly.counts import (
     surjections_inclusion_exclusion,
 )
 from hompoly.errors import SizeGuardError
-from hompoly.linalg import mat, solve, vec
 
 
 # -- independent oracles -----------------------------------------------------
@@ -50,14 +49,6 @@ def sigma_brute_force(m, n):
         if {abs(x) for x in f} == set(range(1, n + 1)):
             count += 1
     return count
-
-
-def origin_inside_oracle(points):
-    n = len(points) - 1
-    rows = [[Fraction(p[r]) for p in points] for r in range(n)]
-    rows.append([Fraction(1)] * (n + 1))
-    sol = solve(mat(rows), vec([0] * n + [1]))
-    return sol is not None and sol.unique and all(l > 0 for l in sol.particular)
 
 
 # -- stirling / surjection / sigma -------------------------------------------

@@ -1,21 +1,26 @@
 """Differential tests: the exact kernels against the brute-force oracles.
 
 `linalg.rref` is compared with the oracle's textbook Fraction
-elimination, and `dd.polytope_vertices` with exhaustive basis
-enumeration, on generated inputs that stress the degenerate cases.
+elimination, `dd.polytope_vertices` with exhaustive basis enumeration,
+the cofactor-sign test of `counts.origin_strictly_inside` and the
+minor-cached `counts._valid_subsets` with a barycentric solve, and the
+id-based `groups.orbit_count` with a sweep over point tuples, on
+generated inputs that stress the degenerate cases.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations, product
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given  # noqa: E402
+from hypothesis import assume, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from _oracles import brute_force_vertices, oracle_rref  # noqa: E402
-from hompoly import dd, linalg  # noqa: E402
+from _oracles import brute_force_vertices, oracle_rref, origin_inside_oracle  # noqa: E402
+from hompoly import counts, dd, groups, linalg  # noqa: E402
 
 rationals = st.one_of(
     st.just(Fraction(0)),
@@ -87,3 +92,119 @@ def test_polytope_vertices_match_brute_force(order, system):
     ineqs, dim = system
     assert dd.polytope_vertices(ineqs, dim, order=order) == \
         brute_force_vertices(ineqs, [], dim)
+
+
+@st.composite
+def point_tuples(draw):
+    """n+1 integer points of R^n (n = 1..4, entries in [-3, 3]), often
+    degenerate: a repeated point, three points on a line, or the origin
+    on a facet (a point at 0, or a point and its negative)."""
+    n = draw(st.integers(1, 4))
+    point = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple)
+    pts = draw(st.lists(point, min_size=n + 1, max_size=n + 1))
+    kind = draw(st.sampled_from(["free", "repeat", "line", "zero", "antipodal"]))
+    i, j, k = (draw(st.integers(0, n)) for _ in range(3))
+    if kind == "repeat":
+        pts[i] = pts[j]
+    elif kind == "line":
+        p, q = pts[i], pts[j]
+        t = draw(st.integers(-2, 2))
+        pts[k] = tuple(a + t * (b - a) for a, b in zip(p, q))
+    elif kind == "zero":
+        pts[i] = (0,) * n
+    elif kind == "antipodal":
+        pts[i] = tuple(-a for a in pts[j])
+    return tuple(draw(st.permutations(pts)))
+
+
+@given(point_tuples())
+def test_origin_strictly_inside_matches_oracle(points):
+    assert counts.origin_strictly_inside(points) == origin_inside_oracle(points)
+
+
+@lru_cache(maxsize=None)
+def _oracle_centered(n):
+    """The (n+1)-sets of cube vertices that the oracle calls centered."""
+    verts = product((-1, 1), repeat=n)
+    return {frozenset(s) for s in combinations(verts, n + 1) if origin_inside_oracle(s)}
+
+
+def _oracle_subsets(n, anchor):
+    """`_valid_subsets` by brute force: filter the combinations of cube
+    vertices with the oracle, in the same order."""
+    verts = list(product((-1, 1), repeat=n))
+    if anchor is None:
+        return [s for s in combinations(verts, n + 1) if frozenset(s) in _oracle_centered(n)]
+    rest = [v for v in verts if v != anchor]
+    return [(anchor,) + s for s in combinations(rest, n)
+            if frozenset((anchor,) + s) in _oracle_centered(n)]
+
+
+@given(st.data())
+def test_valid_subsets_match_oracle(data):
+    n = data.draw(st.integers(1, 4))
+    anchor = data.draw(st.one_of(
+        st.none(), st.sampled_from(list(product((-1, 1), repeat=n)))))
+    assert list(counts._valid_subsets(n, anchor)) == _oracle_subsets(n, anchor)
+
+
+def _generated_group(gens, n):
+    """The subgroup generated by gens, by closing under composition."""
+    elements = {groups.identity_element(n)}
+    frontier = list(elements)
+    while frontier:
+        g = frontier.pop()
+        for h in gens:
+            gh = groups.compose(g, h)
+            if gh not in elements:
+                elements.add(gh)
+                frontier.append(gh)
+    return sorted(elements, key=lambda g: (g.perm, g.signs))
+
+
+def _naive_orbit_count(tuples, group):
+    pool = set(tuples)
+    seen = set()
+    orbits = 0
+    free = True
+    for t in sorted(pool):
+        if t not in seen:
+            orbit = {groups.act_tuple(g, t) for g in group}
+            assert orbit <= pool
+            orbits += 1
+            free = free and len(orbit) == len(group)
+            seen |= orbit
+    return orbits, free
+
+
+@st.composite
+def closed_tuple_sets(draw):
+    """A small signed-permutation group (generated by random elements)
+    and a set of point tuples closed under it."""
+    n = draw(st.integers(1, 3))
+    element = st.builds(groups.SignedPermutation,
+                        st.permutations(range(n)).map(tuple),
+                        st.lists(st.sampled_from((-1, 1)), min_size=n,
+                                 max_size=n).map(tuple))
+    group = _generated_group(draw(st.lists(element, max_size=3)), n)
+    size = draw(st.integers(1, 3))
+    point = st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(tuple)
+    seeds = draw(st.lists(st.lists(point, min_size=size, max_size=size).map(tuple),
+                          max_size=4))
+    return {groups.act_tuple(g, t) for g in group for t in seeds}, group
+
+
+@given(closed_tuple_sets())
+def test_orbit_count_matches_naive_sweep(case):
+    tuples, group = case
+    assert groups.orbit_count(tuples, group) == _naive_orbit_count(tuples, group)
+
+
+@given(closed_tuple_sets(), st.data())
+def test_orbit_count_rejects_a_set_that_is_not_closed(case, data):
+    tuples, group = case
+    moved = sorted(t for t in tuples if any(groups.act_tuple(g, t) != t for g in group))
+    assume(moved)
+    dropped = data.draw(st.sampled_from(moved))
+    with pytest.raises(ValueError, match="not closed"):
+        groups.orbit_count(tuples - {dropped}, group)

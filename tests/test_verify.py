@@ -1,5 +1,6 @@
 import pytest
 
+from hompoly import verify
 from hompoly.verify import CLAIMS, CORE_SUITE, VerificationResult, run_claim, run_suite
 
 
@@ -67,6 +68,27 @@ def test_run_suite_returns_results_in_plan_order():
     assert results == []
     with pytest.raises(ValueError):
         run_suite("nightly")
+
+
+def test_suite_results_do_not_depend_on_thread_count(monkeypatch):
+    plan = [
+        ("dim-formula", {"source": "cube", "m": 2, "target": "simplex", "n": 2}),
+        ("box-simplex-rank", {"m": 2, "n": 2}),
+        ("diamond-center", {"m": 2, "n": 2}),
+        ("count-agreement", {"family": "box-simplex", "m": 2, "n": 2}),
+        ("beta-value", {"n": 4, "expected": 5}),
+        ("beta-value", {"n": 3, "expected": 99}),  # fails, with a witness
+    ]
+    monkeypatch.setattr(verify, "CORE_SUITE", plan)
+
+    def outcome(threads):
+        return [(r.claim_id, r.parameters, r.status, r.witness)
+                for r in run_suite("core", threads=threads)]
+
+    serial = outcome(1)
+    assert [(cid, params) for cid, params, _, _ in serial] == plan
+    assert [status for _, _, status, _ in serial] == ["pass"] * 5 + ["fail"]
+    assert outcome(2) == serial
 
 
 def test_vertex_image_law_single():
