@@ -7,9 +7,10 @@ command lines produce byte-identical JSON.  Exit codes: 0 success (all
 verifications passed), 1 verification failure, 2 usage or input error.
 
 Heavy enumerations are gated: anything whose inequality system exceeds
-the guard needs --allow-large, as does beta at its largest supported
-argument.  --threads (or HOMPOLY_THREADS) controls worker processes for
-suite runs; results are independent of the thread count.
+the guard needs --allow-large.  beta runs up to n = 5 (about a second)
+without a flag and refuses larger n (exit 2); --allow-large is accepted
+there and has no effect.  --threads (or HOMPOLY_THREADS) controls worker
+processes for suite runs; results are independent of the thread count.
 """
 
 from __future__ import annotations
@@ -154,8 +155,6 @@ def cmd_count(args) -> int:
 
 
 def cmd_beta(args) -> int:
-    if args.n >= 5 and not args.allow_large:
-        raise SizeGuardError("beta(5) is a long run; pass --allow-large")
     value = counts_mod.beta(args.n)
     _emit(args, {"n": args.n, "beta": value}, [str(value)])
     return 0
@@ -274,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("beta", help="orbit count of centered simplex tuples")
     p.add_argument("n", type=int)
-    p.add_argument("--allow-large", action="store_true")
+    p.add_argument("--allow-large", action="store_true",
+                   help="no effect; beta needs no gate up to its limit n = 5")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_beta)
 

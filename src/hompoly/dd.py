@@ -21,9 +21,14 @@ Representation choices, all in service of exactness and speed:
   keeps the set of ids of the rays active on it, and a pair is
   adjacent iff the live rays other than the two, ANDed with the set of
   every row in the common active set, leave nothing.
+- Input rows are cleared to primitive integer rows by the shared
+  `linalg._int_row` (multiply by the lcm of the denominators, divide by
+  the content; positive scalings only, so each inequality keeps its
+  direction).  A row whose normal clears to zero reads 0 <= c: it is
+  dropped for c >= 0 and makes the set empty for c < 0.
 - Initial basis selection and the initial simplicial cone use
   fraction-free integer elimination, so Fractions appear only in the
-  conversion of the input rows and of the output vertices.
+  input rows and in the output vertices.
 - Functionals are inserted in order of ascending number of currently
   violated rays, recomputed each round from cached evaluation values;
   ties break by input position, so runs are deterministic.
@@ -43,7 +48,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import UnboundedPolytopeError
-from .linalg import Vec, _eliminate, _int_rref
+from .linalg import Vec, _eliminate, _int_row, _int_rref
 
 __all__ = ["cone_extreme_rays", "polytope_vertices"]
 
@@ -285,17 +290,12 @@ def polytope_vertices(ineqs, dim: int, order: str = "mincutoff") -> list[Vec]:
     """
     rows: list[tuple[int, ...]] = []
     for normal, offset in ineqs:
-        row = [offset] + [-x for x in normal]
-        m = 1
-        for x in row:
-            f = Fraction(x)
-            m = m * f.denominator // gcd(m, f.denominator)
-        ints = [int(Fraction(x) * m) for x in row]
+        ints = _int_row([offset] + [-x for x in normal])
         if not any(ints[1:]):
             if ints[0] < 0:
                 return []  # 0 <= negative: infeasible
             continue
-        rows.append(tuple(_reduce(ints)))
+        rows.append(tuple(ints))
     rows.append(tuple([1] + [0] * dim))
 
     if dim == 0:

@@ -65,7 +65,7 @@ class AffineMap:
 
     def evaluate(self, x) -> Vec:
         x = vec(x)
-        return add(tuple(dot(row, x) for row in self.matrix), self.offset)
+        return tuple(dot(row, x) + b for row, b in zip(self.matrix, self.offset))
 
 
 def map_rank(f: AffineMap) -> int:

@@ -7,6 +7,13 @@ value is immutable and hashable and every operation is a pure function.
 Nothing in the computation path touches floating point; approximate
 values exist only in CLI pretty-printing.
 
+The hot primitives stay off Fraction arithmetic where they can.  `vec`
+passes entries that already are Fractions through unchanged.  `dot`
+skips every term with a zero factor (hom rows and crosspolytope
+vertices are mostly zeros) and sums the rest as one integer numerator
+over an integer denominator read from `.numerator` / `.denominator`,
+so integer data keeps denominator 1 and one Fraction is built per call.
+
 Rank and integer determinants are computed by one fraction-free
 (Bareiss) elimination loop on an integer-cleared copy of the matrix,
 which keeps intermediate entries small even for the dimension-16
@@ -39,7 +46,8 @@ def normalize(numerator, denominator=1) -> Fraction:
 
 
 def vec(values) -> Vec:
-    return tuple(Fraction(x) for x in values)
+    """Tuple of Fractions; entries that already are Fractions pass through."""
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in values)
 
 
 def zero_vec(n: int) -> Vec:
@@ -51,9 +59,29 @@ def unit_vec(n: int, i: int) -> Vec:
 
 
 def dot(u: Vec, v: Vec) -> Fraction:
+    """Exact inner product of two rational (or integer) vectors.
+
+    Entries may be Fractions or ints.  Terms with a zero factor are
+    skipped; the others accumulate into one integer numerator over the
+    lcm of the terms' denominators, and a single Fraction is built on
+    return.  Raises ValueError on vectors of different lengths.
+    """
     if len(u) != len(v):
         raise ValueError(f"dot of lengths {len(u)} and {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), ZERO)
+    num, den = 0, 1
+    for a, b in zip(u, v):
+        an = a.numerator
+        if an:
+            bn = b.numerator
+            if bn:
+                d = a.denominator * b.denominator
+                if d == den:
+                    num += an * bn
+                else:
+                    g = gcd(den, d)
+                    num = num * (d // g) + an * bn * (den // g)
+                    den = den // g * d
+    return Fraction(num, den)
 
 
 def add(u: Vec, v: Vec) -> Vec:
@@ -282,26 +310,27 @@ def solve(M: Mat, rhs: Vec):
     particular = [ZERO] * n_cols
     for row, c in zip(red, pivots):
         particular[c] = row[-1]
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [ZERO] * n_cols
-        v[f] = ONE
-        for row, c in zip(red, pivots):
-            v[c] = -row[f]
-        basis.append(tuple(v))
-    return LinearSolution(tuple(particular), tuple(basis))
+    return LinearSolution(tuple(particular), _free_column_basis(red, pivots, n_cols))
 
 
 def nullspace(M: Mat) -> tuple[Vec, ...]:
     """Basis of {x : M x = 0} (standard free-column construction)."""
     if not M:
         return ()
-    n_cols = len(M[0])
     red, pivots = rref(M)
-    free = [c for c in range(n_cols) if c not in pivots]
+    return _free_column_basis(red, pivots, len(M[0]))
+
+
+def _free_column_basis(red, pivots: list[int], n_cols: int) -> tuple[Vec, ...]:
+    """Nullspace basis read off a reduced row echelon form.
+
+    One vector per non-pivot column f among the first n_cols: 1 at f,
+    minus column f of the reduced rows at the pivots, 0 elsewhere.
+    """
     basis = []
-    for f in free:
+    for f in range(n_cols):
+        if f in pivots:
+            continue
         v = [ZERO] * n_cols
         v[f] = ONE
         for row, c in zip(red, pivots):

@@ -30,6 +30,7 @@ from . import dd
 from .errors import SizeGuardError
 from .linalg import (
     Vec,
+    _free_column_basis,
     add,
     affine_hull,
     dot,
@@ -211,24 +212,17 @@ def _vertices_from_hrep(hrep: HRep, ambient: int) -> list[Vec]:
     _, eq_red, eq_pivots = _canonical_equations(eqs)
     if ambient in eq_pivots:
         return []  # 0 = 1 after reduction: no solutions
-    free = [c for c in range(ambient) if c not in eq_pivots]
     base = [Fraction(0)] * ambient
     for row, p in zip(eq_red, eq_pivots):
         base[p] = row[-1]
-    dirs = []
-    for f in free:
-        direction = [Fraction(0)] * ambient
-        direction[f] = Fraction(1)
-        for row, p in zip(eq_red, eq_pivots):
-            direction[p] = -row[f]
-        dirs.append(tuple(direction))
+    dirs = _free_column_basis(eq_red, eq_pivots, ambient)
     base_v = tuple(base)
 
     frame_ineqs = []
     for normal, offset in ineqs:
         frame_ineqs.append((tuple(dot(normal, d) for d in dirs),
                             offset - dot(normal, base_v)))
-    frame_pts = dd.polytope_vertices(frame_ineqs, len(free))
+    frame_pts = dd.polytope_vertices(frame_ineqs, len(dirs))
     out = []
     for u in frame_pts:
         x = list(base_v)
@@ -246,10 +240,8 @@ def _frame_coords(points, hull) -> tuple[list[Vec], list[int]]:
     pivot_cols = []
     for row in hull.basis:
         pivot_cols.append(next(i for i, x in enumerate(row) if x != 0))
-    coords = []
-    for p in points:
-        d = sub(p, hull.basepoint)
-        coords.append(tuple(d[c] for c in pivot_cols))
+    base = hull.basepoint
+    coords = [tuple(p[c] - base[c] for c in pivot_cols) for p in points]
     return coords, pivot_cols
 
 
@@ -268,14 +260,15 @@ def _hrep_from_vertices(vertices, ambient: int) -> HRep:
     dual_rows = [(w, Fraction(1)) for w in shifted]
     dual_vertices = dd.polytope_vertices(dual_rows, k)
 
+    # y . w <= 1 on the shifted frame coordinates reads, in the ambient
+    # space, y . x[pivot_cols] <= 1 + y . (centroid + basepoint[pivot_cols])
+    anchor = tuple(g + hull.basepoint[c] for g, c in zip(centroid, pivot_cols))
     ineqs = []
     for y in dual_vertices:
         normal = [Fraction(0)] * ambient
         for yj, c in zip(y, pivot_cols):
             normal[c] = yj
-        offset = Fraction(1) + dot(y, centroid) + sum(
-            (yj * hull.basepoint[c] for yj, c in zip(y, pivot_cols)), Fraction(0))
-        ineqs.append((tuple(normal), offset))
+        ineqs.append((tuple(normal), 1 + dot(y, anchor)))
     return _canonical_hrep(ineqs, hull.equations)
 
 

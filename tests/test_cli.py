@@ -85,9 +85,14 @@ def test_beta_and_sigma(capsys):
 
 
 def test_beta_large_guard(capsys):
-    code, _, err = run_cli(capsys, "beta", "5")
+    code, out, _ = run_cli(capsys, "beta", "5")
+    assert code == 0
+    assert out.strip() == "408"
+    code, _, err = run_cli(capsys, "beta", "6")
     assert code == 2
-    assert "allow-large" in err
+    assert "guarded to n <= 5" in err
+    code, out, _ = run_cli(capsys, "beta", "4", "--allow-large")
+    assert (code, out.strip()) == (0, "5")
 
 
 def test_table_command(capsys):

@@ -1,7 +1,9 @@
 """Differential tests: the exact kernels against the brute-force oracles.
 
-`linalg.rref` is compared with the oracle's textbook Fraction
-elimination, `dd.polytope_vertices` with exhaustive basis enumeration,
+`linalg.dot` is compared with the naive Fraction sum and `linalg.vec`
+checked to be idempotent, `linalg.rref` is compared with the oracle's
+textbook Fraction elimination, `dd.polytope_vertices` with exhaustive
+basis enumeration (zero-normal rows included),
 the cofactor-sign test of `counts.origin_strictly_inside` and the
 minor-cached `counts._valid_subsets` with a barycentric solve, and the
 id-based `groups.orbit_count` with a sweep over point tuples, on
@@ -27,6 +29,37 @@ rationals = st.one_of(
     st.integers(-5, 5).map(Fraction),
     st.fractions(min_value=-9, max_value=9, max_denominator=2 ** 20),
 )
+
+
+# entries as callers pass them: Fractions, plain ints, or zeros of either type
+mixed_entries = st.one_of(rationals, st.integers(-9, 9), st.just(0))
+
+
+@st.composite
+def vector_pairs(draw):
+    """Two vectors of one length; either may be all zeros."""
+    n = draw(st.integers(0, 8))
+    vector = st.one_of(st.lists(mixed_entries, min_size=n, max_size=n),
+                       st.just([Fraction(0)] * n), st.just([0] * n))
+    return tuple(draw(vector)), tuple(draw(vector))
+
+
+@given(vector_pairs())
+def test_dot_matches_naive_sum(pair):
+    u, v = pair
+    got = linalg.dot(u, v)
+    assert type(got) is Fraction
+    assert got == sum((a * b for a, b in zip(u, v)), Fraction(0))
+    with pytest.raises(ValueError):
+        linalg.dot(u + (1,), v)
+
+
+@given(st.lists(st.one_of(mixed_entries, rationals.map(str)), max_size=8))
+def test_vec_is_idempotent(values):
+    once = linalg.vec(values)
+    assert all(type(x) is Fraction for x in once)
+    assert once == tuple(Fraction(x) for x in values)
+    assert linalg.vec(once) == once
 
 
 @st.composite
@@ -208,3 +241,17 @@ def test_orbit_count_rejects_a_set_that_is_not_closed(case, data):
     dropped = data.draw(st.sampled_from(moved))
     with pytest.raises(ValueError, match="not closed"):
         groups.orbit_count(tuples - {dropped}, group)
+
+
+@given(bounded_systems(), rationals)
+def test_polytope_vertices_zero_normal_rows(system, offset):
+    """A row 0 <= c is dropped for c >= 0 and empties the set for c < 0."""
+    ineqs, dim = system
+    rows = list(ineqs) + [((Fraction(0),) * dim, offset)]
+    got = dd.polytope_vertices(rows, dim)
+    assert got == brute_force_vertices(rows, [], dim)
+    if offset < 0:
+        assert got == []
+    else:
+        assert got == dd.polytope_vertices(ineqs, dim)
+    assert dd.polytope_vertices([((0,) * dim, -1)] + list(ineqs), dim) == []

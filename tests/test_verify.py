@@ -64,8 +64,11 @@ def test_every_registered_claim_has_core_coverage():
 
 
 def test_run_suite_returns_results_in_plan_order():
-    results = run_suite("core")[:0]  # plan validated; execution covered in acceptance
-    assert results == []
+    results = run_suite("core")
+    assert [(r.claim_id, r.parameters) for r in results] == CORE_SUITE
+    assert len(results) == 69
+    failed = [(r.claim_id, r.parameters, r.witness) for r in results if r.status != "pass"]
+    assert failed == []
     with pytest.raises(ValueError):
         run_suite("nightly")
 
