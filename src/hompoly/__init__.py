@@ -31,14 +31,13 @@ from .homs import (
     build_hom,
     cube_simplex_realization,
     enumerate_vertex_maps,
-    eval_center,
     image_polytope,
     is_vertex_map,
     map_rank,
     rank_histogram,
     restrict_to_subcrosspolytope,
 )
-from .linalg import affine_hull, normalize, rank, solve
+from .linalg import affine_hull, rank, solve
 from .polytope import (
     HRep,
     Polytope,
@@ -46,12 +45,9 @@ from .polytope import (
     bipyramid,
     combinatorially_equal,
     contains_interior,
-    dilate,
-    dimension,
     empty_polytope,
     from_inequalities,
     from_points,
-    hrep_to_vrep,
     intersect,
     negate,
     polar_dual,
@@ -59,7 +55,6 @@ from .polytope import (
     standard,
     translate,
     vertex_facet_incidence,
-    vrep_to_hrep,
 )
 from .verify import VerificationResult, run_claim, run_suite
 

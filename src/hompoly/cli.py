@@ -131,15 +131,7 @@ def cmd_count(args) -> int:
         _emit(args, {"family": family, "m": args.m, "n": args.n, "lower_bound": value},
               [str(value)])
         return 0
-    builders = {
-        "box-simplex": counts_mod.count_box_simplex,
-        "diamond-simplex": counts_mod.count_diamond_simplex,
-        "diamond-diamond": counts_mod.count_diamond_diamond,
-    }
-    if family not in builders:
-        raise ValueError(f"unknown count family {family!r}")
-    kwargs = {"enumerate_maps": args.enumerate}
-    report = builders[family](args.m, args.n, **kwargs)
+    report = counts_mod.COUNT_FAMILIES[family](args.m, args.n, enumerate_maps=args.enumerate)
     payload = jsonio.count_report_to_json(report)
     lines = [f"{family}({args.m},{args.n}) closed form: {report.closed_form}"]
     for key, val in sorted(report.terms.items()):
@@ -185,16 +177,7 @@ def cmd_verify(args) -> int:
         _emit(args, payload, payload)
         return 0
     if args.claim:
-        params = {}
-        for kv in args.param:
-            key, sep, val = kv.partition("=")
-            if not sep:
-                raise ValueError(f"bad --param {kv!r}; expected key=value")
-            try:
-                params[key] = int(val)
-            except ValueError:
-                params[key] = val
-        results = [verify.run_claim(args.claim, params)]
+        results = [verify.run_claim(args.claim, verify.parse_params(args.claim, args.param))]
     else:
         results = verify.run_suite(args.suite, threads=args.threads)
     payload = [jsonio.result_to_json(r, include_timing=args.timings) for r in results]
@@ -243,7 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    default_threads = int(os.environ.get("HOMPOLY_THREADS", os.cpu_count() or 1))
+    env_threads = os.environ.get("HOMPOLY_THREADS", os.cpu_count() or 1)
+    try:
+        default_threads = int(env_threads)
+    except ValueError:
+        raise ValueError(f"HOMPOLY_THREADS must be an integer, got {env_threads!r}") from None
 
     p = sub.add_parser("construct", help="build a mapping polytope inequality system")
     p.add_argument("source")
@@ -261,8 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_vertices)
 
     p = sub.add_parser("count", help="closed-form counts and bounds")
-    p.add_argument("family", choices=["box-simplex", "diamond-simplex",
-                                      "diamond-diamond", "box-diamond-bound",
+    p.add_argument("family", choices=[*counts_mod.COUNT_FAMILIES, "box-diamond-bound",
                                       "intersection-bound"])
     p.add_argument("m", type=int)
     p.add_argument("n", type=int, nargs="?")
@@ -321,12 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr)
     try:
+        args = build_parser().parse_args(argv)
+        logging.basicConfig(
+            level=logging.DEBUG if args.verbose else logging.WARNING,
+            format="%(levelname)s %(name)s: %(message)s",
+            stream=sys.stderr)
         return args.func(args)
     except (ValueError, ZeroDivisionError, UnboundedPolytopeError, OSError,
             json.JSONDecodeError) as exc:

@@ -28,7 +28,7 @@ from itertools import combinations, permutations, product
 from math import comb, factorial
 
 from .errors import SizeGuardError
-from .groups import enumerate_group, orbit_count
+from .groups import SignedPermutation, orbit_count
 from .linalg import int_det
 
 TUPLE_GUARD = 5
@@ -143,11 +143,14 @@ def _valid_subsets(n: int, require_first=None):
 
 def simplex_tuples(n: int) -> list[tuple[tuple[int, ...], ...]]:
     """All ordered (n+1)-tuples of cube vertices whose hull is a
-    full-dimensional simplex containing the origin strictly inside."""
+    full-dimensional simplex containing the origin strictly inside.
+
+    The full, unreduced set, kept as the reference for the count `beta`
+    takes on `reduced_simplex_tuples`."""
     if n > 4:
         raise SizeGuardError(
             "full ordered tuple set guarded to n <= 4; "
-            "use reduced_simplex_tuples / simplex_tuple_count for n = 5")
+            "use reduced_simplex_tuples for n = 5")
     if n < 1:
         raise ValueError("need n >= 1")
     out = []
@@ -176,31 +179,23 @@ def reduced_simplex_tuples(n: int) -> list[tuple[tuple[int, ...], ...]]:
     return out
 
 
-def simplex_tuple_count(n: int) -> int:
-    """|{ordered centered simplex tuples}| via the transitivity reduction."""
-    return 2**n * len(reduced_simplex_tuples(n))
-
-
 def beta(n: int) -> int:
     """Orbit count of the signed permutation group on the centered
     simplex tuples; the action is free, so this equals the tuple count
-    divided by the group order (checked)."""
+    divided by the group order (checked).
+
+    Counted on the reduced set: full-group orbits correspond to orbits of
+    the first entry's stabilizer (the coordinate permutations) on the
+    tuples starting at (-1, ..., -1).
+    """
     if n > TUPLE_GUARD:
         raise SizeGuardError(f"beta guarded to n <= {TUPLE_GUARD}")
     if n < 1:
         raise ValueError("need n >= 1")
     group_order = 2**n * factorial(n)
-    if n <= 4:
-        tuples = simplex_tuples(n)
-        orbits, free = orbit_count(tuples, enumerate_group(n))
-        total = len(tuples)
-    else:
-        # fix the first entry, count orbits of the stabilizer (plain
-        # coordinate permutations) on the reduced set
-        reduced = reduced_simplex_tuples(n)
-        stab = [g for g in _permutation_subgroup(n)]
-        orbits, free = orbit_count(reduced, stab)
-        total = 2**n * len(reduced)
+    reduced = reduced_simplex_tuples(n)
+    orbits, free = orbit_count(reduced, _permutation_subgroup(n))
+    total = 2**n * len(reduced)
     if total and not free:
         raise ValueError("orbit sizes are not all equal to the group order")
     if orbits * group_order != total:
@@ -208,9 +203,7 @@ def beta(n: int) -> int:
     return orbits
 
 
-def _permutation_subgroup(n: int):
-    from .groups import SignedPermutation
-
+def _permutation_subgroup(n: int) -> list[SignedPermutation]:
     return [SignedPermutation(p, (1,) * n) for p in permutations(range(n))]
 
 
@@ -306,6 +299,14 @@ def count_diamond_diamond(m: int, n: int, high_rank_table: dict[int, int] | None
     if enumerate_maps:
         report.enumerated = _enumerated_count("crosspolytope", m, "crosspolytope", n)
     return report
+
+
+# the closed-form count of each mapping-polytope family, by family name
+COUNT_FAMILIES = {
+    "box-simplex": count_box_simplex,
+    "diamond-simplex": count_diamond_simplex,
+    "diamond-diamond": count_diamond_diamond,
+}
 
 
 def bound_box_diamond(m: int, n: int) -> int:

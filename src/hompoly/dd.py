@@ -48,7 +48,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import UnboundedPolytopeError
-from .linalg import Vec, _eliminate, _int_row, _int_rref
+from .linalg import Vec, _independent_rows, _int_row, _int_rref
 
 __all__ = ["cone_extreme_rays", "polytope_vertices"]
 
@@ -63,38 +63,6 @@ class _Ray:
         self.mask = mask
         self.vals = vals
         self.id = -1
-
-
-def _reduce(coords: list[int]) -> list[int]:
-    g = 0
-    for a in coords:
-        g = gcd(g, a)
-    if g > 1:
-        coords = [a // g for a in coords]
-    return coords
-
-
-def _independent_rows(rows: list[tuple[int, ...]], dim: int) -> list[int]:
-    """Indices of the first dim linearly independent rows, greedily.
-
-    Each row is reduced once against an integer echelon basis of the
-    rows chosen before it; it is chosen iff something nonzero remains.
-    """
-    chosen: list[int] = []
-    basis: list[tuple[int, list[int]]] = []  # (pivot column, row)
-    for i, row in enumerate(rows):
-        red = list(row)
-        for c, brow in basis:
-            if red[c]:
-                red = _eliminate(red, brow, c)
-        c = next((c for c, a in enumerate(red) if a), None)
-        if c is None:
-            continue
-        basis.append((c, red))
-        chosen.append(i)
-        if len(chosen) == dim:
-            break
-    return chosen
 
 
 def _bitsets(rays: list[_Ray], n_rows: int, first: int) -> list[int]:
@@ -153,7 +121,7 @@ def cone_extreme_rays(rows: list[tuple[int, ...]],
     remaining = [i for i in range(n_rows) if i not in set(basis_idx)]
     rays: list[_Ray] = []
     for j in range(dim):
-        coords = _reduce([row[dim + j] * f for row, f in zip(red, scale)])
+        coords = _int_row([row[dim + j] * f for row, f in zip(red, scale)])
         mask = 0
         for i, bi in enumerate(basis_idx):
             if i != j:

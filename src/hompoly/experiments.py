@@ -54,8 +54,9 @@ def perturbed_barycenter_count(n: int, seed: int, eps=Fraction(1, 1000),
     jittered off the barycenter by eps times a seeded draw.
 
     Draws are redrawn (bounded) if the intersection fails to be
-    full-dimensional; with the default eps the count is expected to be
-    the generic value, independent of the seed.
+    full-dimensional, and ValueError is raised when every draw fails
+    (an eps too large for the simplex); with the default eps the count
+    is expected to be the generic value, independent of the seed.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -77,15 +78,15 @@ def perturbed_barycenter_count(n: int, seed: int, eps=Fraction(1, 1000),
             return K.n_vertices
         log.info("degenerate perturbation, redrawing (n=%d seed=%d attempt=%d)",
                  n, seed, attempt)
-    raise RuntimeError(f"no full-dimensional perturbation within {max_retries} draws")
+    raise ValueError(f"no full-dimensional perturbation within {max_retries} draws")
 
 
 def random_simplex_intersection_count(n: int, seed: int, max_retries: int = 32) -> int:
     """Vertex count of the intersection of two seeded random n-simplices.
 
     The value depends on the seed (the generic count does not exist
-    here); degenerate draws are rejected.  An empty intersection counts
-    zero vertices.
+    here); degenerate draws are rejected, and ValueError is raised when
+    every draw is.  An empty intersection counts zero vertices.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -98,7 +99,7 @@ def random_simplex_intersection_count(n: int, seed: int, max_retries: int = 32) 
             log.info("degenerate random simplex, redrawing (n=%d seed=%d)", n, seed)
             continue
         return intersect(first, second).n_vertices
-    raise RuntimeError(f"no nondegenerate simplex pair within {max_retries} draws")
+    raise ValueError(f"no nondegenerate simplex pair within {max_retries} draws")
 
 
 @dataclass(frozen=True)

@@ -67,11 +67,6 @@ def enumerate_group(n: int) -> list[SignedPermutation]:
     return out
 
 
-def axis_stabilizer(n: int, point) -> list[SignedPermutation]:
-    """Group elements fixing the given point (from full enumeration)."""
-    return [g for g in enumerate_group(n) if act_point(g, point) == tuple(point)]
-
-
 def act_point(g: SignedPermutation, x):
     """Apply a signed permutation to a point (any scalar type)."""
     if len(x) != g.n:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import dd
-from .linalg import Mat, Vec, add, dot, mat, rank, rref, vec, zero_vec
-from .polytope import Polytope, VRep, from_points, standard
+from .linalg import Mat, Vec, _independent_rows, _int_row, add, dot, rank, vec, zero_vec
+from .polytope import Polytope, VRep, _tight_rows_span, from_points
 
 __all__ = [
     "AffineMap",
@@ -36,7 +36,6 @@ __all__ = [
     "map_rank",
     "rank_histogram",
     "image_polytope",
-    "eval_center",
     "restrict_to_subcrosspolytope",
     "cube_simplex_realization",
 ]
@@ -71,11 +70,6 @@ class AffineMap:
 def map_rank(f: AffineMap) -> int:
     """Rank of the linear part = dimension of the image of a full-dim source."""
     return rank(f.matrix)
-
-
-def eval_center(f: AffineMap) -> Vec:
-    """Image of the origin, i.e. the translation part b."""
-    return f.offset
 
 
 def flatten_map(f: AffineMap) -> Vec:
@@ -121,11 +115,6 @@ class HomPolytope:
     def ambient_dim(self) -> int:
         m, n = self.source_dim, self.target_dim
         return n * m + n
-
-    def as_polytope(self) -> Polytope:
-        from .polytope import from_inequalities
-
-        return from_inequalities(self.rows, (), self.ambient_dim)
 
 
 def _hom_row(v: Vec, u: Vec, c: Fraction, m: int, n: int) -> tuple[Vec, Fraction]:
@@ -173,17 +162,11 @@ def structured_row_order(H: HomPolytope) -> list[int]:
     the intermediate feasible set is a product of copies of the target
     and stays small.  Violation-count insertion heuristics were measured
     to blow up on the larger of these systems; this order does not.
+    The set is chosen greedily: the first m+1 vertices, in vertex order,
+    whose lifts (v, 1) are linearly independent.
     """
-    chosen: set[int] = set()
-    work: list[list] = []
-    for vi, v in enumerate(H.source.vertices):
-        cand = work + [[Fraction(x) for x in v] + [Fraction(1)]]
-        red, pivots = rref(cand)
-        if len(pivots) > len(work):
-            chosen.add(vi)
-            work = red
-            if len(chosen) == H.source_dim + 1:
-                break
+    lifted = [_int_row(v + (1,)) for v in H.source.vertices]
+    chosen = set(_independent_rows(lifted, H.source_dim + 1))
     return sorted(range(len(H.rows)),
                   key=lambda k: (H.pairs[k][0] not in chosen, H.pairs[k]))
 
@@ -207,9 +190,7 @@ def is_vertex_map(f: AffineMap, P: Polytope, Q: Polytope,
         hom = build_hom(P, Q)
     if not maps_into(f, P, Q):
         raise ValueError("map does not send the source into the target")
-    flat = flatten_map(f)
-    active = [normal for normal, c in hom.rows if dot(normal, flat) == c]
-    return rank(mat(active)) == hom.ambient_dim
+    return _tight_rows_span(flatten_map(f), hom.rows, [], hom.ambient_dim)
 
 
 def rank_histogram(maps) -> dict[int, int]:

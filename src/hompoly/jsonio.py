@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .counts import CountReport
-from .homs import AffineMap, HomPolytope, map_rank
+from .homs import AffineMap, HomPolytope, map_rank, structured_row_order
 from .linalg import Vec
 from .polytope import Polytope, VRep, from_inequalities, from_points
-from .verify import VerificationResult
+
+if TYPE_CHECKING:
+    from .counts import CountReport
+    from .verify import VerificationResult
 
 
 def rat_to_str(x) -> str:
@@ -132,8 +135,6 @@ def map_from_json(data: dict) -> AffineMap:
 
 
 def hom_to_json(H: HomPolytope, source_desc: dict, target_desc: dict) -> dict:
-    from .homs import structured_row_order
-
     return {
         "source": source_desc,
         "target": target_desc,

@@ -38,13 +38,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def normalize(numerator, denominator=1) -> Fraction:
-    """Canonical rational p/q: gcd(|p|, q) = 1, q > 0, zero is 0/1."""
-    if denominator == 0:
-        raise ZeroDivisionError("rational with zero denominator")
-    return Fraction(numerator, denominator)
-
-
 def vec(values) -> Vec:
     """Tuple of Fractions; entries that already are Fractions pass through."""
     return tuple(x if type(x) is Fraction else Fraction(x) for x in values)
@@ -170,6 +163,29 @@ def _eliminate(row: list[int], prow: list[int], c: int) -> list[int]:
     if g > 1:
         out = [a // g for a in out]
     return out
+
+
+def _independent_rows(rows, dim: int) -> list[int]:
+    """Indices of the first dim linearly independent integer rows, greedily.
+
+    Each row is reduced once against an integer echelon basis of the
+    rows chosen before it; it is chosen iff something nonzero remains.
+    """
+    chosen: list[int] = []
+    basis: list[tuple[int, list[int]]] = []  # (pivot column, row)
+    for i, row in enumerate(rows):
+        red = list(row)
+        for c, brow in basis:
+            if red[c]:
+                red = _eliminate(red, brow, c)
+        c = next((c for c, a in enumerate(red) if a), None)
+        if c is None:
+            continue
+        basis.append((c, red))
+        chosen.append(i)
+        if len(chosen) == dim:
+            break
+    return chosen
 
 
 def _int_rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -366,16 +382,10 @@ def affine_hull(points) -> AffineHull:
     if any(len(p) != n for p in pts):
         raise ValueError("points of mixed dimension")
     p0 = pts[0]
-    diffs = [sub(p, p0) for p in pts[1:]]
-    diffs = [d for d in diffs if not is_zero(d)]
-    if diffs:
-        red, _ = rref(diffs)
-        basis = tuple(tuple(row) for row in red)
-    else:
-        basis = ()
-    normals = nullspace(basis) if basis else tuple(unit_vec(n, i) for i in range(n))
+    red, pivots = rref(sub(p, p0) for p in pts[1:])
+    basis = tuple(tuple(row) for row in red)
     equations = []
-    for raw in normals:
+    for raw in _free_column_basis(red, pivots, n):
         normal = primitive(raw, orient=True)
         equations.append((normal, dot(normal, p0)))
     return AffineHull(p0, basis, tuple(equations))

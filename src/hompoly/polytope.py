@@ -95,6 +95,8 @@ def _canonical_hrep(ineqs, eqs) -> HRep:
     for normal, offset in ineqs:
         n, c = _reduce_ineq(vec(normal), Fraction(offset), eq_red, eq_pivots)
         if is_zero(n):
+            if c < 0:  # 0 <= c < 0: the canonical empty system
+                return HRep(((n, c),), ())
             continue
         if (n, c) not in seen:
             seen.add((n, c))
@@ -272,16 +274,6 @@ def _hrep_from_vertices(vertices, ambient: int) -> HRep:
     return _canonical_hrep(ineqs, hull.equations)
 
 
-def hrep_to_vrep(P: Polytope) -> VRep:
-    """Exact vertex list of an H-represented polytope (double description)."""
-    return VRep(tuple(_vertices_from_hrep(P.hrep, P.ambient_dim)))
-
-
-def vrep_to_hrep(P: Polytope) -> HRep:
-    """Irredundant facets plus affine-hull equations from the vertex list."""
-    return _hrep_from_vertices(P.vertices, P.ambient_dim)
-
-
 # -- constructors ----------------------------------------------------------
 
 
@@ -303,18 +295,14 @@ def from_points(points, ambient_dim: int | None = None) -> Polytope:
     ambient = len(pts[0]) if ambient_dim is None else ambient_dim
     if any(len(p) != ambient for p in pts):
         raise ValueError("points of mixed dimension")
+    hrep = _hrep_from_vertices(pts, ambient)
     if len(pts) == 1:
-        hrep = _hrep_from_vertices(pts, ambient)
         return Polytope(ambient, vrep=VRep(tuple(pts)), hrep=hrep, dim=0,
                         hrep_minimal=True)
-    hrep = _hrep_from_vertices(pts, ambient)
     eq_normals = [n for n, _ in hrep.equations]
-    verts = []
-    for p in pts:
-        active = [n for n, c in hrep.inequalities if dot(n, p) == c]
-        if rank(tuple(active) + tuple(eq_normals)) == ambient:
-            verts.append(p)
-    return Polytope(ambient, vrep=VRep(tuple(verts)), hrep=hrep, hrep_minimal=True)
+    verts = tuple(p for p in pts
+                  if _tight_rows_span(p, hrep.inequalities, eq_normals, ambient))
+    return Polytope(ambient, vrep=VRep(verts), hrep=hrep, hrep_minimal=True)
 
 
 def standard(kind: str, n: int) -> Polytope:
@@ -373,12 +361,9 @@ def translate(P: Polytope, t) -> Polytope:
         vrep = VRep(tuple(sorted(add(v, t) for v in P._vrep.vertices)))
     if P._hrep is not None:
         h = P._hrep
-        if P._vrep is not None and not P._vrep.vertices:
-            hrep = h  # empty: keep the contradictory system
-        else:
-            hrep = _canonical_hrep(
-                [(n, c + dot(n, t)) for n, c in h.inequalities],
-                [(n, c + dot(n, t)) for n, c in h.equations])
+        hrep = _canonical_hrep(
+            [(n, c + dot(n, t)) for n, c in h.inequalities],
+            [(n, c + dot(n, t)) for n, c in h.equations])
     return Polytope(P.ambient_dim, vrep=vrep, hrep=hrep, dim=P._dim,
                     hrep_minimal=P._hrep_minimal)
 
@@ -392,26 +377,6 @@ def negate(P: Polytope) -> Polytope:
         hrep = _canonical_hrep(
             [(vneg(n), c) for n, c in h.inequalities],
             [(vneg(n), c) for n, c in h.equations])
-    return Polytope(P.ambient_dim, vrep=vrep, hrep=hrep, dim=P._dim,
-                    hrep_minimal=P._hrep_minimal)
-
-
-def dilate(P: Polytope, factor) -> Polytope:
-    factor = Fraction(factor)
-    if factor == 0:
-        if P.is_empty:
-            return empty_polytope(P.ambient_dim)
-        return from_points([zero_vec(P.ambient_dim)])
-    if factor < 0:
-        return dilate(negate(P), -factor)
-    vrep = hrep = None
-    if P._vrep is not None:
-        vrep = VRep(tuple(sorted(scale(v, factor) for v in P._vrep.vertices)))
-    if P._hrep is not None:
-        h = P._hrep
-        hrep = _canonical_hrep(
-            [(n, c * factor) for n, c in h.inequalities],
-            [(n, c * factor) for n, c in h.equations])
     return Polytope(P.ambient_dim, vrep=vrep, hrep=hrep, dim=P._dim,
                     hrep_minimal=P._hrep_minimal)
 
@@ -457,10 +422,6 @@ def product(P: Polytope, Q: Polytope) -> Polytope:
         dim = -1 if (P._dim < 0 or Q._dim < 0) else P._dim + Q._dim
     return Polytope(dp + dq, vrep=VRep(verts), hrep=_canonical_hrep(ineqs, eqs), dim=dim,
                     hrep_minimal=True)
-
-
-def dimension(P: Polytope) -> int:
-    return P.dim
 
 
 def contains_interior(P: Polytope, x) -> bool:
@@ -555,16 +516,17 @@ def combinatorially_equal(P: Polytope, Q: Polytope, guard: int = 200) -> bool:
     return backtrack(0)
 
 
+def _tight_rows_span(x: Vec, ineqs, eq_normals: list, dim: int) -> bool:
+    """Active-set rank certificate: the normals of the rows tight at x,
+    together with the equation normals, have rank dim.  For a point of
+    the feasible set this holds iff the point is a vertex."""
+    tight = [n for n, c in ineqs if dot(n, x) == c]
+    return rank(tight + eq_normals) == dim
+
+
 def vertex_certificate_ok(P: Polytope) -> bool:
-    """Every claimed vertex has active constraints of full rank."""
+    """Every claimed vertex is feasible and has active constraints of full rank."""
     h = P.minimal_hrep
-    eq_normals = tuple(n for n, _ in h.equations)
-    for v in P.vertices:
-        if not all(dot(n, v) == c for n, c in h.equations):
-            return False
-        active = tuple(n for n, c in h.inequalities if dot(n, v) == c)
-        if any(dot(n, v) > c for n, c in h.inequalities):
-            return False
-        if rank(active + eq_normals) != P.ambient_dim:
-            return False
-    return True
+    eq_normals = [n for n, _ in h.equations]
+    return all(P.contains(v) and _tight_rows_span(v, h.inequalities, eq_normals, P.ambient_dim)
+               for v in P.vertices)

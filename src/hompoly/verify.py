@@ -13,20 +13,12 @@ import inspect
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .counts import (
-    beta,
-    bound_box_diamond,
-    count_box_simplex,
-    count_diamond_diamond,
-    count_diamond_simplex,
-    rank_k_sandwich,
-    sigma,
-)
+from .counts import COUNT_FAMILIES, beta, bound_box_diamond, rank_k_sandwich, sigma
 from .homs import (
     AffineMap,
     build_hom,
@@ -388,14 +380,9 @@ def _claim_face_law(source: str, m: int, n: int):
 
 
 def _claim_count_agreement(family: str, m: int, n: int):
-    if family == "box-simplex":
-        report = count_box_simplex(m, n, enumerate_maps=True)
-    elif family == "diamond-simplex":
-        report = count_diamond_simplex(m, n, enumerate_maps=True)
-    elif family == "diamond-diamond":
-        report = count_diamond_diamond(m, n, enumerate_maps=True)
-    else:
+    if family not in COUNT_FAMILIES:
         return False, {"unknown_family": family}
+    report = COUNT_FAMILIES[family](m, n, enumerate_maps=True)
     if not report.agreement:
         return False, {"closed_form": report.closed_form,
                        "enumerated": report.enumerated}
@@ -457,10 +444,45 @@ CLAIMS = {
 }
 
 
-def run_claim(claim_id: str, params: dict) -> VerificationResult:
+def _claim(claim_id: str):
     if claim_id not in CLAIMS:
         raise ValueError(f"unknown claim {claim_id!r}; known: {sorted(CLAIMS)}")
-    claim = CLAIMS[claim_id]
+    return CLAIMS[claim_id]
+
+
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(text)
+    return text.lower() == "true"
+
+
+_PARAM_PARSERS = {"int": int, "bool": _parse_bool, "str": str}
+
+
+def parse_params(claim_id: str, pairs) -> dict:
+    """Claim parameters from "key=value" strings.
+
+    Each value is converted by the annotation of the claim's parameter
+    of that name (int, bool or str); a key the claim does not take stays
+    a string, for `run_claim` to reject.  Raises ValueError on a pair
+    without "=" and on a value that does not convert.
+    """
+    signature = inspect.signature(_claim(claim_id)).parameters
+    params = {}
+    for kv in pairs:
+        key, sep, text = kv.partition("=")
+        if not sep:
+            raise ValueError(f"bad --param {kv!r}; expected key=value")
+        kind = signature[key].annotation if key in signature else "str"
+        try:
+            params[key] = _PARAM_PARSERS[kind](text)
+        except ValueError:
+            raise ValueError(f"bad --param {kv!r}; {key} must be {kind}") from None
+    return params
+
+
+def run_claim(claim_id: str, params: dict) -> VerificationResult:
+    claim = _claim(claim_id)
     try:
         inspect.signature(claim).bind(**params)
     except TypeError as exc:

@@ -34,11 +34,9 @@ from hompoly.polytope import (
     bipyramid,
     combinatorially_equal,
     from_points,
-    hrep_to_vrep,
     polar_dual,
     standard,
     translate,
-    vrep_to_hrep,
     Polytope,
 )
 from hompoly.verify import _hom, run_claim
@@ -174,7 +172,7 @@ def test_criterion_13_property_suites():
     for kind in ("simplex", "cube", "crosspolytope"):
         for n in (1, 2, 3, 4):
             P = standard(kind, n)
-            assert hrep_to_vrep(Polytope(n, hrep=vrep_to_hrep(P))).vertices == P.vertices
+            assert Polytope(n, hrep=P.minimal_hrep).vertices == P.vertices
     # dimension formula on all constructed homs
     for src, m, tgt, n in [("cube", 2, "simplex", 2), ("simplex", 1, "simplex", 1),
                            ("crosspolytope", 2, "crosspolytope", 2),

@@ -231,6 +231,66 @@ def test_polytope_file_vertices_and_rows_must_agree(tmp_path, capsys):
     assert out == "" and "different polytopes" in err
 
 
+def test_polytope_file_with_infeasible_zero_normal_row_is_empty(tmp_path, capsys):
+    # the square's rows plus 0 <= -1: no point satisfies them
+    rows = [{"normal": n, "offset": "1"}
+            for n in (["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"])]
+    rows.append({"normal": ["0", "0"], "offset": "-1"})
+    poly_file = tmp_path / "e.json"
+    poly_file.write_text(json.dumps({"ambient_dim": 2, "inequalities": rows}))
+    code, out, _ = run_cli(capsys, "intersect", f"file:{poly_file}", "cube:2")
+    assert code == 0
+    assert out.strip() == "intersection: 0 vertices, dim -1"
+    code, out, err = run_cli(capsys, "construct", f"file:{poly_file}", "simplex:1")
+    assert code == 2
+    assert out == "" and "full-dimensional" in err
+
+
+def test_verify_param_bool_is_converted(capsys, monkeypatch):
+    from hompoly import verify
+
+    def no_comparison(*args):
+        raise AssertionError("compare=False must skip the comparison")
+
+    monkeypatch.setattr(verify, "combinatorially_equal", no_comparison)
+    code, out, _ = run_cli(capsys, "verify", "--claim", "cube-simplex-realization",
+                           "--param", "m=2", "--param", "n=2",
+                           "--param", "compare=False", "--json")
+    assert code == 0
+    assert json.loads(out)[0]["parameters"] == {"compare": False, "m": 2, "n": 2}
+    with pytest.raises(AssertionError, match="skip the comparison"):
+        main(["verify", "--claim", "cube-simplex-realization",
+              "--param", "m=1", "--param", "n=1", "--param", "compare=true"])
+
+
+@pytest.mark.parametrize("param,message", [
+    ("m=x", "m must be int"),
+    ("compare=maybe", "compare must be bool"),
+    ("m", "expected key=value"),
+])
+def test_verify_param_that_does_not_convert_is_usage_error(capsys, param, message):
+    code, out, err = run_cli(capsys, "verify", "--claim", "cube-simplex-realization",
+                             "--param", "n=1", "--param", param)
+    assert code == 2
+    assert out == "" and err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("argv", [["beta", "3"], ["sigma", "3", "3"],
+                                  ["verify", "--list"]])
+def test_bad_thread_environment_is_usage_error(capsys, monkeypatch, argv):
+    monkeypatch.setenv("HOMPOLY_THREADS", "abc")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "HOMPOLY_THREADS" in err
+
+
+def test_table_without_a_usable_draw_is_usage_error(capsys):
+    # eps = 1000 pushes every jittered center out of the simplex
+    code, out, err = run_cli(capsys, "table", "3", "3", "--eps", "1000")
+    assert code == 2
+    assert out == "" and "within 32 draws" in err
+
+
 def test_verify_missing_param_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "--claim", "beta-value", "--param", "n=2")
     assert code == 2

@@ -16,13 +16,13 @@ from hompoly.counts import (
     rank_k_sandwich,
     reduced_simplex_tuples,
     sigma,
-    simplex_tuple_count,
     simplex_tuples,
     stirling2,
     surjections,
     surjections_inclusion_exclusion,
 )
 from hompoly.errors import SizeGuardError
+from hompoly.groups import enumerate_group, orbit_count
 
 
 # -- independent oracles -----------------------------------------------------
@@ -125,7 +125,6 @@ def test_tuple_count_v3_by_exhaustive_scan():
 def test_reduced_tuples_consistent_with_full():
     for n in (1, 3, 4):
         assert 2**n * len(reduced_simplex_tuples(n)) == len(simplex_tuples(n))
-        assert simplex_tuple_count(n) == len(simplex_tuples(n))
     assert reduced_simplex_tuples(2) == []
 
 
@@ -139,6 +138,15 @@ def test_simplex_tuples_guard():
 @pytest.mark.parametrize("n,expected", [(1, 1), (2, 0), (3, 1), (4, 5)])
 def test_beta_values(n, expected):
     assert beta(n) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_beta_matches_full_group_orbit_count(n):
+    # beta counts stabilizer orbits on the anchored tuples; the reference
+    # counts orbits of the whole signed permutation group on all tuples
+    orbits, free = orbit_count(simplex_tuples(n), enumerate_group(n))
+    assert free
+    assert beta(n) == orbits
 
 
 # -- closed-form counts --------------------------------------------------------

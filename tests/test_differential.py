@@ -1,9 +1,11 @@
 """Differential tests: the exact kernels against the brute-force oracles.
 
 `linalg.dot` is compared with the naive Fraction sum and `linalg.vec`
-checked to be idempotent, `linalg.rref` is compared with the oracle's
-textbook Fraction elimination, `dd.polytope_vertices` with exhaustive
-basis enumeration (zero-normal rows included),
+checked to be idempotent, `linalg.rref` and the greedy
+`linalg._independent_rows` with the oracle's textbook Fraction
+elimination, `dd.polytope_vertices` with exhaustive basis enumeration
+(zero-normal rows included; unbounded systems must raise), the V -> H -> V
+round trip of lower-dimensional point sets with the extreme-point oracle,
 the cofactor-sign test of `counts.origin_strictly_inside` and the
 minor-cached `counts._valid_subsets` with a barycentric solve, and the
 id-based `groups.orbit_count` with a sweep over point tuples, on
@@ -21,8 +23,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from _oracles import brute_force_vertices, oracle_rref, origin_inside_oracle  # noqa: E402
-from hompoly import counts, dd, groups, linalg  # noqa: E402
+from _oracles import (  # noqa: E402
+    brute_force_extreme_points,
+    brute_force_vertices,
+    oracle_rref,
+    origin_inside_oracle,
+)
+from hompoly import counts, dd, groups, linalg, polytope  # noqa: E402
+from hompoly.errors import UnboundedPolytopeError  # noqa: E402
 
 rationals = st.one_of(
     st.just(Fraction(0)),
@@ -89,6 +97,19 @@ def test_rref_matches_oracle(M):
     assert linalg.rank(M) == len(pivots)
 
 
+@given(matrices(), st.integers(1, 7))
+def test_independent_rows_match_rank_increase_sweep(M, cap):
+    """Row i is chosen iff it raises the rank of the rows chosen before
+    it, until cap rows are chosen."""
+    expected = []
+    for i, row in enumerate(M):
+        if len(expected) == cap:
+            break
+        if len(oracle_rref([M[j] for j in expected] + [row])[1]) > len(expected):
+            expected.append(i)
+    assert linalg._independent_rows([linalg._int_row(r) for r in M], cap) == expected
+
+
 @st.composite
 def bounded_systems(draw):
     """Small bounded inequality systems: a box, random cuts, cuts through
@@ -125,6 +146,63 @@ def test_polytope_vertices_match_brute_force(order, system):
     ineqs, dim = system
     assert dd.polytope_vertices(ineqs, dim, order=order) == \
         brute_force_vertices(ineqs, [], dim)
+
+
+@st.composite
+def unbounded_systems(draw):
+    """Feasible systems with a recession direction d: every normal has
+    n . d <= 0 and every row holds at a lattice point x0, so x0 + t d is
+    feasible for all t >= 0.  Some have too few rows to span."""
+    dim = draw(st.integers(1, 3))
+    vector = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).map(tuple)
+    d = draw(vector.filter(any))
+    x0 = draw(vector)
+    rows = []
+    for normal in draw(st.lists(vector, max_size=6)):
+        if sum(a * b for a, b in zip(normal, d)) > 0:
+            normal = tuple(-a for a in normal)
+        slack = draw(st.integers(0, 2))
+        rows.append((normal, sum(a * b for a, b in zip(normal, x0)) + slack))
+    return rows, dim
+
+
+@pytest.mark.parametrize("order", ["mincutoff", "given"])
+@given(unbounded_systems())
+def test_polytope_vertices_rejects_unbounded_systems(order, system):
+    ineqs, dim = system
+    with pytest.raises(UnboundedPolytopeError):
+        dd.polytope_vertices(ineqs, dim, order=order)
+
+
+@st.composite
+def flat_point_sets(draw):
+    """Distinct points of a k-flat in R^2 or R^3 with k < ambient
+    dimension: a lattice base point plus small rational combinations of
+    k integer directions (which may be dependent, lowering the flat)."""
+    ambient = draw(st.integers(2, 3))
+    k = draw(st.integers(0, ambient - 1))
+    vector = st.lists(st.integers(-2, 2), min_size=ambient, max_size=ambient)
+    base = draw(vector)
+    dirs = draw(st.lists(vector, min_size=k, max_size=k))
+    coeff = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+    pts = set()
+    for cs in draw(st.lists(st.lists(coeff, min_size=k, max_size=k), min_size=1, max_size=6)):
+        pts.add(tuple(Fraction(b) + sum((c * d[i] for c, d in zip(cs, dirs)), Fraction(0))
+                      for i, b in enumerate(base)))
+    return sorted(pts), ambient
+
+
+@given(flat_point_sets())
+def test_lower_dimensional_v_h_v_round_trip(case):
+    pts, ambient = case
+    expected = brute_force_extreme_points(pts)
+    P = polytope.from_points(pts, ambient)
+    assert list(P.vertices) == expected
+    assert P.dim == len(oracle_rref([[a - b for a, b in zip(p, pts[0])] for p in pts])[1])
+    assert P.dim < ambient
+    back = polytope.Polytope(ambient, hrep=P.minimal_hrep)
+    assert list(back.vertices) == expected
+    assert back.dim == P.dim
 
 
 @st.composite

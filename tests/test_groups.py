@@ -3,12 +3,12 @@ from math import factorial
 
 import pytest
 
+from hompoly.counts import _permutation_subgroup
 from hompoly.errors import SizeGuardError
 from hompoly.groups import (
     SignedPermutation,
     act_point,
     act_tuple,
-    axis_stabilizer,
     compose,
     enumerate_group,
     identity_element,
@@ -89,7 +89,9 @@ def test_orbit_count_closure_check():
 
 
 def test_axis_stabilizer_of_all_minus_one():
-    # the stabilizer of (-1, ..., -1) is the plain permutation subgroup
-    stab = axis_stabilizer(3, (-1, -1, -1))
+    # the stabilizer of (-1, ..., -1) is the plain permutation subgroup,
+    # which beta counts orbits of on the tuples starting at that vertex
+    point = (-1, -1, -1)
+    stab = [g for g in enumerate_group(3) if act_point(g, point) == point]
+    assert stab == _permutation_subgroup(3)
     assert len(stab) == factorial(3)
-    assert all(all(s == 1 for s in g.signs) for g in stab)

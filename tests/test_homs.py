@@ -7,19 +7,25 @@ from hompoly.homs import (
     build_hom,
     cube_simplex_realization,
     enumerate_vertex_maps,
-    eval_center,
     flatten_map,
     image_polytope,
     is_vertex_map,
     map_rank,
     rank_histogram,
     restrict_to_subcrosspolytope,
+    structured_row_order,
     unflatten_map,
 )
 from hompoly.linalg import identity, vec, zero_vec
-from hompoly.polytope import Polytope, combinatorially_equal, from_points, standard
+from hompoly.polytope import (
+    Polytope,
+    combinatorially_equal,
+    from_inequalities,
+    from_points,
+    standard,
+)
 
-from _oracles import brute_force_vertices
+from _oracles import brute_force_vertices, oracle_rref
 
 F = Fraction
 
@@ -156,11 +162,6 @@ def test_image_polytope_of_projection_is_an_edge():
     assert img.vertices == (vec([0, 0]), vec([1, 0]))
 
 
-def test_eval_center():
-    assert eval_center(identity_map(3)) == zero_vec(3)
-    assert eval_center(constant_map([1, 2], 2)) == vec([1, 2])
-
-
 def test_restrict_full_index_set_is_identity():
     f = AffineMap(((F(1), F(2), F(3)), (F(4), F(5), F(6))), (F(0), F(0)))
     assert restrict_to_subcrosspolytope(f, [0, 1, 2]) == f
@@ -193,8 +194,25 @@ def test_cube_simplex_realization_counts_and_dimension():
 
 def test_cube_simplex_realization_matches_enumerated_hom():
     hull = from_points(cube_simplex_realization(2, 2).vertices)
-    H = build_hom(standard("cube", 2), standard("simplex", 2)).as_polytope()
-    assert combinatorially_equal(hull, H)
+    H = build_hom(standard("cube", 2), standard("simplex", 2))
+    assert combinatorially_equal(hull, from_inequalities(H.rows, (), H.ambient_dim))
+
+
+@pytest.mark.parametrize("kind", ["simplex", "cube", "crosspolytope"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_structured_row_order_starts_with_independent_vertices(kind, m):
+    # the rows of the first m+1 source vertices (in order) whose lifts
+    # (v, 1) raise the rank go first
+    H = build_hom(standard(kind, m), standard("simplex", 1))
+    verts = H.source.vertices
+    chosen = []
+    for vi, v in enumerate(verts):
+        lifts = [list(verts[j]) + [1] for j in chosen + [vi]]
+        if len(chosen) <= m and len(oracle_rref(lifts)[1]) > len(chosen):
+            chosen.append(vi)
+    assert len(chosen) == m + 1
+    assert structured_row_order(H) == sorted(
+        range(len(H.rows)), key=lambda k: (H.pairs[k][0] not in chosen, H.pairs[k]))
 
 
 def test_structured_enumeration_matches_heuristic_order():

@@ -1,8 +1,6 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from hompoly.linalg import (
     AffineHull,
     affine_hull,
@@ -10,7 +8,6 @@ from hompoly.linalg import (
     identity,
     mat,
     mat_vec,
-    normalize,
     nullspace,
     primitive,
     rank,
@@ -20,25 +17,6 @@ from hompoly.linalg import (
     transpose,
     vec,
 )
-
-
-def test_normalize_canonical_form():
-    assert normalize(2, -4) == Fraction(-1, 2)
-    assert normalize(0, 7) == Fraction(0, 1)
-    assert normalize(6, 3) == Fraction(2, 1)
-    r = normalize(2, -4)
-    assert r.numerator == -1 and r.denominator == 2
-
-
-def test_normalize_idempotent():
-    for p, q in [(2, -4), (0, 7), (6, 3), (-9, -12)]:
-        r = normalize(p, q)
-        assert normalize(r) == r
-
-
-def test_normalize_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        normalize(1, 0)
 
 
 def test_rank_examples():

@@ -10,12 +10,9 @@ from hompoly.polytope import (
     bipyramid,
     combinatorially_equal,
     contains_interior,
-    dilate,
-    dimension,
     empty_polytope,
     from_inequalities,
     from_points,
-    hrep_to_vrep,
     intersect,
     negate,
     polar_dual,
@@ -24,7 +21,6 @@ from hompoly.polytope import (
     translate,
     vertex_certificate_ok,
     vertex_facet_incidence,
-    vrep_to_hrep,
 )
 
 from _oracles import brute_force_vertices
@@ -36,7 +32,7 @@ def both_reps_agree(P):
     # every vertex satisfies the H-rep, and DD reproduces the vertex list
     for v in P.vertices:
         assert P.contains(v)
-    assert hrep_to_vrep(P).vertices == P.vertices
+    assert Polytope(P.ambient_dim, hrep=P.hrep).vertices == P.vertices
     assert vertex_certificate_ok(P)
 
 
@@ -211,13 +207,6 @@ def test_point_reflection_of_simplex():
     )
 
 
-def test_dilate():
-    P = dilate(standard("cube", 2), F(1, 2))
-    assert all(set(map(abs, v)) == {F(1, 2)} for v in P.vertices)
-    Q = dilate(standard("simplex", 2), -1)
-    assert vec([-1, 0]) in Q.vertices
-
-
 def test_bipyramid_counts():
     P = standard("cube", 2)
     B = bipyramid(P)
@@ -250,7 +239,7 @@ def test_dimension_and_interior():
     t2 = standard("simplex", 2)
     assert contains_interior(t2, [F(1, 3), F(1, 3)])
     assert not contains_interior(t2, [0, 0])
-    assert dimension(from_points([[0, 0], [1, 1]])) == 1
+    assert from_points([[0, 0], [1, 1]]).dim == 1
     seg = from_points([[0, 0], [1, 1]])
     assert contains_interior(seg, [F(1, 2), F(1, 2)])  # relative interior
     assert not contains_interior(seg, [0, 0])
@@ -300,6 +289,32 @@ def test_unbounded_raises():
 def test_infeasible_hrep_gives_empty():
     P = from_inequalities([([1], -1), ([-1], -1)], (), 1)  # x <= -1 and x >= 1
     assert P.is_empty
+
+
+SQUARE_ROWS = [([1, 0], 1), ([-1, 0], 1), ([0, 1], 1), ([0, -1], 1)]
+
+
+def test_infeasible_zero_normal_row_gives_canonical_empty_system():
+    # 0 <= -1 holds nowhere; it used to be dropped, leaving the square
+    P = from_inequalities(SQUARE_ROWS + [([0, 0], -1)], (), 2)
+    assert P.is_empty
+    assert P.hrep == empty_polytope(2).hrep
+    assert not P.contains([0, 0])
+    # rows 0 <= c with c >= 0 are still dropped
+    Q = from_inequalities(SQUARE_ROWS + [([0, 0], 0), ([0, 0], 3)], (), 2)
+    assert Q.hrep == from_inequalities(SQUARE_ROWS, (), 2).hrep
+
+
+def test_operations_keep_the_empty_polytope_empty():
+    E = empty_polytope(2)
+    assert intersect(standard("cube", 2), E).is_empty
+    assert intersect(E, standard("cube", 2)).is_empty
+    N = negate(E)
+    assert not N.contains([0, 0])
+    assert N.hrep == E.hrep
+    T = translate(E, [1, 2])
+    assert T.is_empty and not T.contains([1, 2])
+    assert T.hrep == E.hrep
 
 
 def test_single_point_from_equations():
