@@ -90,6 +90,9 @@ def _reduce_ineq(normal: Vec, offset: Fraction, eq_red, eq_pivots) -> IneqRow:
 
 def _canonical_hrep(ineqs, eqs) -> HRep:
     canon_eqs, eq_red, eq_pivots = _canonical_equations(eqs)
+    if eq_pivots and eq_pivots[-1] == len(eq_red[0]) - 1:
+        # an equation reduced to 0 = c with c != 0: the canonical empty system
+        return HRep(((zero_vec(eq_pivots[-1]), Fraction(-1)),), ())
     seen = set()
     rows = []
     for normal, offset in ineqs:

@@ -5,6 +5,11 @@ Each claim is data in a registry, so the CLI can list, select, and run
 them; a claim execution either passes or fails with a reproducible
 witness payload.  The core suite covers every claim at parameters that
 finish in minutes; the extended suite adds the long enumerations.
+
+Enumerated homs are cached per (source, m, target, n).  The claims on
+Hom(crosspolytope_m, simplex_n) that need only each map's rank and
+whether its image is a crosspolytope read one cached record per map
+(`_diamond_records`) instead of building every image.
 """
 
 from __future__ import annotations
@@ -28,12 +33,21 @@ from .homs import (
     image_polytope,
     is_vertex_map,
     map_rank,
-    rank_histogram,
     restrict_to_subcrosspolytope,
 )
-from .linalg import affine_hull, dot, mat, rank, solve, vec, zero_vec
+from .linalg import (
+    _int_row,
+    affine_hull,
+    dot,
+    int_det,
+    int_rank,
+    mat,
+    rank,
+    solve,
+    vec,
+    zero_vec,
+)
 from .polytope import (
-    Polytope,
     bipyramid,
     combinatorially_equal,
     contains_interior,
@@ -68,6 +82,49 @@ def _hom(source_kind: str, m: int, target_kind: str, n: int):
     Q = standard(target_kind, n)
     H = build_hom(P, Q)
     return P, Q, H, enumerate_vertex_maps(H)
+
+
+def _cross_record(f: AffineMap) -> tuple[int, bool]:
+    """(rank, is_cross) of f(x) = A x + b on the m-crosspolytope.
+
+    The lemma: the image conv(b +- a_i), with a_i the columns of A, is
+    centrally symmetric about b.  If A has rank n, the image is
+    combinatorially the n-crosspolytope iff it has exactly 2n vertices,
+    iff some n columns a_S have det(a_S) != 0 and every other column has
+    |a_S^-1 a_j|_1 <= 1.  Indeed 2n vertices b +- v_k, each v_k one of
+    the +-a_i, span R^n, so the image is b + V(crosspolytope_n) for the
+    invertible V with columns v_k, and every a_j lies in it; S is the
+    set of columns behind the v_k.  Conversely such an S makes the image
+    b + a_S(crosspolytope_n).  Below rank n, is_cross is False.
+
+    The test runs on A scaled to integers (it is homogeneous), by
+    Cramer's rule: with D = det(a_S) and D_k(j) the same determinant
+    with column k replaced by a_j, it requires sum_k |D_k(j)| <= |D|.
+    """
+    n, m = f.target_dim, f.source_dim
+    flat = _int_row([x for row in f.matrix for x in row])
+    cols = [flat[i::m] for i in range(m)]
+    r = int_rank([list(c) for c in cols])
+    if r < n:
+        return r, False
+    for S in combinations(range(m), n):
+        basis = [cols[s] for s in S]
+        bound = abs(int_det(basis))
+        if bound == 0:
+            continue
+        if all(sum(abs(int_det(basis[:k] + [cols[j]] + basis[k + 1:]))
+                   for k in range(n)) <= bound
+               for j in range(m) if j not in S):
+            return r, True
+    return r, False
+
+
+@lru_cache(maxsize=64)
+def _diamond_records(m: int, n: int) -> tuple[tuple[int, bool], ...]:
+    """`_cross_record` of each vertex map of Hom(crosspolytope_m, simplex_n),
+    in the order of `_hom`'s maps; small ints and bools only, no images."""
+    maps = _hom("crosspolytope", m, "simplex", n)[3]
+    return tuple(_cross_record(f) for f in maps)
 
 
 # -- claim implementations ---------------------------------------------------
@@ -222,8 +279,8 @@ def _claim_diamond_subcross(m: int, n: int):
     P, Q, H, maps = _hom("crosspolytope", m, "simplex", n)
     sub = standard("crosspolytope", n)
     sub_hom = build_hom(sub, Q)
-    for f in maps:
-        if map_rank(f) != n:
+    for f, (r, _) in zip(maps, _diamond_records(m, n)):
+        if r != n:
             continue
         found = False
         for idx in combinations(range(m), n):
@@ -238,28 +295,15 @@ def _claim_diamond_subcross(m: int, n: int):
     return True, None
 
 
-def _is_crosspolytope_image(f: AffineMap, P: Polytope, n: int):
-    img = image_polytope(f, P)
-    verts = set(img.vertices)
-    if len(verts) != 2 * n:
-        return False, img
-    b = f.offset
-    for v in verts:
-        if tuple(2 * bi - vi for bi, vi in zip(b, v)) not in verts:
-            return False, img
-    return True, img
-
-
 def _claim_diamond_image_count(m: int, n: int):
-    P, Q, H, maps = _hom("crosspolytope", m, "simplex", n)
+    """sigma(m, n) beta(n) rank-n vertex maps have a crosspolytope image.
+
+    Read from `_diamond_records`: the image of a rank-n map is a
+    crosspolytope iff it has 2n vertices b +- a_s, decided by the
+    Cramer's-rule test of `_cross_record` without building the image.
+    """
     expected = sigma(m, n) * beta(n)
-    count = 0
-    for f in maps:
-        if map_rank(f) != n:
-            continue
-        ok, _ = _is_crosspolytope_image(f, P, n)
-        if ok:
-            count += 1
+    count = sum(cross for _, cross in _diamond_records(m, n))  # cross implies rank n
     if count != expected:
         return False, {"crosspolytope_image_maps": count, "expected": expected}
     return True, None
@@ -267,16 +311,18 @@ def _claim_diamond_image_count(m: int, n: int):
 
 def _claim_diamond_image_shape(m: int, n: int):
     """Every full-rank vertex map image is a combinatorial crosspolytope
-    (expected exactly when m == n or n == 3)."""
+    (expected exactly when m == n or n == 3).
+
+    Read from `_diamond_records`: a rank-n image conv(b +- a_i) is a
+    crosspolytope iff it has 2n vertices, decided by the Cramer's-rule
+    test of `_cross_record`.  Only a failing map's image is built, for
+    the witness.
+    """
     P, Q, H, maps = _hom("crosspolytope", m, "simplex", n)
-    model = standard("crosspolytope", n)
-    for f in maps:
-        if map_rank(f) != n:
-            continue
-        img = image_polytope(f, P)
-        if not combinatorially_equal(img, model):
+    for f, (r, cross) in zip(maps, _diamond_records(m, n)):
+        if r == n and not cross:
             return False, {"map": [str(x) for x in flatten_map(f)],
-                           "image_vertices": img.n_vertices}
+                           "image_vertices": image_polytope(f, P).n_vertices}
     return True, None
 
 
@@ -390,8 +436,7 @@ def _claim_count_agreement(family: str, m: int, n: int):
 
 
 def _claim_rank_sandwich(m: int, k: int):
-    _, _, _, maps = _hom("crosspolytope", m, "simplex", k)
-    middle = rank_histogram(maps).get(k, 0)
+    middle = sum(r == k for r, _ in _diamond_records(m, k))
     lo, hi = rank_k_sandwich(m, k)
     if not (lo <= middle <= hi):
         return False, {"lower": lo, "enumerated": middle, "upper": hi}

@@ -39,7 +39,7 @@ from hompoly.polytope import (
     translate,
     Polytope,
 )
-from hompoly.verify import _hom, run_claim
+from hompoly.verify import _diamond_records, _hom, run_claim
 
 from test_counts import sigma_brute_force
 
@@ -204,6 +204,18 @@ def test_criterion_08_extended_diamond_diamond_3_3():
     assert len(maps) == count_diamond_diamond(3, 3).closed_form == 318
     assert run_claim("diamond-center", {"m": 3, "n": 3}).passed
     note("8-extended", "crosspolytope-to-crosspolytope (3,3) count 318 exact")
+
+
+@pytest.mark.extended
+def test_criterion_06_extended_diamond_simplex_4_4():
+    maps = _hom("crosspolytope", 4, "simplex", 4)[3]
+    assert len(maps) == 4965
+    assert rank_histogram(maps) == {0: 5, 1: 160, 3: 2880, 4: 1920}
+    assert count_diamond_simplex(4, 4, {4: 1920}).closed_form == 4965
+    crosspolytope_images = sum(cross for _, cross in _diamond_records(4, 4))
+    assert crosspolytope_images == sigma(4, 4) * beta(4) == 1920
+    note("6-extended", "crosspolytope-to-simplex (4,4) count 4965 exact; all "
+                       "1920 rank-4 images are crosspolytopes")
 
 
 @pytest.mark.extended

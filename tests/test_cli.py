@@ -246,6 +246,28 @@ def test_polytope_file_with_infeasible_zero_normal_row_is_empty(tmp_path, capsys
     assert out == "" and "full-dimensional" in err
 
 
+def test_polytope_file_with_contradictory_equation_is_empty(tmp_path, capsys):
+    from hompoly import jsonio
+    from hompoly.cli import parse_polytope_spec
+
+    # x <= 1 together with the equation 0 = 1
+    poly_file = tmp_path / "e.json"
+    poly_file.write_text(json.dumps({
+        "ambient_dim": 2,
+        "inequalities": [{"normal": ["1", "0"], "offset": "1"}],
+        "equations": [{"normal": ["0", "0"], "offset": "1"}]}))
+    _, P = parse_polytope_spec(f"file:{poly_file}")
+    assert jsonio.polytope_to_json(P) == {
+        "ambient_dim": 2, "vertices": [],
+        "inequalities": [{"normal": ["0", "0"], "offset": "-1"}], "equations": []}
+    code, out, _ = run_cli(capsys, "intersect", f"file:{poly_file}", "cube:2")
+    assert code == 0
+    assert out.strip() == "intersection: 0 vertices, dim -1"
+    code, out, err = run_cli(capsys, "construct", f"file:{poly_file}", "simplex:1")
+    assert code == 2
+    assert out == "" and "full-dimensional" in err
+
+
 def test_verify_param_bool_is_converted(capsys, monkeypatch):
     from hompoly import verify
 

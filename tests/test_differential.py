@@ -7,8 +7,11 @@ elimination, `dd.polytope_vertices` with exhaustive basis enumeration
 (zero-normal rows included; unbounded systems must raise), the V -> H -> V
 round trip of lower-dimensional point sets with the extreme-point oracle,
 the cofactor-sign test of `counts.origin_strictly_inside` and the
-minor-cached `counts._valid_subsets` with a barycentric solve, and the
-id-based `groups.orbit_count` with a sweep over point tuples, on
+minor-cached `counts._valid_subsets` with a barycentric solve, the
+id-based `groups.orbit_count` with a sweep over point tuples, the
+canonical H-rep of systems with zero-normal and dependent equations with
+exhaustive basis enumeration, and the crosspolytope flag of
+`verify._cross_record` with the image's H-rep and isomorphism search, on
 generated inputs that stress the degenerate cases.
 """
 
@@ -29,7 +32,7 @@ from _oracles import (  # noqa: E402
     oracle_rref,
     origin_inside_oracle,
 )
-from hompoly import counts, dd, groups, linalg, polytope  # noqa: E402
+from hompoly import counts, dd, groups, homs, linalg, polytope, verify  # noqa: E402
 from hompoly.errors import UnboundedPolytopeError  # noqa: E402
 
 rationals = st.one_of(
@@ -333,3 +336,93 @@ def test_polytope_vertices_zero_normal_rows(system, offset):
     else:
         assert got == dd.polytope_vertices(ineqs, dim)
     assert dd.polytope_vertices([((0,) * dim, -1)] + list(ineqs), dim) == []
+
+
+@st.composite
+def systems_with_equations(draw):
+    """A bounded system plus equations: zero-normal rows 0 = c, rows
+    through a lattice point, copies, rational combinations of earlier
+    equations and shifted copies, which contradict the row they copy."""
+    ineqs, dim = draw(bounded_systems())
+    coeff = st.integers(-3, 3)
+    point = draw(st.lists(coeff, min_size=dim, max_size=dim))
+    eqs = []
+    kinds = ["zero", "through", "copy", "combo", "shifted"]
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4)):
+        if kind == "zero":
+            eqs.append(((0,) * dim, draw(st.integers(-2, 2))))
+        elif kind == "through" or not eqs:
+            normal = tuple(draw(st.lists(coeff, min_size=dim, max_size=dim)))
+            eqs.append((normal, sum(a * b for a, b in zip(normal, point))))
+        elif kind == "copy":
+            eqs.append(draw(st.sampled_from(eqs)))
+        elif kind == "combo":
+            (u, c), (w, d) = draw(st.sampled_from(eqs)), draw(st.sampled_from(eqs))
+            s, t = draw(rationals), draw(rationals)
+            eqs.append((tuple(s * a + t * b for a, b in zip(u, w)), s * c + t * d))
+        else:
+            normal, offset = draw(st.sampled_from(eqs))
+            eqs.append((normal, offset + draw(st.integers(1, 2))))
+    return ineqs, draw(st.permutations(eqs)), dim
+
+
+@given(systems_with_equations())
+def test_canonical_hrep_with_equations_matches_brute_force(system):
+    """Contradictory equations give the canonical empty system; otherwise
+    the canonical H-rep keeps the vertex set."""
+    ineqs, eqs, dim = system
+    P = polytope.from_inequalities(ineqs, eqs, dim)
+    expected = brute_force_vertices(ineqs, eqs, dim)
+    assert list(P.vertices) == expected
+    assert list(polytope.Polytope(dim, hrep=P.hrep).vertices) == expected
+    _, pivots = oracle_rref([list(u) + [c] for u, c in eqs])
+    if dim in pivots:  # the equations alone reduce to 0 = 1
+        assert P.hrep == polytope.empty_polytope(dim).hrep
+    else:
+        assert all(any(u) for u, _ in P.hrep.equations)
+
+
+@st.composite
+def crosspolytope_maps(draw):
+    """Affine maps from the m-crosspolytope to R^n, n <= 3, n - 1 <= m <= 4,
+    not necessarily vertex maps.  The columns start from a basis or not;
+    the others are random, zero, repeats, opposites, sums and midpoints
+    of earlier columns, so the rank is often below n and columns fall
+    inside, on and outside the hull of the others."""
+    n = draw(st.sampled_from([3, 2, 1]))
+    m = draw(st.sampled_from([k for k in (4, 3, 2, 1) if k >= n - 1]))
+    vectors = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    kinds = ["random", "zero", "repeat", "opposite", "sum", "midpoint"]
+    cols = []
+    if draw(st.booleans()):
+        # start from a basis: a triangular matrix with a nonzero diagonal
+        nonzero = st.integers(-3, 3).filter(bool)
+        for k in range(min(m, n)):
+            cols.append(linalg.vec(draw(st.integers(-3, 3)) if j < k else
+                                   draw(nonzero) if j == k else 0 for j in range(n)))
+    while len(cols) < m:
+        kind = draw(st.sampled_from(kinds))
+        if kind == "zero":
+            cols.append((Fraction(0),) * n)
+        elif kind == "random" or not cols:
+            cols.append(linalg.vec(draw(vectors)))
+        elif kind == "repeat":
+            cols.append(draw(st.sampled_from(cols)))
+        elif kind == "opposite":
+            cols.append(tuple(-x for x in draw(st.sampled_from(cols))))
+        else:
+            a, b = draw(st.permutations(cols))[:2] if len(cols) > 1 else cols * 2
+            scale = 1 if kind == "sum" else Fraction(1, 2)
+            cols.append(tuple(scale * (x + y) for x, y in zip(a, b)))
+    cols = draw(st.permutations(cols))
+    matrix = tuple(tuple(col[j] for col in cols) for j in range(n))
+    return homs.AffineMap(matrix, linalg.vec(draw(vectors)))
+
+
+@given(crosspolytope_maps())
+def test_cross_record_matches_image_oracle(f):
+    P = polytope.standard("crosspolytope", f.source_dim)
+    model = polytope.standard("crosspolytope", f.target_dim)
+    image = homs.image_polytope(f, P)
+    assert verify._cross_record(f) == (homs.map_rank(f),
+                                       polytope.combinatorially_equal(image, model))

@@ -305,6 +305,20 @@ def test_infeasible_zero_normal_row_gives_canonical_empty_system():
     assert Q.hrep == from_inequalities(SQUARE_ROWS, (), 2).hrep
 
 
+def test_contradictory_equation_gives_canonical_empty_system():
+    # 0 = 1 used to stay as an equation and turn x <= 1 into x <= 0
+    P = from_inequalities([([1, 0], 1)], [([0, 0], 1)], 2)
+    assert P.is_empty
+    assert P.hrep == empty_polytope(2).hrep
+    # x = 0 and 2x = 1 are each consistent, together 0 = 1
+    Q = from_inequalities(SQUARE_ROWS, [([1, 0], 0), ([2, 0], 1)], 2)
+    assert Q.hrep == empty_polytope(2).hrep
+    # consistent dependent equations and 0 = 0 stay one equation
+    R = from_inequalities(SQUARE_ROWS, [([1, 0], 0), ([2, 0], 0), ([0, 0], 0)], 2)
+    assert R.hrep.equations == ((vec([1, 0]), F(0)),)
+    assert R.vertices == (vec([0, -1]), vec([0, 1]))
+
+
 def test_operations_keep_the_empty_polytope_empty():
     E = empty_polytope(2)
     assert intersect(standard("cube", 2), E).is_empty

@@ -1,6 +1,13 @@
+from fractions import Fraction
+from functools import lru_cache
+
 import pytest
 
 from hompoly import verify
+from hompoly.counts import beta, sigma
+from hompoly.homs import AffineMap, flatten_map, image_polytope, is_vertex_map, map_rank
+from hompoly.linalg import vec
+from hompoly.polytope import combinatorially_equal, intersect, negate, standard, translate
 from hompoly.verify import CLAIMS, CORE_SUITE, VerificationResult, run_claim, run_suite
 
 
@@ -106,3 +113,70 @@ def test_face_law_single():
 def test_result_dataclass():
     r = VerificationResult("x", {}, "pass")
     assert r.passed and r.witness is None
+
+
+@pytest.mark.parametrize("m, n", [(3, 3), (4, 3)])
+def test_diamond_records_match_image_oracle(m, n):
+    """The record agrees with the generic path, image H-rep plus
+    isomorphism search, on every vertex map at the core-suite sizes."""
+    P, _, _, maps = verify._hom("crosspolytope", m, "simplex", n)
+    model = standard("crosspolytope", n)
+    expected = tuple((map_rank(f), combinatorially_equal(image_polytope(f, P), model))
+                     for f in maps)
+    assert verify._diamond_records(m, n) == expected
+
+
+def _map(columns, offset):
+    n = len(offset)
+    return AffineMap(tuple(vec(col[j] for col in columns) for j in range(n)), vec(offset))
+
+
+@pytest.mark.parametrize("columns, record", [
+    ([(2, 0), (0, 2), (1, 1)], (2, True)),      # a_3 on the boundary: |a_S^-1 a_3|_1 = 1
+    ([(2, 0), (0, 2), (2, 2)], (2, False)),     # a_3 outside: a hexagon
+    ([(1, 0), (0, 1), (-1, 0), (0, 0)], (2, True)),    # opposite and zero columns
+    ([(1, 2), (2, 4), (-1, -2)], (1, False)),   # rank below n
+    ([(0, 0), (0, 0), (1, 0), (0, 1), (1, 1)], (2, False)),  # the first basis is singular
+    ([(Fraction(1, 2), 0), (0, Fraction(1, 3)), (Fraction(1, 4), Fraction(1, 6))], (2, True)),
+    ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)], (3, False)),
+    ([(1, 0, 0), (0, 1, 0)], (2, False)),       # m < n
+])
+def test_cross_record_on_hand_picked_maps(columns, record):
+    f = _map(columns, (0,) * len(columns[0]))
+    assert verify._cross_record(f) == record
+    P = standard("crosspolytope", f.source_dim)
+    model = standard("crosspolytope", f.target_dim)
+    assert combinatorially_equal(image_polytope(f, P), model) == record[1]
+
+
+def _non_crosspolytope_vertex_map():
+    """The rank-4 vertex map of Hom(crosspolytope_5, simplex_4) built as in
+    the diamond-image-shape-witness claim."""
+    f = verify._full_rank_diamond_witness(4)
+    b = f.offset
+    target = standard("simplex", 4)
+    K = intersect(target, translate(negate(target), [2 * x for x in b]))
+    hit = set(image_polytope(f, standard("crosspolytope", 4)).vertices)
+    v = next(v for v in K.vertices if v not in hit)
+    column = [vi - bi for vi, bi in zip(v, b)]
+    return AffineMap(tuple(row + (c,) for row, c in zip(f.matrix, column)), b)
+
+
+def test_diamond_image_claims_fail_with_the_generic_witness(monkeypatch):
+    P, Q = standard("crosspolytope", 5), standard("simplex", 4)
+    g = _non_crosspolytope_vertex_map()
+    assert map_rank(g) == 4 and is_vertex_map(g, P, Q)
+    img = image_polytope(g, P)
+    assert not combinatorially_equal(img, standard("crosspolytope", 4))
+    monkeypatch.setattr(verify, "_hom", lambda *key: (P, Q, None, (g,)))
+    monkeypatch.setattr(verify, "_diamond_records",
+                        lru_cache(maxsize=64)(verify._diamond_records.__wrapped__))
+    assert verify._diamond_records(5, 4) == ((4, False),)
+    shape = run_claim("diamond-image-shape", {"m": 5, "n": 4})
+    assert not shape.passed
+    assert shape.witness == {"map": [str(x) for x in flatten_map(g)],
+                             "image_vertices": img.n_vertices}
+    count = run_claim("diamond-image-count", {"m": 5, "n": 4})
+    assert not count.passed
+    assert count.witness == {"crosspolytope_image_maps": 0,
+                             "expected": sigma(5, 4) * beta(4)}
