@@ -54,7 +54,6 @@ from .polytope import (
     product,
     standard,
     translate,
-    vertex_facet_incidence,
 )
 from .verify import VerificationResult, run_claim, run_suite
 

@@ -26,8 +26,9 @@ Representation choices, all in service of exactness and speed:
   the content; positive scalings only, so each inequality keeps its
   direction).  A row whose normal clears to zero reads 0 <= c: it is
   dropped for c >= 0 and makes the set empty for c < 0.
-- Initial basis selection and the initial simplicial cone use
-  fraction-free integer elimination, so Fractions appear only in the
+- Initial basis selection and the initial simplicial cone use the
+  shared fraction-free elimination `linalg._echelon` (forward on the
+  transposed rows, reduced on [B | I]), so Fractions appear only in the
   input rows and in the output vertices.
 - Functionals are inserted in order of ascending number of currently
   violated rays, recomputed each round from cached evaluation values;
@@ -45,10 +46,10 @@ from __future__ import annotations
 import logging
 import time
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import UnboundedPolytopeError
-from .linalg import Vec, _independent_rows, _int_row, _int_rref
+from .linalg import Vec, _echelon, _independent_rows, _int_row
 
 __all__ = ["cone_extreme_rays", "polytope_vertices"]
 
@@ -110,18 +111,18 @@ def cone_extreme_rays(rows: list[tuple[int, ...]],
         raise UnboundedPolytopeError("constraint rows do not span; cone contains a line")
 
     # Initial simplicial cone from the basis rows B; its extreme rays are
-    # the columns of B^-1.  Gauss-Jordan on [B | I] leaves row k as
-    # p_k e_k | p_k (row k of B^-1), and L = lcm |p_k| clears them all.
+    # the columns of B^-1.  Reduced elimination of [B | I] leaves row k as
+    # D e_k | D (row k of B^-1) with D = +-det B, so column j of the right
+    # half times the sign of D is a positive multiple of ray j.
     aug = [list(rows[i]) + [int(k == j) for j in range(dim)]
            for k, i in enumerate(basis_idx)]
-    red, _ = _int_rref(aug)
-    L = lcm(*[row[k] for k, row in enumerate(red)])
-    scale = [L // row[k] for k, row in enumerate(red)]
+    _echelon(aug, reduced=True)
+    sign = 1 if aug[0][0] > 0 else -1
 
     remaining = [i for i in range(n_rows) if i not in set(basis_idx)]
     rays: list[_Ray] = []
     for j in range(dim):
-        coords = _int_row([row[dim + j] * f for row, f in zip(red, scale)])
+        coords = _int_row([sign * row[dim + j] for row in aug])
         mask = 0
         for i, bi in enumerate(basis_idx):
             if i != j:

@@ -14,14 +14,14 @@ vertices are mostly zeros) and sums the rest as one integer numerator
 over an integer denominator read from `.numerator` / `.denominator`,
 so integer data keeps denominator 1 and one Fraction is built per call.
 
-Rank and integer determinants are computed by one fraction-free
-(Bareiss) elimination loop on an integer-cleared copy of the matrix,
-which keeps intermediate entries small even for the dimension-16
-inequality systems produced elsewhere.
-The reduced row echelon form comes from fraction-free Gauss-Jordan
-elimination on the same integer-cleared rows, each row divided by its
-content after every step; rows are divided by their pivots only on
-return.
+All integer elimination runs through one routine, `_echelon`:
+fraction-free (Bareiss) elimination on integer-cleared rows, each update
+divided exactly by the previous pivot, which keeps entries as small as
+the minors of the input.  The forward sweep gives rank, determinants and
+the greedy choice of independent rows; the reduced sweep, which also
+clears the rows above each pivot, gives the reduced row echelon form
+(rows divided by their pivots only on return) and the DD kernel's
+inverse of its initial basis.
 """
 
 from __future__ import annotations
@@ -45,10 +45,6 @@ def vec(values) -> Vec:
 
 def zero_vec(n: int) -> Vec:
     return (ZERO,) * n
-
-
-def unit_vec(n: int, i: int) -> Vec:
-    return tuple(ONE if j == i else ZERO for j in range(n))
 
 
 def dot(u: Vec, v: Vec) -> Fraction:
@@ -102,18 +98,6 @@ def mat(rows) -> Mat:
     return tuple(vec(r) for r in rows)
 
 
-def identity(n: int) -> Mat:
-    return tuple(unit_vec(n, i) for i in range(n))
-
-
-def transpose(M: Mat) -> Mat:
-    return tuple(zip(*M)) if M else ()
-
-
-def mat_vec(M: Mat, x: Vec) -> Vec:
-    return tuple(dot(row, x) for row in M)
-
-
 def primitive(v: Vec, orient: bool = False) -> Vec:
     """Scale to coprime integer entries.
 
@@ -145,91 +129,26 @@ def _int_row(row) -> list[int]:
     return ints
 
 
-def _eliminate(row: list[int], prow: list[int], c: int) -> list[int]:
-    """Integer row spanning with prow the same plane as row, zero in column c.
+def _echelon(rows: list[list[int]], reduced: bool = False) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) elimination of integer rows, in place.
 
-    prow[c] must be nonzero.  The result is a positive multiple of
-    row - (row[c] / prow[c]) prow, divided by its content.
+    Returns the pivot columns and the sign of the row permutation.  Each
+    update p * row - f * pivot row is divided exactly by the previous
+    pivot, also on rows with a zero in the pivot column (those are only
+    rescaled), so every entry stays an integer minor of the input.  The
+    rows come back in echelon form with the nonzero rows first; for a
+    square matrix of full rank, sign * last pivot is the determinant.
+
+    With `reduced` the rows above each pivot are eliminated too
+    (fraction-free Gauss-Jordan): every pivot column is then zero except
+    at its pivot, and every pivot entry equals the last pivot.
     """
-    p, f = prow[c], row[c]
-    if p < 0:
-        p, f = -p, -f
-    g = gcd(p, f)
-    if g > 1:
-        p //= g
-        f //= g
-    out = [p * a - f * b for a, b in zip(row, prow)]
-    g = gcd(*out)
-    if g > 1:
-        out = [a // g for a in out]
-    return out
-
-
-def _independent_rows(rows, dim: int) -> list[int]:
-    """Indices of the first dim linearly independent integer rows, greedily.
-
-    Each row is reduced once against an integer echelon basis of the
-    rows chosen before it; it is chosen iff something nonzero remains.
-    """
-    chosen: list[int] = []
-    basis: list[tuple[int, list[int]]] = []  # (pivot column, row)
-    for i, row in enumerate(rows):
-        red = list(row)
-        for c, brow in basis:
-            if red[c]:
-                red = _eliminate(red, brow, c)
-        c = next((c for c, a in enumerate(red) if a), None)
-        if c is None:
-            continue
-        basis.append((c, red))
-        chosen.append(i)
-        if len(chosen) == dim:
-            break
-    return chosen
-
-
-def _int_rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan elimination of an integer matrix.
-
-    Returns the nonzero rows and their pivot columns.  Row k is zero in
-    every pivot column except pivots[k]; dividing it by its pivot entry
-    gives row k of the reduced row echelon form.
-    """
-    work = list(rows)
-    n_rows = len(work)
-    n_cols = len(work[0]) if work else 0
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if rows else 0
     pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if work[i][c]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        prow = work[r]
-        for i in range(n_rows):
-            if i != r and work[i][c]:
-                work[i] = _eliminate(work[i], prow, c)
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return work[:r], pivots
-
-
-def _bareiss(rows: list[list[int]]) -> tuple[int, int, int]:
-    """Bareiss elimination of an integer matrix, in place.
-
-    Returns (rank, sign, last pivot): the sign of the row permutation
-    and the last pivot found.  Every entry stays an integer because each
-    step divides exactly by the previous pivot; for a square matrix of
-    full rank, sign * last pivot is the determinant.
-    """
-    if not rows:
-        return 0, 1, 1
-    n_rows, n_cols = len(rows), len(rows[0])
-    r = 0
     sign = 1
     prev = 1
+    r = 0
     for c in range(n_cols):
         piv = None
         for i in range(r, n_rows):
@@ -241,28 +160,38 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, int, int]:
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
             sign = -sign
-        p = rows[r][c]
-        for i in range(r + 1, n_rows):
+        prow = rows[r]
+        p = prow[c]
+        below = range(c + 1, n_cols)
+        for i in range(0 if reduced else r + 1, n_rows):
+            if i == r:
+                continue
             ri = rows[i]
             f = ri[c]
+            # rows below the pivot are zero left of c, rows above are not
+            cols = below if i > r else range(n_cols)
             if f:
-                for j in range(c + 1, n_cols):
-                    ri[j] = (p * ri[j] - f * rows[r][j]) // prev
+                for j in cols:
+                    ri[j] = (p * ri[j] - f * prow[j]) // prev
                 ri[c] = 0
             elif prev != p:
-                # Bareiss divides every handled row by the previous pivot
-                for j in range(c + 1, n_cols):
-                    ri[j] = (p * ri[j]) // prev
+                for j in cols:
+                    ri[j] = p * ri[j] // prev
+        pivots.append(c)
         prev = p
         r += 1
         if r == n_rows:
             break
-    return r, sign, prev
+    return pivots, sign
 
 
-def int_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by Bareiss elimination (destructive)."""
-    return _bareiss(rows)[0]
+def _independent_rows(rows, dim: int) -> list[int]:
+    """Indices of the first dim linearly independent integer rows, greedily.
+
+    Row i is chosen iff it is independent of the rows before it, that is
+    iff column i of the transposed rows is a pivot column.
+    """
+    return _echelon([list(col) for col in zip(*rows)])[0][:dim]
 
 
 def int_det(rows) -> int:
@@ -270,27 +199,30 @@ def int_det(rows) -> int:
 
     The rows are copied, so the argument is left as it is.
     """
-    n = len(rows)
-    r, sign, last = _bareiss([list(row) for row in rows])
-    return sign * last if r == n else 0
+    rows = [list(row) for row in rows]
+    pivots, sign = _echelon(rows)
+    if len(pivots) < len(rows):
+        return 0
+    return sign * rows[-1][-1] if rows else 1
 
 
 def rank(M) -> int:
     """Exact matrix rank (fraction-free elimination)."""
-    rows = [r for r in map(_int_row, M) if any(r)]
-    return int_rank(rows)
+    return len(_echelon([r for r in map(_int_row, M) if any(r)])[0])
 
 
 def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over the rationals.
 
     Returns the nonzero rows and the pivot column indices.  Elimination
-    runs on integer-cleared rows (`_int_rref`); entries become
-    Fractions only in the returned rows.
+    runs on integer-cleared rows (`_echelon` with `reduced`); entries
+    become Fractions only in the returned rows, each row divided by its
+    pivot entry.
     """
-    red, pivots = _int_rref([_int_row(row) for row in rows])
+    rows = [_int_row(row) for row in rows]
+    pivots, _ = _echelon(rows, reduced=True)
     out = []
-    for row, c in zip(red, pivots):
+    for row, c in zip(rows, pivots):
         p = row[c]
         out.append([Fraction(a, p) if a else ZERO for a in row])
     return out, pivots
@@ -327,14 +259,6 @@ def solve(M: Mat, rhs: Vec):
     for row, c in zip(red, pivots):
         particular[c] = row[-1]
     return LinearSolution(tuple(particular), _free_column_basis(red, pivots, n_cols))
-
-
-def nullspace(M: Mat) -> tuple[Vec, ...]:
-    """Basis of {x : M x = 0} (standard free-column construction)."""
-    if not M:
-        return ()
-    red, pivots = rref(M)
-    return _free_column_basis(red, pivots, len(M[0]))
 
 
 def _free_column_basis(red, pivots: list[int], n_cols: int) -> tuple[Vec, ...]:

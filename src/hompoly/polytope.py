@@ -437,12 +437,6 @@ def contains_interior(P: Polytope, x) -> bool:
             and all(dot(n, x) < c for n, c in h.inequalities))
 
 
-def vertex_facet_incidence(P: Polytope) -> list[list[bool]]:
-    """Rows indexed by canonical vertices, columns by canonical facets."""
-    ineqs = P.minimal_hrep.inequalities
-    return [[dot(n, v) == c for n, c in ineqs] for v in P.vertices]
-
-
 def _incidence_masks(P: Polytope) -> list[int]:
     ineqs = P.minimal_hrep.inequalities
     masks = []

@@ -40,7 +40,6 @@ from .linalg import (
     affine_hull,
     dot,
     int_det,
-    int_rank,
     mat,
     rank,
     solve,
@@ -104,7 +103,7 @@ def _cross_record(f: AffineMap) -> tuple[int, bool]:
     n, m = f.target_dim, f.source_dim
     flat = _int_row([x for row in f.matrix for x in row])
     cols = [flat[i::m] for i in range(m)]
-    r = int_rank([list(c) for c in cols])
+    r = rank(cols)
     if r < n:
         return r, False
     for S in combinations(range(m), n):

@@ -6,7 +6,7 @@ both sides of a comparison.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 
 def oracle_rref(rows):
@@ -32,6 +32,19 @@ def oracle_rref(rows):
         pivots.append(c)
         r += 1
     return work[:r], pivots
+
+
+def leibniz_det(rows):
+    """Determinant of a square matrix by the Leibniz formula: the sum over
+    all permutations of the signed products of one entry per row."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        term = (-1) ** sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
 
 
 def _unique_solution(rows, rhs):

@@ -3,7 +3,9 @@
 `linalg.dot` is compared with the naive Fraction sum and `linalg.vec`
 checked to be idempotent, `linalg.rref` and the greedy
 `linalg._independent_rows` with the oracle's textbook Fraction
-elimination, `dd.polytope_vertices` with exhaustive basis enumeration
+elimination, `linalg.int_det` with the Leibniz formula and the rank of
+integer matrices with the oracle's pivot count, `dd.polytope_vertices`
+with exhaustive basis enumeration
 (zero-normal rows included; unbounded systems must raise), the V -> H -> V
 round trip of lower-dimensional point sets with the extreme-point oracle,
 the cofactor-sign test of `counts.origin_strictly_inside` and the
@@ -29,6 +31,7 @@ from hypothesis import strategies as st  # noqa: E402
 from _oracles import (  # noqa: E402
     brute_force_extreme_points,
     brute_force_vertices,
+    leibniz_det,
     oracle_rref,
     origin_inside_oracle,
 )
@@ -111,6 +114,40 @@ def test_independent_rows_match_rank_increase_sweep(M, cap):
         if len(oracle_rref([M[j] for j in expected] + [row])[1]) > len(expected):
             expected.append(i)
     assert linalg._independent_rows([linalg._int_row(r) for r in M], cap) == expected
+
+
+# mostly sparse 0/+-1 entries, as in hom rows and crosspolytope vertices
+int_entries = st.one_of(st.sampled_from([0, 0, 0, 1, -1]), st.integers(-4, 4))
+
+
+@st.composite
+def int_matrices(draw, square):
+    """Integer matrices of up to 6 x 6 with zero and duplicate rows, and
+    often a zero leading entry, so elimination has to swap rows."""
+    n_rows = draw(st.integers(0, 6))
+    n_cols = n_rows if square else draw(st.integers(1, 6))
+    rows = [draw(st.lists(int_entries, min_size=n_cols, max_size=n_cols))
+            for _ in range(n_rows)]
+    for kind in draw(st.lists(st.sampled_from(["zero", "copy"]), max_size=2)):
+        if rows:
+            i, j = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, n_rows - 1))
+            rows[i] = [0] * n_cols if kind == "zero" else list(rows[j])
+    if rows and draw(st.booleans()):
+        rows[0][0] = 0
+    return rows
+
+
+@given(int_matrices(square=True))
+def test_int_det_matches_leibniz(M):
+    before = [list(row) for row in M]
+    assert linalg.int_det(M) == leibniz_det(M)
+    assert M == before
+    assert linalg.int_det([]) == 1
+
+
+@given(int_matrices(square=False))
+def test_integer_rank_matches_oracle_pivot_count(M):
+    assert linalg.rank(M) == len(oracle_rref(M)[1])
 
 
 @st.composite

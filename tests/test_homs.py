@@ -16,7 +16,7 @@ from hompoly.homs import (
     structured_row_order,
     unflatten_map,
 )
-from hompoly.linalg import identity, vec, zero_vec
+from hompoly.linalg import mat, vec, zero_vec
 from hompoly.polytope import (
     Polytope,
     combinatorially_equal,
@@ -36,7 +36,7 @@ def constant_map(point, m):
 
 
 def identity_map(n):
-    return AffineMap(identity(n), zero_vec(n))
+    return AffineMap(mat([[int(i == j) for j in range(n)] for i in range(n)]), zero_vec(n))
 
 
 def test_build_hom_cube2_simplex2():

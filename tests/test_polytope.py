@@ -7,6 +7,7 @@ from hompoly.linalg import dot, vec, zero_vec
 from hompoly.polytope import (
     Polytope,
     VRep,
+    _incidence_masks,
     bipyramid,
     combinatorially_equal,
     contains_interior,
@@ -20,7 +21,6 @@ from hompoly.polytope import (
     standard,
     translate,
     vertex_certificate_ok,
-    vertex_facet_incidence,
 )
 
 from _oracles import brute_force_vertices
@@ -247,9 +247,10 @@ def test_dimension_and_interior():
 
 def test_vertex_facet_incidence_shape():
     P = standard("simplex", 2)
-    inc = vertex_facet_incidence(P)
-    assert len(inc) == 3 and len(inc[0]) == 3
-    assert all(sum(row) == 2 for row in inc)  # simple polygon: 2 facets per vertex
+    assert P.n_facets == 3
+    masks = _incidence_masks(P)
+    assert len(masks) == 3 and all(m < 1 << 3 for m in masks)
+    assert all(m.bit_count() == 2 for m in masks)  # simple polygon: 2 facets per vertex
 
 
 def test_combinatorially_equal_square_vs_diamond():
