@@ -20,6 +20,7 @@ import json
 import logging
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from . import counts as counts_mod
@@ -105,12 +106,15 @@ def cmd_vertices(args) -> int:
     maps = [unflatten_map(w, m, n) for w in verts]
     payload: dict = {"count": len(maps)}
     lines = [f"vertex maps: {len(maps)}"]
+    maps_payload = [jsonio.map_to_json(f) for f in maps] if args.out else None
     if args.ranks:
-        hist = rank_histogram(maps)
+        if maps_payload is None:
+            hist = rank_histogram(maps)
+        else:  # the payload already holds each map's rank
+            hist = dict(sorted(Counter(d["rank"] for d in maps_payload).items()))
         payload["rank_histogram"] = {str(k): v for k, v in hist.items()}
         lines.append("rank histogram: " + ", ".join(f"{k}: {v}" for k, v in hist.items()))
     if args.out:
-        maps_payload = [jsonio.map_to_json(f) for f in maps]
         with open(args.out, "w") as fh:
             fh.write(jsonio.dumps_canonical(maps_payload))
         lines.append(f"wrote {len(maps)} maps to {args.out}")

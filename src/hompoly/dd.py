@@ -15,12 +15,22 @@ Representation choices, all in service of exactness and speed:
 - Active constraint sets are bitmasks over the row indices.  Two rays
   are adjacent iff no third extreme ray's active set contains the
   intersection of theirs (the standard combinatorial test, exact when
-  the maintained set is precisely the extreme rays).  A popcount filter
-  drops pairs whose common active set is too small for a 2-face; the
-  test itself runs word-parallel on bitsets over ray ids.  Each row
-  keeps the set of ids of the rays active on it, and a pair is
-  adjacent iff the live rays other than the two, ANDed with the set of
-  every row in the common active set, leave nothing.
+  the maintained set is precisely the extreme rays; Fukuda & Prodon
+  1996).  All per-pair work runs word-parallel on bitsets over ray ids:
+  each row keeps the set of ids of the rays active on it.
+- Candidates by a bit-sliced count.  For a negative ray w, the row sets
+  of w's active rows, restricted to the positive rays, are summed into
+  a few bit-planes with a ripple adder; comparing the planes with
+  dim - 2 gives at once the ids of the positive rays that share enough
+  active rows with w to span a 2-face with it.  They are taken in
+  ascending id order, which is the order of the ray list.
+- Witness reuse.  A pair (u, w) with common active set s is not
+  adjacent iff some third live ray r is active on every row of s; the
+  full test ANDs the live rays other than u and w with the set of every
+  row of s.  The r that refuted an earlier candidate of the same w is
+  kept with its active set and tried first on each later candidate
+  (r.mask contains s, and r is not u), so the full test runs only when
+  no known witness applies.
 - Input rows are cleared to primitive integer rows by the shared
   `linalg._int_row` (multiply by the lcm of the denominators, divide by
   the content; positive scalings only, so each inequality keeps its
@@ -66,9 +76,12 @@ class _Ray:
         self.id = -1
 
 
-def _bitsets(rays: list[_Ray], n_rows: int, first: int) -> list[int]:
-    """Give rays[k] the id first + k; return, per row, the id bitset of
-    the given rays active on that row."""
+def _bitsets(rays: list[_Ray], n_rows: int, by_id: list[_Ray]) -> list[int]:
+    """Give rays[k] the next free id len(by_id) + k and append it to
+    by_id; return, per row, the id bitset of the given rays active on
+    that row."""
+    first = len(by_id)
+    by_id.extend(rays)
     bufs = [bytearray((len(rays) + 7) >> 3) for _ in range(n_rows)]
     for k, ray in enumerate(rays):
         ray.id = first + k
@@ -140,10 +153,11 @@ def cone_extreme_rays(rows: list[tuple[int, ...]],
                 counts[i] += 1
 
     # Adjacency is tested on id bitsets: cols[i] holds the ids of the rays
-    # active on row i (dead ids may linger), live the ids of current rays.
-    cols = _bitsets(rays, n_rows, 0)
-    n_ids = len(rays)
-    live = (1 << n_ids) - 1
+    # active on row i (dead ids may linger), live the ids of current rays,
+    # and by_id[k] is the ray with id k.
+    by_id: list[_Ray] = []
+    cols = _bitsets(rays, n_rows, by_id)
+    live = (1 << len(by_id)) - 1
 
     need = dim - 2  # active-set size needed for a 2-face
 
@@ -174,21 +188,73 @@ def cone_extreme_rays(rows: list[tuple[int, ...]],
             else:
                 ray.mask |= bit_j
                 zero.append(ray)
+        n_ids = len(by_id)
         cols[j] = _id_set(zero, n_ids)
+        pos_ids = _id_set(pos, n_ids)
+        pos_cols = [c & pos_ids for c in cols]
 
         newborn: list[_Ray] = []
+        n_cands = n_hits = n_tests = 0
         for w in neg:
-            wv = w.vals[j]
             w_mask = w.mask
+            if need <= 0:  # cone dimension <= 2: no row count to reach
+                cands = pos_ids
+            else:
+                # Bit-sliced count: planes[k] holds bit k of the number of
+                # rows of w on which each positive ray is active.
+                planes: list[int] = []
+                m = w_mask
+                while m:
+                    b = m & -m
+                    m ^= b
+                    v = pos_cols[b.bit_length() - 1]
+                    for k, p in enumerate(planes):
+                        if not v:
+                            break
+                        planes[k] = p ^ v
+                        v &= p
+                    else:
+                        if v:
+                            planes.append(v)
+                # compare the counts with need from the top bit down: tied
+                # holds the ids whose higher bits equal need's, cands those
+                # already above need; at the end cands is count >= need
+                cands = 0
+                tied = pos_ids
+                for k in range(max(len(planes), need.bit_length()) - 1, -1, -1):
+                    p = planes[k] if k < len(planes) else 0
+                    if need >> k & 1:
+                        tied &= p
+                    else:
+                        cands |= tied & p
+                        tied &= ~p
+                cands |= tied
+            n_cands += cands.bit_count()
+
+            wv = w.vals[j]
             w_coords = w.coords
             w_vals = w.vals
             others = live ^ (1 << w.id)
-            # cheap popcount prefilter in a single C-level pass
-            cands = [u for u in pos if (u.mask & w_mask).bit_count() >= need]
-            for u in cands:
+            # (id, mask) of the rays that refuted earlier candidates of w
+            witnesses: list[tuple[int, int]] = []
+            while cands:
+                bit_u = cands & -cands
+                cands ^= bit_u
+                u_id = bit_u.bit_length() - 1
+                u = by_id[u_id]
                 s = u.mask & w_mask
-                # adjacent iff no third live ray is active on every row of s
-                x = others ^ (1 << u.id)
+                # (u, w) is not adjacent if a third live ray is active on
+                # every row of s; try the known witnesses first
+                refuted = False
+                for r_id, r_mask in witnesses:
+                    if r_mask & s == s and r_id != u_id:
+                        refuted = True
+                        break
+                if refuted:
+                    n_hits += 1
+                    continue
+                n_tests += 1
+                x = others ^ bit_u
                 m = s
                 while m:
                     b = m & -m
@@ -197,6 +263,9 @@ def cone_extreme_rays(rows: list[tuple[int, ...]],
                         break
                     m ^= b
                 if x:
+                    # newest first: it refutes the next candidates most often
+                    r_id = (x & -x).bit_length() - 1
+                    witnesses.insert(0, (r_id, by_id[r_id].mask))
                     continue
                 uv = u.vals[j]
                 u_coords = u.coords
@@ -228,23 +297,23 @@ def cone_extreme_rays(rows: list[tuple[int, ...]],
 
         rays = [r for r in rays if r.vals[j] >= 0] + newborn
         if trace:
-            log.debug("insert %d/%d row %d: rays %d (+%d -%d) %.2fs",
-                      step, step + len(remaining), j, len(rays), len(newborn),
-                      len(neg), time.perf_counter() - t_step)
+            log.debug("insert %d/%d row %d: rays %d, negative %d, candidates %d, "
+                      "witness hits %d, full tests %d, new %d, %.2fs",
+                      step, step + len(remaining), j, len(rays), len(neg), n_cands,
+                      n_hits, n_tests, len(newborn), time.perf_counter() - t_step)
         if not rays:
             return []
 
         if n_ids + len(newborn) > 2 * len(rays):
             # more ids dead than live: renumber the current rays from 0
-            cols = _bitsets(rays, n_rows, 0)
-            n_ids = len(rays)
-            live = (1 << n_ids) - 1
+            by_id = []
+            cols = _bitsets(rays, n_rows, by_id)
+            live = (1 << len(by_id)) - 1
         else:
             live ^= _id_set(neg, n_ids)
-            new_cols = _bitsets(newborn, n_rows, n_ids)
+            new_cols = _bitsets(newborn, n_rows, by_id)
             cols = [a | b for a, b in zip(cols, new_cols)]
             live |= ((1 << len(newborn)) - 1) << n_ids
-            n_ids += len(newborn)
 
     return [r.coords for r in rays]
 
@@ -271,11 +340,11 @@ def polytope_vertices(ineqs, dim: int, order: str = "mincutoff") -> list[Vec]:
         return [()]
 
     rays = cone_extreme_rays(rows, order=order)
-    vertices: list[Vec] = []
-    for ray in rays:
-        t = ray[0]
-        if t <= 0:
-            raise UnboundedPolytopeError("feasible set has a recession direction")
-        vertices.append(tuple(Fraction(c, t) for c in ray[1:]))
-    vertices.sort()
-    return vertices
+    if any(ray[0] <= 0 for ray in rays):
+        raise UnboundedPolytopeError("feasible set has a recession direction")
+    # Two different points c/t and c'/t' differ by at least 1/(t t') > 2^-K
+    # in their first differing coordinate, so the integer keys
+    # floor(c 2^K / t) order the points exactly.
+    K = 2 * max((ray[0] for ray in rays), default=1).bit_length()
+    rays.sort(key=lambda ray: [(c << K) // ray[0] for c in ray[1:]])
+    return [tuple(Fraction(c, ray[0]) for c in ray[1:]) for ray in rays]

@@ -43,6 +43,20 @@ def test_vertices_json_and_maps_out(tmp_path, capsys):
     assert {"A", "b", "rank"} <= set(maps[0])
 
 
+def test_rank_histogram_with_and_without_maps_out(tmp_path, capsys):
+    hom_file = tmp_path / "hom.json"
+    maps_file = tmp_path / "maps.json"
+    run_cli(capsys, "construct", "cube:2", "simplex:3", "--out", str(hom_file))
+    _, plain, _ = run_cli(capsys, "vertices", str(hom_file), "--ranks", "--json")
+    code, with_out, _ = run_cli(capsys, "vertices", str(hom_file), "--ranks", "--json",
+                                "--out", str(maps_file))
+    assert code == 0
+    assert json.loads(plain)["rank_histogram"] == {"0": 4, "1": 24}
+    assert json.loads(with_out)["rank_histogram"] == {"0": 4, "1": 24}
+    ranks = [m["rank"] for m in json.loads(maps_file.read_text())]
+    assert (ranks.count(0), ranks.count(1)) == (4, 24)
+
+
 def test_custom_polytope_file_round_trip(tmp_path, capsys):
     hom_file = tmp_path / "hom.json"
     poly_file = tmp_path

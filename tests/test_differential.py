@@ -5,8 +5,12 @@ checked to be idempotent, `linalg.rref` and the greedy
 `linalg._independent_rows` with the oracle's textbook Fraction
 elimination, `linalg.int_det` with the Leibniz formula and the rank of
 integer matrices with the oracle's pivot count, `dd.polytope_vertices`
-with exhaustive basis enumeration
-(zero-normal rows included; unbounded systems must raise), the V -> H -> V
+with exhaustive basis enumeration (zero-normal rows included; unbounded
+systems must raise; small hom systems and degenerate systems in cone
+dimension 5-7, where the kernel's row-count threshold and witness reuse
+run often; the same result with DEBUG logging on; the exact vertex
+order when two coordinates are as close as their denominators allow),
+the V -> H -> V
 round trip of lower-dimensional point sets with the extreme-point oracle,
 the cofactor-sign test of `counts.origin_strictly_inside` and the
 minor-cached `counts._valid_subsets` with a barycentric solve, the
@@ -17,6 +21,8 @@ exhaustive basis enumeration, and the crosspolytope flag of
 generated inputs that stress the degenerate cases.
 """
 
+import logging
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -25,7 +31,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from _oracles import (  # noqa: E402
@@ -186,6 +192,102 @@ def test_polytope_vertices_match_brute_force(order, system):
     ineqs, dim = system
     assert dd.polytope_vertices(ineqs, dim, order=order) == \
         brute_force_vertices(ineqs, [], dim)
+
+
+# Hom systems of 12 rows in dimension 6 (cone dimension 7): vertex maps
+# share many tight rows, so the kernel's row-count threshold and its
+# reuse of non-adjacency witnesses both run often.
+SMALL_HOMS = [("simplex", 2, "crosspolytope", 2), ("cube", 2, "simplex", 2),
+              ("crosspolytope", 2, "simplex", 2), ("simplex", 2, "cube", 2)]
+
+
+@pytest.mark.parametrize("pair", SMALL_HOMS, ids=lambda p: "{}{}-{}{}".format(*p))
+def test_hom_vertices_match_brute_force(pair):
+    src, m, tgt, n = pair
+    H = homs.build_hom(polytope.standard(src, m), polytope.standard(tgt, n))
+    expected = brute_force_vertices(H.rows, [], H.ambient_dim)
+    for order in ("mincutoff", "given"):
+        assert dd.polytope_vertices(H.rows, H.ambient_dim, order=order) == expected
+
+
+@st.composite
+def degenerate_systems(draw):
+    """Bounded systems in dimension 4-6 (cone dimension 5-7): the simplex
+    x_i >= -h, sum x <= h, cuts through one lattice point (one of two
+    of its vertices, a point on an edge, or the origin inside it), and
+    copies and positive multiples of rows."""
+    dim = draw(st.integers(4, 6))
+    h = draw(st.integers(1, 2))
+    rows = [(tuple(-int(j == i) for j in range(dim)), h) for i in range(dim)]
+    rows.append(((1,) * dim, h))
+    point = draw(st.sampled_from([(-h,) * dim, (0,) * dim, (dim * h,) + (-h,) * (dim - 1),
+                                  (h,) + (-h,) * (dim - 1)]))
+    normals = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).map(tuple)
+    for normal in draw(st.lists(normals, min_size=1, max_size=3)):
+        rows.append((normal, sum(a * b for a, b in zip(normal, point))))
+    for kind in draw(st.lists(st.sampled_from(["copy", "scaled"]), max_size=2)):
+        normal, offset = draw(st.sampled_from(rows))
+        k = 1 if kind == "copy" else Fraction(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+        rows.append((tuple(k * a for a in normal), k * offset))
+    return draw(st.permutations(rows)), dim
+
+
+@settings(max_examples=40)
+@given(degenerate_systems())
+def test_degenerate_vertices_match_brute_force(system):
+    ineqs, dim = system
+    expected = brute_force_vertices(ineqs, [], dim)
+    for order in ("mincutoff", "given"):
+        assert dd.polytope_vertices(ineqs, dim, order=order) == expected
+
+
+@st.composite
+def close_triangles(draw):
+    """Triangles whose first two vertices have first coordinates k/n and
+    k/(n - 1), which differ by only |k|/(n(n - 1)), and second
+    coordinates in the opposite order, so only an exact comparison of
+    the first coordinates sorts them; the third vertex lies off their
+    line."""
+    n = draw(st.integers(3, 2 ** 20))
+    k = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    x0, x1 = sorted([Fraction(k, n), Fraction(k, n - 1)])
+    lo, hi = sorted(draw(st.lists(st.integers(-5, 5), min_size=2, max_size=2, unique=True)))
+    a, b = (x0, Fraction(hi)), (x1, Fraction(lo))
+    c = (x0 + draw(st.integers(-3, 3)), Fraction(draw(st.integers(-5, 5))))
+    assume((b[0] - a[0]) * (c[1] - a[1]) != (b[1] - a[1]) * (c[0] - a[0]))
+    return a, b, c
+
+
+@given(close_triangles())
+def test_vertices_are_sorted_exactly(triangle):
+    ineqs = []
+    for p, q, r in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        p, q, r = triangle[p], triangle[q], triangle[r]
+        normal = (q[1] - p[1], p[0] - q[0])
+        offset = normal[0] * p[0] + normal[1] * p[1]
+        if normal[0] * r[0] + normal[1] * r[1] > offset:
+            normal, offset = (-normal[0], -normal[1]), -offset
+        ineqs.append((normal, offset))
+    for order in ("mincutoff", "given"):
+        assert dd.polytope_vertices(ineqs, 2, order=order) == sorted(triangle)
+
+
+def test_dd_result_does_not_depend_on_log_level(caplog):
+    H = homs.build_hom(polytope.standard("cube", 2), polytope.standard("crosspolytope", 2))
+    with caplog.at_level(logging.WARNING, logger="hompoly.dd"):
+        quiet = dd.polytope_vertices(H.rows, H.ambient_dim)
+    assert not caplog.records
+    with caplog.at_level(logging.DEBUG, logger="hompoly.dd"):
+        loud = dd.polytope_vertices(H.rows, H.ambient_dim)
+    assert loud == quiet
+    assert len(loud) == counts.bound_box_diamond(2, 2)
+    # each candidate pair is refuted by a witness or gets one full test
+    stats = [re.search(r"candidates (\d+), witness hits (\d+), full tests (\d+), new (\d+)",
+                       r.getMessage()) for r in caplog.records]
+    assert stats and all(stats)
+    for cands, hits, tests, new in (map(int, s.groups()) for s in stats):
+        assert cands == hits + tests and new <= tests
+    assert sum(int(s.group(2)) for s in stats) > 0
 
 
 @st.composite
