@@ -22,7 +22,8 @@ if TYPE_CHECKING:
 
 
 def rat_to_str(x) -> str:
-    x = Fraction(x)
+    if type(x) is not Fraction:  # a Fraction is already in lowest terms
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

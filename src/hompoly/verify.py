@@ -10,6 +10,16 @@ Enumerated homs are cached per (source, m, target, n).  The claims on
 Hom(crosspolytope_m, simplex_n) that need only each map's rank and
 whether its image is a crosspolytope read one cached record per map
 (`_diamond_records`) instead of building every image.
+
+Claims that still check maps one by one do each expensive check once
+per distinct value of what the check reads: the hit set f(vert P) for a
+check on the image conv(f(vert P)) (`face-law`, the first half of
+`vertex-image-law`), the offset b for the symmetric intersection
+Q & (2b - Q) (`vertex-image-law`), and the restriction itself for the
+sub-crosspolytope test (`diamond-subcross`).  Maps with the same value
+get the same verdict, so this is exact; the memo is a dict local to the
+call, and the maps are still visited in order, so a failure names the
+same first map as a check of every map would.
 """
 
 from __future__ import annotations
@@ -47,6 +57,7 @@ from .linalg import (
     zero_vec,
 )
 from .polytope import (
+    Polytope,
     bipyramid,
     combinatorially_equal,
     contains_interior,
@@ -275,21 +286,30 @@ def _claim_diamond_center(m: int, n: int):
 
 
 def _claim_diamond_subcross(m: int, n: int):
+    """Every rank-n vertex map restricts to a rank-n vertex map of
+    Hom(crosspolytope_n, simplex_n) on some n-axis sub-crosspolytope.
+
+    The verdict on a restriction g (rank n and a vertex map) depends on
+    g alone, and restrictions repeat across maps: the 576 rank-3 maps at
+    (4, 3) meet only 48 distinct restrictions.  Each distinct g is
+    checked once.
+    """
     P, Q, H, maps = _hom("crosspolytope", m, "simplex", n)
     sub = standard("crosspolytope", n)
     sub_hom = build_hom(sub, Q)
+    verdicts = {}  # restriction -> rank n and a vertex map
     for f, (r, _) in zip(maps, _diamond_records(m, n)):
         if r != n:
             continue
-        found = False
         for idx in combinations(range(m), n):
             g = restrict_to_subcrosspolytope(f, idx)
-            if rank(g.matrix) < n:
-                continue
-            if is_vertex_map(g, sub, Q, hom=sub_hom):
-                found = True
+            ok = verdicts.get(g)
+            if ok is None:
+                ok = verdicts[g] = (rank(g.matrix) == n
+                                    and is_vertex_map(g, sub, Q, hom=sub_hom))
+            if ok:
                 break
-        if not found:
+        else:
             return False, {"map": [str(x) for x in flatten_map(f)]}
     return True, None
 
@@ -387,40 +407,80 @@ def _claim_diamond_image_shape_witness(m: int, n: int):
     return True, None
 
 
+def _hit_set(f: AffineMap, P: Polytope) -> frozenset:
+    """f(vert P).  The image conv(f(vert P)) depends on f only through
+    this set, so a check that reads only the image has one verdict per
+    hit set."""
+    return frozenset(f.evaluate(v) for v in P.vertices)
+
+
 def _claim_vertex_image_law(m: int, target: str, n: int):
+    """The image of each vertex map has exactly the vertex images as
+    vertices, and they are vertices of K = Q & (2b - Q), b = f(0).
+
+    The first check depends only on the hit set and K only on the
+    offset b, so each distinct hit set's image and each distinct
+    offset's K are built once.
+    """
     P, Q, H, maps = _hom("crosspolytope", m, target, n)
+    image_ok = {}  # hit set -> its hull has exactly these vertices
+    k_vertices = {}  # offset b -> vertices of K
     for f in maps:
-        hit = {f.evaluate(v) for v in P.vertices}
-        img = image_polytope(f, P)
-        if set(img.vertices) != hit:
+        hit = _hit_set(f, P)
+        ok = image_ok.get(hit)
+        if ok is None:
+            ok = image_ok[hit] = set(image_polytope(f, P).vertices) == hit
+        if not ok:
             return False, {"map": [str(x) for x in flatten_map(f)],
                            "reason": "image vertices differ from vertex images"}
         b = f.offset
-        K = intersect(Q, translate(negate(Q), [2 * x for x in b]))
-        if not hit <= set(K.vertices):
+        K = k_vertices.get(b)
+        if K is None:
+            K = k_vertices[b] = frozenset(
+                intersect(Q, translate(negate(Q), [2 * x for x in b])).vertices)
+        if not hit <= K:
             return False, {"map": [str(x) for x in flatten_map(f)],
                            "reason": "vertex image outside symmetric intersection"}
     return True, None
 
 
+def _face_law_failure(img: Polytope, facet_rows, n: int):
+    """None if the smallest face G of the simplex containing img has the
+    dimension of img and each facet of G cuts img in a facet of img;
+    else the failure payload."""
+    active = [(u, c) for u, c in facet_rows
+              if all(dot(u, v) == c for v in img.vertices)]
+    G = from_inequalities(facet_rows, active, n)
+    g_dim = G.dim
+    if g_dim != img.dim:
+        return {"face_dim": g_dim, "image_dim": img.dim}
+    h = img.minimal_hrep
+    for u, c in G.minimal_hrep.inequalities:
+        cut = from_inequalities(h.inequalities, h.equations + ((u, c),), n)
+        if cut.dim != g_dim - 1:
+            return {"facet_cut_dim": cut.dim, "expected": g_dim - 1}
+    return None
+
+
 def _claim_face_law(source: str, m: int, n: int):
+    """The image of each vertex map into the n-simplex has the dimension
+    of the smallest face of the simplex that contains it, and meets each
+    facet of that face in one dimension less.
+
+    The check reads only the image and the simplex, so it depends only
+    on the hit set; each distinct hit set is checked once, on the first
+    map that has it.
+    """
     P, Q, H, maps = _hom(source, m, "simplex", n)
     facet_rows = Q.minimal_hrep.inequalities
+    failures = {}  # hit set -> failure payload, or None if it passes
     for f in maps:
-        img = image_polytope(f, P)
-        active = [(u, c) for u, c in facet_rows
-                  if all(dot(u, v) == c for v in img.vertices)]
-        G = from_inequalities(facet_rows, active, n)
-        g_dim = G.dim
-        if g_dim != img.dim:
-            return False, {"map": [str(x) for x in flatten_map(f)],
-                           "face_dim": g_dim, "image_dim": img.dim}
-        for u, c in G.minimal_hrep.inequalities:
-            h = img.minimal_hrep
-            cut = from_inequalities(h.inequalities, h.equations + ((u, c),), n)
-            if cut.dim != g_dim - 1:
-                return False, {"map": [str(x) for x in flatten_map(f)],
-                               "facet_cut_dim": cut.dim, "expected": g_dim - 1}
+        hit = _hit_set(f, P)
+        if hit not in failures:
+            failures[hit] = _face_law_failure(image_polytope(f, P), facet_rows, n)
+        failure = failures[hit]
+        if failure is not None:
+            return False, {"map": [str(x) for x in flatten_map(f)], **failure}
     return True, None
 
 
@@ -616,6 +676,9 @@ EXTENDED_SUITE: list[tuple[str, dict]] = CORE_SUITE + [
     ("diamond-image-shape-witness", {"m": 5, "n": 4}),
     ("beta-value", {"n": 5, "expected": 408}),
     ("box-diamond-large", {"m": 3, "n": 4, "expected": 27968}),
+    ("diamond-subcross", {"m": 4, "n": 4}),
+    ("vertex-image-law", {"m": 4, "target": "simplex", "n": 4}),
+    ("face-law", {"source": "crosspolytope", "m": 4, "n": 4}),
 ]
 
 

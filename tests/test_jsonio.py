@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from hompoly import jsonio
 from hompoly.homs import AffineMap, build_hom
 from hompoly.polytope import standard
@@ -13,6 +15,16 @@ def test_rational_strings():
     assert jsonio.rat_to_str(0) == "0"
     assert jsonio.str_to_rat("-7/3") == Fraction(-7, 3)
     assert jsonio.str_to_rat("5") == 5
+
+
+@pytest.mark.parametrize("x, text", [
+    (0, "0"), (-7, "-7"), (2**70, str(2**70)),
+    (Fraction(6, -4), "-3/2"), (Fraction(5), "5"), (Fraction(1, 2**40), f"1/{2**40}"),
+    ("6/4", "3/2"), ("-10/5", "-2"), ("0.25", "1/4"), (" 3 ", "3"),
+])
+def test_rat_to_str_on_int_fraction_and_string_inputs(x, text):
+    assert jsonio.rat_to_str(x) == text
+    assert jsonio.str_to_rat(text) == Fraction(x)
 
 
 def test_polytope_round_trip():

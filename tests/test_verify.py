@@ -1,13 +1,30 @@
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 
 from hompoly import verify
 from hompoly.counts import beta, sigma
-from hompoly.homs import AffineMap, flatten_map, image_polytope, is_vertex_map, map_rank
-from hompoly.linalg import vec
-from hompoly.polytope import combinatorially_equal, intersect, negate, standard, translate
+from hompoly.homs import (
+    AffineMap,
+    build_hom,
+    flatten_map,
+    image_polytope,
+    is_vertex_map,
+    map_rank,
+    restrict_to_subcrosspolytope,
+)
+from hompoly.linalg import dot, rank, vec
+from hompoly.polytope import (
+    combinatorially_equal,
+    contains_interior,
+    from_inequalities,
+    intersect,
+    negate,
+    standard,
+    translate,
+)
 from hompoly.verify import CLAIMS, CORE_SUITE, VerificationResult, run_claim, run_suite
 
 
@@ -180,3 +197,204 @@ def test_diamond_image_claims_fail_with_the_generic_witness(monkeypatch):
     assert not count.passed
     assert count.witness == {"crosspolytope_image_maps": 0,
                              "expected": sigma(5, 4) * beta(4)}
+
+
+# -- one check per distinct hit set, offset and restriction -------------------
+# Reference oracles: the three claims as loops that check every map.  They
+# look the checks up on `verify`, so a test that records those calls sees
+# the oracle's calls too.
+
+
+def _oracle_diamond_subcross(P, Q, maps, n):
+    m = P.ambient_dim
+    sub = standard("crosspolytope", n)
+    sub_hom = build_hom(sub, Q)
+    for f in maps:
+        if map_rank(f) != n:
+            continue
+        found = False
+        for idx in combinations(range(m), n):
+            g = restrict_to_subcrosspolytope(f, idx)
+            if rank(g.matrix) < n:
+                continue
+            if verify.is_vertex_map(g, sub, Q, hom=sub_hom):
+                found = True
+                break
+        if not found:
+            return False, {"map": [str(x) for x in flatten_map(f)]}
+    return True, None
+
+
+def _oracle_vertex_image_law(P, Q, maps):
+    for f in maps:
+        hit = {f.evaluate(v) for v in P.vertices}
+        img = verify.image_polytope(f, P)
+        if set(img.vertices) != hit:
+            return False, {"map": [str(x) for x in flatten_map(f)],
+                           "reason": "image vertices differ from vertex images"}
+        b = f.offset
+        K = verify.intersect(Q, translate(negate(Q), [2 * x for x in b]))
+        if not hit <= set(K.vertices):
+            return False, {"map": [str(x) for x in flatten_map(f)],
+                           "reason": "vertex image outside symmetric intersection"}
+    return True, None
+
+
+def _oracle_face_law(P, Q, maps, n):
+    facet_rows = Q.minimal_hrep.inequalities
+    for f in maps:
+        img = verify.image_polytope(f, P)
+        active = [(u, c) for u, c in facet_rows
+                  if all(dot(u, v) == c for v in img.vertices)]
+        G = from_inequalities(facet_rows, active, n)
+        g_dim = G.dim
+        if g_dim != img.dim:
+            return False, {"map": [str(x) for x in flatten_map(f)],
+                           "face_dim": g_dim, "image_dim": img.dim}
+        for u, c in G.minimal_hrep.inequalities:
+            h = img.minimal_hrep
+            cut = from_inequalities(h.inequalities, h.equations + ((u, c),), n)
+            if cut.dim != g_dim - 1:
+                return False, {"map": [str(x) for x in flatten_map(f)],
+                               "facet_cut_dim": cut.dim, "expected": g_dim - 1}
+    return True, None
+
+
+def _record(monkeypatch, name, key):
+    """Replace `verify.<name>` by a wrapper that appends key(*args) of each
+    call to the returned list."""
+    calls = []
+    original = getattr(verify, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(key(*args))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verify, name, wrapper)
+    return calls
+
+
+def _hit(f, P):
+    return frozenset(f.evaluate(v) for v in P.vertices)
+
+
+def _patched_hom(monkeypatch, P, Q, maps):
+    monkeypatch.setattr(verify, "_hom", lambda *key: (P, Q, None, tuple(maps)))
+    monkeypatch.setattr(verify, "_diamond_records",
+                        lru_cache(maxsize=64)(verify._diamond_records.__wrapped__))
+
+
+def _outcome(oracle_result):
+    ok, witness = oracle_result
+    return ("pass" if ok else "fail"), witness
+
+
+def _passing_and_failing_maps():
+    """Maps of the crosspolytope_4 into the simplex_3: a rank-3 vertex
+    map p, which passes all three claims, and the rank-3 map q with p's
+    offset b = (1/4, 1/4, 1/4) and columns e_1/8, e_2/8, e_3/8, 0.  q maps
+    into the interior of the simplex, so it is not a vertex map and its
+    image meets no facet, and it sends +-e_4 to b, inside the hull of the
+    other images: it fails each of the three claims.  The tests list q
+    twice after p."""
+    P, Q, _, maps = verify._hom("crosspolytope", 4, "simplex", 3)
+    p = next(f for f in maps if map_rank(f) == 3)
+    eighth = Fraction(1, 8)
+    q = _map([(eighth, 0, 0), (0, eighth, 0), (0, 0, eighth), (0, 0, 0)], p.offset)
+    assert q.offset == p.offset == (Fraction(1, 4),) * 3 and map_rank(q) == 3
+    assert all(contains_interior(Q, q.evaluate(v)) for v in P.vertices)
+    assert is_vertex_map(p, P, Q) and not is_vertex_map(q, P, Q)
+    return P, Q, p, q
+
+
+@pytest.mark.parametrize("failing", [0, 2])
+def test_diamond_subcross_checks_each_restriction_once(monkeypatch, failing):
+    P, Q, p, q = _passing_and_failing_maps()
+    maps = [p] + [q] * failing
+    _patched_hom(monkeypatch, P, Q, maps)
+    checked = _record(monkeypatch, "is_vertex_map", lambda g, *rest: g)
+    result = run_claim("diamond-subcross", {"m": 4, "n": 3})
+    claim_calls, checked[:] = checked[:], []
+    assert (result.status, result.witness) == _outcome(
+        _oracle_diamond_subcross(P, Q, maps, 3))
+    assert result.passed == (not failing)
+    assert claim_calls and claim_calls == list(dict.fromkeys(checked))
+    if failing:
+        assert result.witness == {"map": [str(x) for x in flatten_map(q)]}
+        assert claim_calls[-1] == restrict_to_subcrosspolytope(q, (0, 1, 2))
+
+
+@pytest.mark.parametrize("failing", ["none", "image", "intersection"])
+def test_vertex_image_law_checks_each_hit_set_and_offset_once(monkeypatch, failing):
+    """p2 shares p's offset, so its symmetric intersection is p's.  The
+    tail fails twice: q on its image, or r, at a second offset, because
+    its vertex images are not vertices of that offset's intersection."""
+    P, Q, p, q = _passing_and_failing_maps()
+    a = list(zip(*p.matrix))
+    p2 = _map([a[0], a[1], a[0], a[1]], p.offset)   # same offset, a square image
+    assert _hit(p2, P) != _hit(p, P)
+    d = Fraction(1, 16)
+    r = _map([(d, 0, 0), (0, d, 0), (0, 0, d), (d, d, 0)], (Fraction(1, 8),) * 3)
+    tail = {"none": None, "image": q, "intersection": r}[failing]
+    maps = [p, p2] + [tail] * 2 * (tail is not None)
+    _patched_hom(monkeypatch, P, Q, maps)
+    images = _record(monkeypatch, "image_polytope", _hit)
+    cuts = _record(monkeypatch, "intersect", lambda Q, T: T.vertices)
+    result = run_claim("vertex-image-law", {"m": 4, "target": "simplex", "n": 3})
+    claim_images, images[:] = images[:], []
+    claim_cuts, cuts[:] = cuts[:], []
+    assert (result.status, result.witness) == _outcome(_oracle_vertex_image_law(P, Q, maps))
+    assert claim_images == list(dict.fromkeys(images))
+    assert claim_cuts == list(dict.fromkeys(cuts))
+    assert len(claim_images) == 2 + (tail is not None)
+    assert len(claim_cuts) == 1 + (tail is r)
+    reason = {"none": None,
+              "image": "image vertices differ from vertex images",
+              "intersection": "vertex image outside symmetric intersection"}[failing]
+    if tail is None:
+        assert result.passed
+    else:
+        assert result.witness == {"map": [str(x) for x in flatten_map(tail)],
+                                  "reason": reason}
+
+
+@pytest.mark.parametrize("failing", [0, 2])
+def test_face_law_checks_each_hit_set_once(monkeypatch, failing):
+    P, Q, p, q = _passing_and_failing_maps()
+    maps = [p] + [q] * failing
+    _patched_hom(monkeypatch, P, Q, maps)
+    images = _record(monkeypatch, "image_polytope", _hit)
+    result = run_claim("face-law", {"source": "crosspolytope", "m": 4, "n": 3})
+    claim_images, images[:] = images[:], []
+    assert (result.status, result.witness) == _outcome(_oracle_face_law(P, Q, maps, 3))
+    assert result.passed == (not failing)
+    assert claim_images == list(dict.fromkeys(images)) == [_hit(f, P) for f in maps[:2]]
+    if failing:
+        assert result.witness["map"] == [str(x) for x in flatten_map(q)]
+        assert "facet_cut_dim" in result.witness
+
+
+@pytest.mark.parametrize("claim_id, params, name, calls", [
+    ("diamond-subcross", {"m": 4, "n": 3}, "is_vertex_map", 48),
+    ("face-law", {"source": "crosspolytope", "m": 3, "n": 3}, "image_polytope", 11),
+    ("vertex-image-law", {"m": 3, "target": "simplex", "n": 3}, "image_polytope", 11),
+    ("vertex-image-law", {"m": 3, "target": "simplex", "n": 3}, "intersect", 11),
+])
+def test_checks_run_once_per_distinct_key_on_the_core_suite(
+        monkeypatch, claim_id, params, name, calls):
+    recorded = _record(monkeypatch, name, lambda *args: None)
+    assert run_claim(claim_id, params).passed
+    assert len(recorded) == calls
+
+
+@pytest.mark.extended
+def test_extended_claims_at_diamond_4_simplex_4():
+    """The three per-map claims at (crosspolytope_4, simplex_4): 1920
+    rank-4 maps, each its own restriction, and few distinct hit sets."""
+    plan = [("diamond-subcross", {"m": 4, "n": 4}),
+            ("vertex-image-law", {"m": 4, "target": "simplex", "n": 4}),
+            ("face-law", {"source": "crosspolytope", "m": 4, "n": 4})]
+    assert all(item in verify.EXTENDED_SUITE and item not in CORE_SUITE for item in plan)
+    for claim_id, params in plan:
+        result = run_claim(claim_id, params)
+        assert (result.status, result.witness) == ("pass", None)
