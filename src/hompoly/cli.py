@@ -7,7 +7,7 @@ command lines produce byte-identical JSON.  Exit codes: 0 success (all
 verifications passed), 1 verification failure, 2 usage or input error.
 
 Heavy enumerations are gated: anything whose inequality system exceeds
-the guard needs --allow-large.  beta runs up to n = 5 (about a second)
+the guard needs --allow-large.  beta runs up to n = 5 (about half a second)
 without a flag and refuses larger n (exit 2); --allow-large is accepted
 there and has no effect.  --threads (or HOMPOLY_THREADS) controls worker
 processes for suite runs; results are independent of the thread count.

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 
 from .counts import COUNT_FAMILIES, beta, bound_box_diamond, rank_k_sandwich, sigma
 from .homs import (
@@ -407,11 +408,42 @@ def _claim_diamond_image_shape_witness(m: int, n: int):
     return True, None
 
 
-def _hit_set(f: AffineMap, P: Polytope) -> frozenset:
-    """f(vert P).  The image conv(f(vert P)) depends on f only through
-    this set, so a check that reads only the image has one verdict per
-    hit set."""
-    return frozenset(f.evaluate(v) for v in P.vertices)
+def _hit_sets(maps, P: Polytope):
+    """(f, f(vert P)) for each map f, in order.  The image conv(f(vert P))
+    depends on f only through the hit set, so a check that reads only
+    the image has one verdict per hit set.
+
+    Integer arithmetic: P's vertices are scaled once by the lcm V of
+    their denominators and kept as their nonzero (coordinate, entry)
+    pairs, and each map's offset and columns by the lcm L of its
+    denominators, so V L f(v) = V (L b) + sum_k (V v_k)(L a_k) is summed
+    column by column.  The hit set of Fraction points is built once per
+    distinct set of integer images and denominator L V, and equals
+    frozenset(f.evaluate(v) for v in P.vertices).
+    """
+    verts = P.vertices
+    V = lcm(*(x.denominator for v in verts for x in v))
+    terms = [[(k, x.numerator * (V // x.denominator)) for k, x in enumerate(v) if x]
+             for v in verts]
+    memo = {}  # (integer images, denominator) -> hit set
+    for f in maps:
+        L = lcm(*(x.denominator for x in f.offset),
+                *(x.denominator for row in f.matrix for x in row))
+        base = [V * x.numerator * (L // x.denominator) for x in f.offset]
+        cols = list(zip(*([x.numerator * (L // x.denominator) for x in row]
+                          for row in f.matrix)))
+        images = set()
+        for vt in terms:
+            img = base
+            for k, c in vt:
+                img = [a + c * b for a, b in zip(img, cols[k])]
+            images.add(tuple(img))
+        D = L * V
+        key = (frozenset(images), D)
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = frozenset(tuple(Fraction(a, D) for a in img) for img in images)
+        yield f, hit
 
 
 def _claim_vertex_image_law(m: int, target: str, n: int):
@@ -425,8 +457,7 @@ def _claim_vertex_image_law(m: int, target: str, n: int):
     P, Q, H, maps = _hom("crosspolytope", m, target, n)
     image_ok = {}  # hit set -> its hull has exactly these vertices
     k_vertices = {}  # offset b -> vertices of K
-    for f in maps:
-        hit = _hit_set(f, P)
+    for f, hit in _hit_sets(maps, P):
         ok = image_ok.get(hit)
         if ok is None:
             ok = image_ok[hit] = set(image_polytope(f, P).vertices) == hit
@@ -474,8 +505,7 @@ def _claim_face_law(source: str, m: int, n: int):
     P, Q, H, maps = _hom(source, m, "simplex", n)
     facet_rows = Q.minimal_hrep.inequalities
     failures = {}  # hit set -> failure payload, or None if it passes
-    for f in maps:
-        hit = _hit_set(f, P)
+    for f, hit in _hit_sets(maps, P):
         if hit not in failures:
             failures[hit] = _face_law_failure(image_polytope(f, P), facet_rows, n)
         failure = failures[hit]

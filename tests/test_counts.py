@@ -1,10 +1,12 @@
-from itertools import product
+import hashlib
+from itertools import combinations, product
 from math import comb, factorial
 
 import pytest
 
 from _oracles import origin_inside_oracle
 from hompoly.counts import (
+    _valid_subsets,
     beta,
     bound_box_diamond,
     count_box_simplex,
@@ -133,6 +135,36 @@ def test_simplex_tuples_guard():
         simplex_tuples(5)
     with pytest.raises(SizeGuardError):
         beta(6)
+
+
+# SHA-256 of repr(list(_valid_subsets(5, (-1,) * 5))), recorded from the
+# per-subset cofactor test that the half-space mask search replaced
+VALID_SUBSETS_5_SHA256 = "3f354ff64a36953c9ab64f94b012f7a5a6f7e9f8d1cb229c4fef0c34fee58d3f"
+
+
+def test_valid_subsets_5_pinned():
+    verts = cube_vertices(5)
+    anchor = (-1,) * 5
+    subsets = list(_valid_subsets(5, anchor))
+    assert len(subsets) == 408
+    assert all(origin_strictly_inside(s) for s in subsets)
+    indices = [tuple(verts.index(p) for p in s) for s in subsets]
+    assert all(s[0] == anchor for s in subsets)
+    assert all(i[1:] == tuple(sorted(set(i[1:]))) and i[0] not in i[1:] for i in indices)
+    assert all(a < b for a, b in zip(indices, indices[1:]))
+    assert hashlib.sha256(repr(subsets).encode()).hexdigest() == VALID_SUBSETS_5_SHA256
+
+
+@pytest.mark.extended
+def test_valid_subsets_5_match_per_subset_test():
+    """The mask search against the per-subset cofactor-sign test on all
+    169,911 anchored 6-subsets, in order."""
+    verts = cube_vertices(5)
+    anchor = (-1,) * 5
+    rest = [v for v in verts if v != anchor]
+    expected = [(anchor,) + s for s in combinations(rest, 5)
+                if origin_strictly_inside((anchor,) + s)]
+    assert list(_valid_subsets(5, anchor)) == expected
 
 
 @pytest.mark.parametrize("n,expected", [(1, 1), (2, 0), (3, 1), (4, 5)])

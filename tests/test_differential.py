@@ -13,7 +13,9 @@ order when two coordinates are as close as their denominators allow),
 the V -> H -> V
 round trip of lower-dimensional point sets with the extreme-point oracle,
 the cofactor-sign test of `counts.origin_strictly_inside` and the
-minor-cached `counts._valid_subsets` with a barycentric solve, the
+half-space mask search `counts._valid_subsets` (exhaustively for
+n <= 4) with a barycentric solve, `linalg.cofactor_vector` and the masks
+built from it with `int_det` on cube faces, singular ones included, the
 id-based `groups.orbit_count` with a sweep over point tuples, the
 canonical H-rep of systems with zero-normal and dependent equations with
 exhaustive basis enumeration, and the crosspolytope flag of
@@ -393,12 +395,59 @@ def _oracle_subsets(n, anchor):
             if frozenset((anchor,) + s) in _oracle_centered(n)]
 
 
-@given(st.data())
-def test_valid_subsets_match_oracle(data):
-    n = data.draw(st.integers(1, 4))
-    anchor = data.draw(st.one_of(
-        st.none(), st.sampled_from(list(product((-1, 1), repeat=n)))))
-    assert list(counts._valid_subsets(n, anchor)) == _oracle_subsets(n, anchor)
+def test_valid_subsets_match_oracle():
+    # exhaustive: every n <= 4, every anchor and no anchor
+    for n in range(1, 5):
+        for anchor in [None] + list(product((-1, 1), repeat=n)):
+            assert list(counts._valid_subsets(n, anchor)) == _oracle_subsets(n, anchor)
+
+
+@st.composite
+def cube_faces(draw):
+    """n - 1 vertices of the n-cube, n <= 5; repeated, antipodal and
+    sign-combined rows make many of them singular."""
+    n = draw(st.integers(1, 5))
+    vertex = st.tuples(*[st.sampled_from((-1, 1))] * n)
+    rows = draw(st.lists(vertex, min_size=n - 1, max_size=n - 1))
+    if n >= 3:
+        kind = draw(st.sampled_from(["free", "repeat", "antipodal", "combined"]))
+        i, j = draw(st.integers(0, n - 2)), draw(st.integers(0, n - 2))
+        if kind == "repeat":
+            rows[i] = rows[j]
+        elif kind == "antipodal":
+            rows[i] = tuple(-a for a in rows[j])
+        elif kind == "combined" and n == 5:
+            # a - b + c is a cube vertex where b agrees with a or with c
+            combo = tuple(a - b + c for a, b, c in zip(*rows[:3]))
+            if all(abs(x) == 1 for x in combo):
+                rows[3] = combo
+    return rows
+
+
+@given(cube_faces())
+def test_cofactor_vector_matches_int_det(rows):
+    """C . v == det(rows + [v]) for every cube vertex v, and the
+    half-space masks of `_valid_subsets` are the signs of those
+    determinants; a singular face has C = 0 and empty masks."""
+    n = len(rows) + 1
+    verts = counts.cube_vertices(n)
+    C = linalg.cofactor_vector(rows)
+    dets = [linalg.int_det(rows + [v]) for v in verts]
+    assert [sum(c * x for c, x in zip(C, v)) for v in verts] == dets
+    neg, pos = counts._half_space_masks(C, verts)
+    assert neg == sum(1 << k for k, d in enumerate(dets) if d < 0)
+    assert pos == sum(1 << k for k, d in enumerate(dets) if d > 0)
+    if linalg.rank(rows) < n - 1:
+        assert C == (0,) * n and (neg, pos) == (0, 0)
+
+
+def test_cofactor_vector_singular_faces():
+    assert linalg.cofactor_vector([(1, 1, -1), (1, 1, -1)]) == (0, 0, 0)
+    assert linalg.cofactor_vector([(1, -1, 1), (-1, 1, -1)]) == (0, 0, 0)
+    assert linalg.cofactor_vector([(1, 1, 1, 1), (1, -1, 1, -1), (1, 1, 1, 1)]) == (0,) * 4
+    assert linalg.cofactor_vector([]) == (1,)
+    assert linalg.cofactor_vector([(1, 0)]) == (0, 1)
+    assert linalg.cofactor_vector([(1, 0, 0), (0, 1, 0)]) == (0, 0, 1)
 
 
 def _generated_group(gens, n):

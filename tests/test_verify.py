@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -20,6 +21,7 @@ from hompoly.polytope import (
     combinatorially_equal,
     contains_interior,
     from_inequalities,
+    from_points,
     intersect,
     negate,
     standard,
@@ -305,6 +307,32 @@ def _passing_and_failing_maps():
     assert all(contains_interior(Q, q.evaluate(v)) for v in P.vertices)
     assert is_vertex_map(p, P, Q) and not is_vertex_map(q, P, Q)
     return P, Q, p, q
+
+
+def test_hit_sets_equal_the_evaluated_vertex_images():
+    """`_hit_sets` in integers equals frozenset(f.evaluate(v)) and hashes
+    like it, on enumerated homs of each source kind and on random maps of
+    a polytope with fractional vertices."""
+    rng = random.Random(0)
+    cases = []
+    for key in [("crosspolytope", 3, "simplex", 3), ("cube", 2, "simplex", 2),
+                ("simplex", 2, "crosspolytope", 2), ("cube", 2, "cube", 2)]:
+        P, _, _, maps = verify._hom(*key)
+        cases.append((P, maps))
+
+    def rat():
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 5, 12)))
+
+    P = from_points([(rat(), rat(), rat()) for _ in range(7)])
+    cases.append((P, [_map([(rat(), rat()) for _ in range(3)], (rat(), rat()))
+                      for _ in range(40)]))
+    for P, maps in cases:
+        hits = [hit for _, hit in verify._hit_sets(maps, P)]
+        expected = [_hit(f, P) for f in maps]
+        assert hits == expected
+        assert [hash(h) for h in hits] == [hash(h) for h in expected]
+        assert all(type(x) is Fraction for h in hits for point in h for x in point)
+    assert [f for f, _ in verify._hit_sets(maps, P)] == maps
 
 
 @pytest.mark.parametrize("failing", [0, 2])
