@@ -7,10 +7,11 @@ command lines produce byte-identical JSON.  Exit codes: 0 success (all
 verifications passed), 1 verification failure, 2 usage or input error.
 
 Heavy enumerations are gated: anything whose inequality system exceeds
-the guard needs --allow-large.  beta runs up to n = 5 (about half a second)
-without a flag and refuses larger n (exit 2); --allow-large is accepted
-there and has no effect.  --threads (or HOMPOLY_THREADS) controls worker
-processes for suite runs; results are independent of the thread count.
+the guard needs --allow-large.  beta runs up to n = 5 (about a tenth of
+a second) without a flag and refuses larger n (exit 2); --allow-large is
+accepted there and has no effect.  --threads (or HOMPOLY_THREADS)
+controls worker processes for suite runs; results are independent of
+the thread count.
 """
 
 from __future__ import annotations
@@ -61,29 +62,25 @@ def _emit(args, payload, text_lines):
             print(line)
 
 
-def _write_out(args, payload) -> bool:
-    if getattr(args, "out", None):
+def _emit_built(args, payload, summary, text_lines):
+    """Output of a command that builds one object: with --out, write its
+    JSON there and print the summary; without, --json prints the object
+    itself."""
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(jsonio.dumps_canonical(payload))
-        return True
-    return False
+    elif args.json:
+        summary = payload
+    _emit(args, summary, text_lines)
 
 
 def cmd_construct(args) -> int:
     src_desc, P = parse_polytope_spec(args.source)
     tgt_desc, Q = parse_polytope_spec(args.target)
     H = build_hom(P, Q)
-    payload = jsonio.hom_to_json(H, src_desc, tgt_desc)
-    wrote = _write_out(args, payload)
-    summary = {
-        "ambient_dim": H.ambient_dim,
-        "inequalities": len(H.rows),
-    }
-    if args.json and not wrote:
-        sys.stdout.write(jsonio.dumps_canonical(payload))
-    else:
-        _emit(args, summary,
-              [f"dimension {H.ambient_dim}", f"inequalities {len(H.rows)}"])
+    _emit_built(args, jsonio.hom_to_json(H, src_desc, tgt_desc),
+                {"ambient_dim": H.ambient_dim, "inequalities": len(H.rows)},
+                [f"dimension {H.ambient_dim}", f"inequalities {len(H.rows)}"])
     return 0
 
 
@@ -135,7 +132,9 @@ def cmd_count(args) -> int:
         _emit(args, {"family": family, "m": args.m, "n": args.n, "lower_bound": value},
               [str(value)])
         return 0
-    report = counts_mod.COUNT_FAMILIES[family](args.m, args.n, enumerate_maps=args.enumerate)
+    report = counts_mod.COUNT_FAMILIES[family][2](args.m, args.n)
+    if args.enumerate:
+        report.enumerated = verify.enumerated_count(family, args.m, args.n)
     payload = jsonio.count_report_to_json(report)
     lines = [f"{family}({args.m},{args.n}) closed form: {report.closed_form}"]
     for key, val in sorted(report.terms.items()):
@@ -200,12 +199,9 @@ def cmd_verify(args) -> int:
 def cmd_dual(args) -> int:
     _, P = parse_polytope_spec(args.polytope)
     D = polar_dual(P)
-    payload = jsonio.polytope_to_json(D)
-    if not _write_out(args, payload) and args.json:
-        sys.stdout.write(jsonio.dumps_canonical(payload))
-    else:
-        _emit(args, {"vertices": D.n_vertices, "facets": D.n_facets},
-              [f"dual has {D.n_vertices} vertices, {D.n_facets} facets"])
+    _emit_built(args, jsonio.polytope_to_json(D),
+                {"vertices": D.n_vertices, "facets": D.n_facets},
+                [f"dual has {D.n_vertices} vertices, {D.n_facets} facets"])
     return 0
 
 
@@ -213,13 +209,9 @@ def cmd_intersect(args) -> int:
     _, P = parse_polytope_spec(args.first)
     _, Q = parse_polytope_spec(args.second)
     K = intersect(P, Q)
-    payload = jsonio.polytope_to_json(K, include_hrep=not K.is_empty)
-    if _write_out(args, payload):
-        print(f"intersection: {K.n_vertices} vertices, dim {K.dim}")
-    elif args.json:
-        sys.stdout.write(jsonio.dumps_canonical(payload))
-    else:
-        print(f"intersection: {K.n_vertices} vertices, dim {K.dim}")
+    _emit_built(args, jsonio.polytope_to_json(K, include_hrep=not K.is_empty),
+                {"vertices": K.n_vertices, "dim": K.dim},
+                [f"intersection: {K.n_vertices} vertices, dim {K.dim}"])
     return 0
 
 

@@ -1,15 +1,17 @@
-"""Closed-form vertex counts, bounds, and brute-force tuple enumerations.
+"""Closed-form vertex counts, bounds, and the centered simplex count beta.
 
 The counting functions evaluate the exact vertex-count formulas for the
 mapping polytopes between cubes, simplices, and crosspolytopes, with a
-per-rank term breakdown; enumeration cross-checks are optional and go
-through the hom construction.
+per-rank term breakdown.  `COUNT_FAMILIES` names each family's source
+and target kinds next to its closed form; the enumeration that checks it
+is the cached vertex-map list in `verify`, not code here.
 
-`simplex_tuples(n)` is the combinatorial core: ordered (n+1)-tuples of
-cube vertices whose convex hull is a full-dimensional simplex with the
-origin strictly inside.  `beta(n)` counts their orbits under the signed
-permutation group; the action is free, so the orbit count also equals
-the tuple count divided by 2^n n! (both are computed and compared).
+`beta(n)` counts the orbits of the signed permutation group on ordered
+(n+1)-tuples of cube vertices whose convex hull is a full-dimensional
+simplex with the origin strictly inside.  The group acts freely on these
+tuples and transitively on cube vertices, so the orbit count is the
+number of such vertex sets that contain the vertex (-1, ..., -1); the
+proof is in `beta`'s docstring.
 
 Whether the origin is strictly inside is decided by the signs of
 cofactors: n+1 determinants of n x n integer matrices, one per point
@@ -28,14 +30,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from math import comb, factorial
 
 from .errors import SizeGuardError
-from .groups import SignedPermutation, orbit_count
 from .linalg import cofactor_vector, int_det
 
-TUPLE_GUARD = 5
+BETA_GUARD = 5
 
 
 @lru_cache(maxsize=None)
@@ -53,11 +54,6 @@ def stirling2(m: int, n: int) -> int:
 def surjections(m: int, n: int) -> int:
     """Number of surjective maps {1..m} -> {1..n}."""
     return factorial(n) * stirling2(m, n)
-
-
-def surjections_inclusion_exclusion(m: int, n: int) -> int:
-    """Independent route to the surjection count, for cross-checking."""
-    return sum((-1) ** (n - j) * comb(n, j) * j**m for j in range(n + 1))
 
 
 def sigma(m: int, n: int) -> int:
@@ -180,70 +176,26 @@ def _valid_subsets(n: int, require_first=None):
                 cand ^= low
 
 
-def simplex_tuples(n: int) -> list[tuple[tuple[int, ...], ...]]:
-    """All ordered (n+1)-tuples of cube vertices whose hull is a
-    full-dimensional simplex containing the origin strictly inside.
-
-    The full, unreduced set, kept as the reference for the count `beta`
-    takes on `reduced_simplex_tuples`."""
-    if n > 4:
-        raise SizeGuardError(
-            "full ordered tuple set guarded to n <= 4; "
-            "use reduced_simplex_tuples for n = 5")
-    if n < 1:
-        raise ValueError("need n >= 1")
-    out = []
-    for subset in _valid_subsets(n):
-        out.extend(permutations(subset))
-    return out
-
-
-def reduced_simplex_tuples(n: int) -> list[tuple[tuple[int, ...], ...]]:
-    """The tuples whose first entry is the all-minus-ones vertex.
-
-    One per full-group orbit representative family: the group is
-    transitive on cube vertices, so the full tuple count is 2^n times
-    the reduced count, and full-group orbits correspond to orbits of
-    the first-vertex stabilizer (coordinate permutations) on this set.
-    """
-    if n > TUPLE_GUARD:
-        raise SizeGuardError(f"tuple enumeration guarded to n <= {TUPLE_GUARD}")
-    if n < 1:
-        raise ValueError("need n >= 1")
-    anchor = (-1,) * n
-    out = []
-    for subset in _valid_subsets(n, require_first=anchor):
-        for rest in permutations(subset[1:]):
-            out.append((anchor,) + rest)
-    return out
-
-
 def beta(n: int) -> int:
-    """Orbit count of the signed permutation group on the centered
-    simplex tuples; the action is free, so this equals the tuple count
-    divided by the group order (checked).
+    """Orbit count of the signed permutation group on the ordered
+    (n+1)-tuples of cube vertices that span a simplex with the origin
+    strictly inside.
 
-    Counted on the reduced set: full-group orbits correspond to orbits of
-    the first entry's stabilizer (the coordinate permutations) on the
-    tuples starting at (-1, ..., -1).
+    The lemma: the count equals the number of such vertex sets that
+    contain a = (-1, ..., -1).  A signed permutation g is linear, and
+    the points of a tuple span R^n (they are affinely independent with 0
+    in their hull), so g fixes a tuple only if g is the identity: the
+    action is free, and each orbit has 2^n n! tuples.  g maps valid
+    sets to valid sets and is transitive on the 2^n cube vertices, so
+    each vertex lies in the same number N_a of valid sets, and the
+    N = 2^n N_a / (n+1) sets give (n+1)! N = 2^n n! N_a tuples.  Dividing
+    by the group order leaves N_a.
     """
-    if n > TUPLE_GUARD:
-        raise SizeGuardError(f"beta guarded to n <= {TUPLE_GUARD}")
+    if n > BETA_GUARD:
+        raise SizeGuardError(f"beta guarded to n <= {BETA_GUARD}")
     if n < 1:
         raise ValueError("need n >= 1")
-    group_order = 2**n * factorial(n)
-    reduced = reduced_simplex_tuples(n)
-    orbits, free = orbit_count(reduced, _permutation_subgroup(n))
-    total = 2**n * len(reduced)
-    if total and not free:
-        raise ValueError("orbit sizes are not all equal to the group order")
-    if orbits * group_order != total:
-        raise ValueError("orbit count disagrees with tuple count / group order")
-    return orbits
-
-
-def _permutation_subgroup(n: int) -> list[SignedPermutation]:
-    return [SignedPermutation(p, (1,) * n) for p in permutations(range(n))]
+    return sum(1 for _ in _valid_subsets(n, require_first=(-1,) * n))
 
 
 # -- count reports ----------------------------------------------------------
@@ -251,7 +203,8 @@ def _permutation_subgroup(n: int) -> list[SignedPermutation]:
 
 @dataclass
 class CountReport:
-    """Closed-form count with optional enumeration cross-check."""
+    """Closed-form count; `enumerated` is set by a caller that also
+    enumerated the family's vertex maps."""
 
     family: str
     m: int
@@ -267,23 +220,12 @@ class CountReport:
         return self.enumerated == self.closed_form
 
 
-def _enumerated_count(source_kind: str, m: int, target_kind: str, n: int) -> int:
-    from .homs import build_hom, enumerate_vertex_maps
-    from .polytope import standard
-
-    H = build_hom(standard(source_kind, m), standard(target_kind, n))
-    return len(enumerate_vertex_maps(H))
-
-
-def count_box_simplex(m: int, n: int, enumerate_maps: bool = False) -> CountReport:
+def count_box_simplex(m: int, n: int) -> CountReport:
     """Vertex count of the cube-to-simplex mapping polytope: (n+1)(mn+1)."""
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1")
     terms = {"rank-0": n + 1, "rank-1": (n + 1) * m * n}
-    report = CountReport("box-simplex", m, n, (n + 1) * (m * n + 1), terms)
-    if enumerate_maps:
-        report.enumerated = _enumerated_count("cube", m, "simplex", n)
-    return report
+    return CountReport("box-simplex", m, n, (n + 1) * (m * n + 1), terms)
 
 
 def _diamond_rank_counts(m: int, n_cap: int, high_rank_table) -> dict[int, int]:
@@ -307,21 +249,18 @@ def _diamond_rank_counts(m: int, n_cap: int, high_rank_table) -> dict[int, int]:
     return counts
 
 
-def count_diamond_simplex(m: int, n: int, high_rank_table: dict[int, int] | None = None,
-                          enumerate_maps: bool = False) -> CountReport:
+def count_diamond_simplex(m: int, n: int,
+                          high_rank_table: dict[int, int] | None = None) -> CountReport:
     """Vertex count of the crosspolytope-to-simplex mapping polytope."""
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1")
     per_rank = _diamond_rank_counts(m, min(m, n), high_rank_table)
     terms = {f"rank-{k}": comb(n + 1, k + 1) * c for k, c in per_rank.items()}
-    report = CountReport("diamond-simplex", m, n, sum(terms.values()), terms)
-    if enumerate_maps:
-        report.enumerated = _enumerated_count("crosspolytope", m, "simplex", n)
-    return report
+    return CountReport("diamond-simplex", m, n, sum(terms.values()), terms)
 
 
-def count_diamond_diamond(m: int, n: int, high_rank_table: dict[int, int] | None = None,
-                          enumerate_maps: bool = False) -> CountReport:
+def count_diamond_diamond(m: int, n: int,
+                          high_rank_table: dict[int, int] | None = None) -> CountReport:
     """Vertex count of the crosspolytope-to-crosspolytope mapping polytope.
 
     Maps whose center image is interior contribute 2^m n^m (they send
@@ -334,17 +273,14 @@ def count_diamond_diamond(m: int, n: int, high_rank_table: dict[int, int] | None
     terms = {"center-interior": 2**m * n**m}
     for k, c in per_rank.items():
         terms[f"rank-{k}"] = 2 ** (k + 1) * comb(n, k + 1) * c
-    report = CountReport("diamond-diamond", m, n, sum(terms.values()), terms)
-    if enumerate_maps:
-        report.enumerated = _enumerated_count("crosspolytope", m, "crosspolytope", n)
-    return report
+    return CountReport("diamond-diamond", m, n, sum(terms.values()), terms)
 
 
-# the closed-form count of each mapping-polytope family, by family name
+# family name -> (source kind, target kind, closed-form count)
 COUNT_FAMILIES = {
-    "box-simplex": count_box_simplex,
-    "diamond-simplex": count_diamond_simplex,
-    "diamond-diamond": count_diamond_diamond,
+    "box-simplex": ("cube", "simplex", count_box_simplex),
+    "diamond-simplex": ("crosspolytope", "simplex", count_diamond_simplex),
+    "diamond-diamond": ("crosspolytope", "crosspolytope", count_diamond_diamond),
 }
 
 

@@ -519,11 +519,3 @@ def _tight_rows_span(x: Vec, ineqs, eq_normals: list, dim: int) -> bool:
     the feasible set this holds iff the point is a vertex."""
     tight = [n for n, c in ineqs if dot(n, x) == c]
     return rank(tight + eq_normals) == dim
-
-
-def vertex_certificate_ok(P: Polytope) -> bool:
-    """Every claimed vertex is feasible and has active constraints of full rank."""
-    h = P.minimal_hrep
-    eq_normals = [n for n, _ in h.equations]
-    return all(P.contains(v) and _tight_rows_span(v, h.inequalities, eq_normals, P.ambient_dim)
-               for v in P.vertices)

@@ -7,6 +7,7 @@ both sides of a comparison.
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb
 
 
 def oracle_rref(rows):
@@ -80,6 +81,27 @@ def brute_force_vertices(ineqs, eqs, dim):
         if x is not None and all(_dot(n, x) <= c for n, c in ineqs):
             found.add(x)
     return sorted(found)
+
+
+def vertex_certificate_ok(vertices, ineqs, eqs):
+    """Is each point a vertex of {x : n . x <= c for ineqs, n . x = c for
+    eqs}?  Each must satisfy every row, and the normals of the equations
+    and of the inequalities tight at it must have full rank."""
+    for v in vertices:
+        v = tuple(Fraction(x) for x in v)
+        if not (all(_dot(n, v) <= c for n, c in ineqs)
+                and all(_dot(n, v) == c for n, c in eqs)):
+            return False
+        tight = [n for n, c in ineqs if _dot(n, v) == c] + [n for n, _ in eqs]
+        if len(oracle_rref(tight)[1]) != len(v):
+            return False
+    return True
+
+
+def surjections_inclusion_exclusion(m, n):
+    """Surjections {1..m} -> {1..n} by inclusion-exclusion over the
+    points of {1..n} that are missed."""
+    return sum((-1) ** (n - j) * comb(n, j) * j**m for j in range(n + 1))
 
 
 def origin_inside_oracle(points):

@@ -19,7 +19,6 @@ from hompoly.counts import (
     sigma,
     stirling2,
     surjections,
-    surjections_inclusion_exclusion,
 )
 from hompoly.experiments import perturbed_barycenter_count
 from hompoly.homs import (
@@ -41,6 +40,7 @@ from hompoly.polytope import (
 )
 from hompoly.verify import _diamond_records, _hom, run_claim
 
+from _oracles import surjections_inclusion_exclusion
 from test_counts import sigma_brute_force
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -170,6 +171,20 @@ def test_intersect_command(capsys):
     assert "4 vertices" in out
 
 
+@pytest.mark.parametrize("command, summary", [
+    (["construct", "cube:2", "simplex:2"], {"ambient_dim": 6, "inequalities": 12}),
+    (["dual", "crosspolytope:2"], {"facets": 4, "vertices": 4}),
+    (["intersect", "simplex:2", "cube:2"], {"dim": 2, "vertices": 3}),
+])
+def test_out_with_json_prints_a_json_summary(tmp_path, capsys, command, summary):
+    out_file = tmp_path / "object.json"
+    code, out, _ = run_cli(capsys, *command, "--out", str(out_file), "--json")
+    assert code == 0
+    assert json.loads(out) == summary
+    _, full, _ = run_cli(capsys, *command, "--json")
+    assert out_file.read_text() == full
+
+
 def test_bad_spec_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "intersect", "pyramid:2", "cube:2")
     assert code == 2
@@ -331,3 +346,44 @@ def test_verify_missing_param_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "--claim", "beta-value", "--param", "n=2")
     assert code == 2
     assert "expected" in err
+
+
+# SHA-256 of stdout, recorded before the enumerated counts were read from
+# the claims' cached enumeration and before beta was counted by its lemma
+COUNT_ENUMERATE_SHA256 = {
+    ("box-simplex", 2, 2): "c7ce17b8f7dafcc432da89cdc1d8a60b7e364b45a070ca7b5b25df76302907c5",
+    ("box-simplex", 3, 3): "0c44e149aedd77b0fa3fd3333710e86eec08de647e2708095ae2c7d0ddc93599",
+    ("diamond-simplex", 2, 2): "9311ac903be67a22359eb737db7c7d9d93e1b8c483b922e889860a6cb750b9e0",
+    ("diamond-simplex", 3, 2): "13a1e9811942fb7f2bb8f9bd0465db72ac05e16a7101e33ab4571726e3d3e234",
+    ("diamond-simplex", 2, 3): "d24449abcd4216bb4149a8d17be50eb54883f2f1ab9245178d11604baa48d77d",
+    ("diamond-simplex", 3, 3): "91f627ae3e5cc19a31d23c8389a8f2b3867c305a0795a80de3de107a6ab4fc04",
+    ("diamond-diamond", 2, 2): "6d25eda959e730d10992a3edd6dab8f193c787bd837a12ed3e43a916b69d4200",
+    ("diamond-diamond", 2, 3): "9e15b11d31a730b0830989793333ac5bf50d960733737f61cc64ef1b379da362",
+    ("diamond-diamond", 3, 2): "d8d38f4a6d0c98b743f9d75afedb825613bdf8ab28fe29cade7b620756ff2788",
+}
+BETA_SHA256 = {
+    1: "c9a6ff9312cb86fec5f8aea5f5221428760d805572eb42fa1ef248c80b53e3bc",
+    2: "d2d026909a6496984cbce9cfb09d2fb30e8f1267738c2729520c12b33519947a",
+    3: "872faf1ef5cd828fba702e1b190a808a6182fee9c98811877090746b87567374",
+    4: "41cdd697c2c235586ae0363b133e8552ba61ca16efe5cba90bea125ad90e4895",
+    5: "3af4541c39017a2debd9cd54f6475c57a39906eb26f55bd4f373db5ffa47d4af",
+}
+
+
+def test_count_enumerate_json_is_pinned(capsys):
+    from hompoly.verify import CORE_SUITE
+
+    plan = [(p["family"], p["m"], p["n"]) for c, p in CORE_SUITE if c == "count-agreement"]
+    assert sorted(plan) == sorted(COUNT_ENUMERATE_SHA256)
+    for (family, m, n), digest in COUNT_ENUMERATE_SHA256.items():
+        code, out, _ = run_cli(capsys, "count", family, str(m), str(n), "--enumerate", "--json")
+        assert code == 0
+        assert json.loads(out)["agreement"] is True
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_beta_json_is_pinned(capsys):
+    for n, digest in BETA_SHA256.items():
+        code, out, _ = run_cli(capsys, "beta", str(n), "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

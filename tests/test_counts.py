@@ -1,11 +1,12 @@
 import hashlib
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb, factorial
 
 import pytest
 
-from _oracles import origin_inside_oracle
+from _oracles import origin_inside_oracle, surjections_inclusion_exclusion
 from hompoly.counts import (
+    COUNT_FAMILIES,
     _valid_subsets,
     beta,
     bound_box_diamond,
@@ -16,15 +17,13 @@ from hompoly.counts import (
     intersection_bound,
     origin_strictly_inside,
     rank_k_sandwich,
-    reduced_simplex_tuples,
     sigma,
-    simplex_tuples,
     stirling2,
     surjections,
-    surjections_inclusion_exclusion,
 )
 from hompoly.errors import SizeGuardError
-from hompoly.groups import enumerate_group, orbit_count
+from hompoly.groups import SignedPermutation, enumerate_group, orbit_count
+from hompoly.verify import enumerated_count
 
 
 # -- independent oracles -----------------------------------------------------
@@ -42,6 +41,22 @@ def partitions_into_blocks(items, n):
             yield part[:i] + [part[i] + [head]] + part[i + 1:]
     for part in partitions_into_blocks(rest, n - 1):
         yield part + [[head]]
+
+
+def simplex_tuples(n):
+    """Every ordering of every centered simplex vertex set of the n-cube."""
+    return [t for s in _valid_subsets(n) for t in permutations(s)]
+
+
+def anchored_tuples(n):
+    """The centered simplex tuples whose first entry is (-1, ..., -1)."""
+    return [s[:1] + rest for s in _valid_subsets(n, (-1,) * n)
+            for rest in permutations(s[1:])]
+
+
+def coordinate_permutations(n):
+    """The stabilizer of (-1, ..., -1) in the signed permutation group."""
+    return [SignedPermutation(p, (1,) * n) for p in permutations(range(n))]
 
 
 def sigma_brute_force(m, n):
@@ -126,15 +141,15 @@ def test_tuple_count_v3_by_exhaustive_scan():
 
 def test_reduced_tuples_consistent_with_full():
     for n in (1, 3, 4):
-        assert 2**n * len(reduced_simplex_tuples(n)) == len(simplex_tuples(n))
-    assert reduced_simplex_tuples(2) == []
+        assert 2**n * len(anchored_tuples(n)) == len(simplex_tuples(n))
+    assert anchored_tuples(2) == []
 
 
 def test_simplex_tuples_guard():
     with pytest.raises(SizeGuardError):
-        simplex_tuples(5)
-    with pytest.raises(SizeGuardError):
         beta(6)
+    with pytest.raises(ValueError):
+        beta(0)
 
 
 # SHA-256 of repr(list(_valid_subsets(5, (-1,) * 5))), recorded from the
@@ -172,10 +187,18 @@ def test_beta_values(n, expected):
     assert beta(n) == expected
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_beta_counts_free_orbits_of_anchored_tuples(n):
+    # beta counts anchored vertex sets by the free-action lemma; the
+    # reference sweeps the anchored tuples under the anchor's stabilizer
+    # and checks that every orbit has full size
+    assert orbit_count(anchored_tuples(n), coordinate_permutations(n)) == (beta(n), True)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_beta_matches_full_group_orbit_count(n):
-    # beta counts stabilizer orbits on the anchored tuples; the reference
-    # counts orbits of the whole signed permutation group on all tuples
+    # beta counts anchored vertex sets; the reference counts orbits of
+    # the whole signed permutation group on all tuples
     orbits, free = orbit_count(simplex_tuples(n), enumerate_group(n))
     assert free
     assert beta(n) == orbits
@@ -232,9 +255,8 @@ def test_count_diamond_diamond_values():
 
 
 def test_count_enumeration_cross_check_small():
-    assert count_box_simplex(2, 2, enumerate_maps=True).agreement
-    assert count_diamond_simplex(2, 2, enumerate_maps=True).agreement
-    assert count_diamond_diamond(2, 2, enumerate_maps=True).agreement
+    for family, (_, _, closed_form) in COUNT_FAMILIES.items():
+        assert enumerated_count(family, 2, 2) == closed_form(2, 2).closed_form
 
 
 def test_bound_box_diamond():

@@ -1,9 +1,9 @@
 import random
+from itertools import permutations
 from math import factorial
 
 import pytest
 
-from hompoly.counts import _permutation_subgroup
 from hompoly.errors import SizeGuardError
 from hompoly.groups import (
     SignedPermutation,
@@ -90,8 +90,8 @@ def test_orbit_count_closure_check():
 
 def test_axis_stabilizer_of_all_minus_one():
     # the stabilizer of (-1, ..., -1) is the plain permutation subgroup,
-    # which beta counts orbits of on the tuples starting at that vertex
+    # whose orbits on the tuples starting at that vertex the beta tests sweep
     point = (-1, -1, -1)
     stab = [g for g in enumerate_group(3) if act_point(g, point) == point]
-    assert stab == _permutation_subgroup(3)
+    assert stab == [SignedPermutation(p, (1, 1, 1)) for p in permutations(range(3))]
     assert len(stab) == factorial(3)

@@ -20,10 +20,9 @@ from hompoly.polytope import (
     product,
     standard,
     translate,
-    vertex_certificate_ok,
 )
 
-from _oracles import brute_force_vertices
+from _oracles import brute_force_vertices, vertex_certificate_ok
 
 F = Fraction
 
@@ -33,7 +32,8 @@ def both_reps_agree(P):
     for v in P.vertices:
         assert P.contains(v)
     assert Polytope(P.ambient_dim, hrep=P.hrep).vertices == P.vertices
-    assert vertex_certificate_ok(P)
+    h = P.minimal_hrep
+    assert vertex_certificate_ok(P.vertices, h.inequalities, h.equations)
 
 
 def test_standard_simplex():

@@ -52,6 +52,28 @@ def test_dim_formula_claim():
     assert r.passed
 
 
+def test_count_agreement_reads_the_enumeration_dim_formula_cached(monkeypatch):
+    from hompoly import homs
+
+    calls = []
+    original = homs.enumerate_vertex_maps
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # patch the defining module too, so an enumeration that bypasses
+    # verify's own binding is counted as well
+    monkeypatch.setattr(homs, "enumerate_vertex_maps", counting)
+    monkeypatch.setattr(verify, "enumerate_vertex_maps", counting)
+    verify._hom.cache_clear()
+    assert run_claim("dim-formula", {"source": "crosspolytope", "m": 3,
+                                     "target": "simplex", "n": 3}).passed
+    assert run_claim("count-agreement",
+                     {"family": "diamond-simplex", "m": 3, "n": 3}).passed
+    assert len(calls) == 1
+
+
 def test_constant_maps_claim():
     assert run_claim("constant-maps",
                      {"source": "cube", "m": 2, "target": "simplex", "n": 2}).passed
