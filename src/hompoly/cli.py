@@ -6,12 +6,12 @@ output carrying exactly the same numbers as the text form; identical
 command lines produce byte-identical JSON.  Exit codes: 0 success (all
 verifications passed), 1 verification failure, 2 usage or input error.
 
-Heavy enumerations are gated: anything whose inequality system exceeds
-the guard needs --allow-large.  beta runs up to n = 5 (about a tenth of
-a second) without a flag and refuses larger n (exit 2); --allow-large is
-accepted there and has no effect.  --threads (or HOMPOLY_THREADS)
-controls worker processes for suite runs; results are independent of
-the thread count.
+Heavy enumerations are gated: vertices and count --enumerate need
+--allow-large when the inequality system exceeds the guard.  beta runs
+up to n = 5 (about a tenth of a second) without a flag and refuses
+larger n (exit 2); --allow-large is accepted there and has no effect.
+--threads (or HOMPOLY_THREADS) controls worker processes for suite
+runs; results are independent of the thread count.
 """
 
 from __future__ import annotations
@@ -34,6 +34,11 @@ LARGE_DIM_GUARD = 16
 LARGE_ROWS_GUARD = 96
 
 STANDARD_KINDS = ("simplex", "cube", "crosspolytope")
+
+# (vertices, facets) of the standard n-polytope of each kind
+STANDARD_SIZES = {"simplex": lambda n: (n + 1, n + 1),
+                  "cube": lambda n: (2 ** n, 2 * n),
+                  "crosspolytope": lambda n: (2 * n, 2 ** n)}
 
 
 def parse_polytope_spec(spec: str) -> tuple[dict, Polytope]:
@@ -98,8 +103,7 @@ def cmd_vertices(args) -> int:
         data = json.load(fh)
     rows, m, n, ambient = jsonio.hom_system_from_json(data)
     _check_large(args, ambient, len(rows))
-    order = "given" if "insertion_order" in data else "mincutoff"
-    verts = dd.polytope_vertices(rows, ambient, order=order)
+    verts = dd.polytope_vertices(rows, ambient)
     maps = [unflatten_map(w, m, n) for w in verts]
     payload: dict = {"count": len(maps)}
     lines = [f"vertex maps: {len(maps)}"]
@@ -132,8 +136,12 @@ def cmd_count(args) -> int:
         _emit(args, {"family": family, "m": args.m, "n": args.n, "lower_bound": value},
               [str(value)])
         return 0
-    report = counts_mod.COUNT_FAMILIES[family][2](args.m, args.n)
+    source, target, closed_form = counts_mod.COUNT_FAMILIES[family]
+    report = closed_form(args.m, args.n)
     if args.enumerate:
+        # Hom(P, Q) has one row per (vertex of P, facet of Q) pair
+        rows = STANDARD_SIZES[source](args.m)[0] * STANDARD_SIZES[target](args.n)[1]
+        _check_large(args, args.n * (args.m + 1), rows)
         report.enumerated = verify.enumerated_count(family, args.m, args.n)
     payload = jsonio.count_report_to_json(report)
     lines = [f"{family}({args.m},{args.n}) closed form: {report.closed_form}"]
@@ -250,6 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int, nargs="?")
     p.add_argument("--enumerate", action="store_true",
                    help="cross-check against an enumeration run")
+    p.add_argument("--allow-large", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_count)
 

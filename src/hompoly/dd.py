@@ -40,9 +40,11 @@ Representation choices, all in service of exactness and speed:
   shared fraction-free elimination `linalg._echelon` (forward on the
   transposed rows, reduced on [B | I]), so Fractions appear only in the
   input rows and in the output vertices.
-- Functionals are inserted in order of ascending number of currently
-  violated rays, recomputed each round from cached evaluation values;
-  ties break by input position, so runs are deterministic.
+- After the initial basis, functionals are inserted in exactly the
+  order given.  The order is the caller's choice: it can change the
+  intermediate ray counts by orders of magnitude, never the result.
+  Hom systems come in `homs.structured_row_order`; polytope conversions
+  pass rows in the canonical sorted order they already hold.
 
 The kernel requires a pointed cone, which is automatic for the
 homogenization of a bounded (possibly lower-dimensional or empty)
@@ -101,17 +103,15 @@ def _id_set(rays: list[_Ray], n_ids: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-def cone_extreme_rays(rows: list[tuple[int, ...]],
-                      order: str = "mincutoff") -> list[tuple[int, ...]]:
+def cone_extreme_rays(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Extreme rays of the pointed cone {y : r . y >= 0 for all r in rows}.
 
     Rays come back as primitive integer tuples in no particular order.
     Raises UnboundedPolytopeError when the rows do not have full column
     rank (the cone then contains a line).
 
-    `order` picks the insertion heuristic: "mincutoff" inserts the row
-    violated by the fewest current rays, "given" keeps the input order.
-    Both are deterministic.
+    The rows outside the initial basis are inserted in the order given,
+    so the caller picks the insertion order by ordering the rows.
     """
     rows = [row for row in rows if any(row)]
     if not rows:
@@ -132,7 +132,8 @@ def cone_extreme_rays(rows: list[tuple[int, ...]],
     _echelon(aug, reduced=True)
     sign = 1 if aug[0][0] > 0 else -1
 
-    remaining = [i for i in range(n_rows) if i not in set(basis_idx)]
+    basis = set(basis_idx)
+    rest = [i for i in range(n_rows) if i not in basis]
     rays: list[_Ray] = []
     for j in range(dim):
         coords = _int_row([sign * row[dim + j] for row in aug])
@@ -141,16 +142,10 @@ def cone_extreme_rays(rows: list[tuple[int, ...]],
             if i != j:
                 mask |= 1 << bi
         vals = [0] * n_rows
-        for i in remaining:
+        for i in rest:
             row = rows[i]
             vals[i] = sum(r * c for r, c in zip(row, coords))
         rays.append(_Ray(tuple(coords), mask, vals))
-
-    counts = [0] * n_rows
-    for ray in rays:
-        for i in remaining:
-            if ray.vals[i] < 0:
-                counts[i] += 1
 
     # Adjacency is tested on id bitsets: cols[i] holds the ids of the rays
     # active on row i (dead ids may linger), live the ids of current rays,
@@ -162,17 +157,8 @@ def cone_extreme_rays(rows: list[tuple[int, ...]],
     need = dim - 2  # active-set size needed for a 2-face
 
     trace = log.isEnabledFor(logging.DEBUG)
-    step = 0
-    while remaining:
-        if order == "mincutoff":
-            j = min(remaining, key=lambda i: (counts[i], i))
-        elif order == "given":
-            j = remaining[0]
-        else:
-            raise ValueError(f"unknown insertion order {order!r}")
-        remaining.remove(j)
-        rem = remaining
-        step += 1
+    for step, j in enumerate(rest, 1):
+        rem = rest[step:]  # the rows still to insert
         t_step = time.perf_counter() if trace else 0.0
 
         pos: list[_Ray] = []
@@ -285,21 +271,11 @@ def cone_extreme_rays(rows: list[tuple[int, ...]],
                         vals[i] = uv * w_vals[i] - wv * u_vals[i]
                 newborn.append(_Ray(tuple(coords), s | bit_j, vals))
 
-        for w in neg:
-            for i in rem:
-                if w.vals[i] < 0:
-                    counts[i] -= 1
-
-        for ray in newborn:
-            for i in rem:
-                if ray.vals[i] < 0:
-                    counts[i] += 1
-
         rays = [r for r in rays if r.vals[j] >= 0] + newborn
         if trace:
             log.debug("insert %d/%d row %d: rays %d, negative %d, candidates %d, "
                       "witness hits %d, full tests %d, new %d, %.2fs",
-                      step, step + len(remaining), j, len(rays), len(neg), n_cands,
+                      step, len(rest), j, len(rays), len(neg), n_cands,
                       n_hits, n_tests, len(newborn), time.perf_counter() - t_step)
         if not rays:
             return []
@@ -318,13 +294,15 @@ def cone_extreme_rays(rows: list[tuple[int, ...]],
     return [r.coords for r in rays]
 
 
-def polytope_vertices(ineqs, dim: int, order: str = "mincutoff") -> list[Vec]:
+def polytope_vertices(ineqs, dim: int) -> list[Vec]:
     """Vertices of {x in R^dim : normal . x <= offset for all inequalities}.
 
     Inequalities are (normal, offset) pairs with integer-valued rational
     entries accepted.  Returns the lexicographically sorted vertex list;
     raises UnboundedPolytopeError if the feasible set has a recession
-    direction.  An empty feasible set yields an empty list.
+    direction.  An empty feasible set yields an empty list.  The kernel
+    inserts the inequalities in the order given (the homogenizing row
+    1 >= 0 last), so their order changes only the running time.
     """
     rows: list[tuple[int, ...]] = []
     for normal, offset in ineqs:
@@ -339,7 +317,7 @@ def polytope_vertices(ineqs, dim: int, order: str = "mincutoff") -> list[Vec]:
     if dim == 0:
         return [()]
 
-    rays = cone_extreme_rays(rows, order=order)
+    rays = cone_extreme_rays(rows)
     if any(ray[0] <= 0 for ray in rays):
         raise UnboundedPolytopeError("feasible set has a recession direction")
     # Two different points c/t and c'/t' differ by at least 1/(t t') > 2^-K

@@ -175,7 +175,7 @@ def enumerate_vertex_maps(H: HomPolytope) -> tuple[AffineMap, ...]:
     """All vertex maps, in canonical (lexicographic flattened) order."""
     m, n = H.source_dim, H.target_dim
     rows = [H.rows[k] for k in structured_row_order(H)]
-    verts = dd.polytope_vertices(rows, H.ambient_dim, order="given")
+    verts = dd.polytope_vertices(rows, H.ambient_dim)
     return tuple(unflatten_map(w, m, n) for w in verts)
 
 

@@ -15,6 +15,9 @@ matters:
 - equation rows are the primitive reduced row echelon form of the
   affine hull's equation system.
 
+The DD kernel inserts rows in the order it is given them, so every
+conversion inserts in canonical sorted order: H -> V the sorted
+inequality rows, V -> H one dual row per point, points sorted.
 Lower-dimensional polytopes keep explicit equations and all conversions
 run inside the affine hull's coordinate frame.  The empty polytope is a
 first-class value: no vertices, contradictory inequality system.

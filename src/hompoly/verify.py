@@ -723,6 +723,10 @@ EXTENDED_SUITE: list[tuple[str, dict]] = CORE_SUITE + [
     ("diamond-subcross", {"m": 4, "n": 4}),
     ("vertex-image-law", {"m": 4, "target": "simplex", "n": 4}),
     ("face-law", {"source": "crosspolytope", "m": 4, "n": 4}),
+    ("facet-form", {"source": "cube", "m": 3, "target": "crosspolytope", "n": 3}),
+    ("facet-form", {"source": "crosspolytope", "m": 3, "target": "crosspolytope", "n": 3}),
+    ("facet-form", {"source": "simplex", "m": 3, "target": "crosspolytope", "n": 3}),
+    ("facet-form", {"source": "crosspolytope", "m": 3, "target": "simplex", "n": 3}),
 ]
 
 

@@ -44,6 +44,26 @@ def test_vertices_json_and_maps_out(tmp_path, capsys):
     assert {"A", "b", "rank"} <= set(maps[0])
 
 
+def test_vertices_out_does_not_depend_on_insertion_order(tmp_path, capsys):
+    # without insertion_order the kernel inserts the rows in file order
+    hom_file = tmp_path / "hom.json"
+    # the first four cube vertices lie on a facet, so the order is not the identity
+    run_cli(capsys, "construct", "cube:3", "simplex:2", "--out", str(hom_file))
+    data = json.loads(hom_file.read_text())
+    assert data["insertion_order"] != sorted(data["insertion_order"])
+    del data["insertion_order"]
+    plain_file = tmp_path / "plain.json"
+    plain_file.write_text(json.dumps(data))
+    outs = []
+    for src in (hom_file, plain_file):
+        maps_file = tmp_path / f"maps-{src.stem}.json"
+        code, _, _ = run_cli(capsys, "vertices", str(src), "--out", str(maps_file))
+        assert code == 0
+        outs.append(maps_file.read_bytes())
+    assert outs[0] == outs[1]
+    assert len(json.loads(outs[0])) == (2 + 1) * (3 * 2 + 1)
+
+
 def test_rank_histogram_with_and_without_maps_out(tmp_path, capsys):
     hom_file = tmp_path / "hom.json"
     maps_file = tmp_path / "maps.json"
@@ -387,3 +407,36 @@ def test_beta_json_is_pinned(capsys):
         code, out, _ = run_cli(capsys, "beta", str(n), "--json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_count_enumerate_is_size_guarded(capsys, monkeypatch):
+    from hompoly import verify
+
+    def no_enumeration(*args):
+        raise AssertionError("enumerated past the size guard")
+
+    monkeypatch.setattr(verify, "_hom", no_enumeration)
+    # Hom(crosspolytope_4, crosspolytope_4): 8 x 16 = 128 rows in dimension 20
+    code, out, err = run_cli(capsys, "count", "diamond-diamond", "4", "4", "--enumerate")
+    assert (code, out) == (2, "")
+    assert "128 inequalities in dimension 20" in err and "--allow-large" in err
+
+
+def test_count_enumerate_allow_large_passes_the_guard(capsys, monkeypatch):
+    from hompoly import verify
+
+    monkeypatch.setattr(verify, "enumerated_count", lambda family, m, n: 13704)
+    code, out, _ = run_cli(capsys, "count", "diamond-diamond", "4", "4", "--enumerate",
+                           "--allow-large", "--json")
+    assert code == 0
+    assert json.loads(out)["enumerated"] == 13704
+
+
+@pytest.mark.parametrize("kind", ["simplex", "cube", "crosspolytope"])
+def test_standard_sizes_match_standard_polytopes(kind):
+    from hompoly.cli import STANDARD_SIZES
+    from hompoly.polytope import standard
+
+    for n in range(1, 5):
+        P = standard(kind, n)
+        assert STANDARD_SIZES[kind](n) == (P.n_vertices, P.n_facets)

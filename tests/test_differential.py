@@ -5,7 +5,8 @@ checked to be idempotent, `linalg.rref` and the greedy
 `linalg._independent_rows` with the oracle's textbook Fraction
 elimination, `linalg.int_det` with the Leibniz formula and the rank of
 integer matrices with the oracle's pivot count, `dd.polytope_vertices`
-with exhaustive basis enumeration (zero-normal rows included; unbounded
+with exhaustive basis enumeration, each system as given and with its
+rows reversed (zero-normal rows included; unbounded
 systems must raise; small hom systems and degenerate systems in cone
 dimension 5-7, where the kernel's row-count threshold and witness reuse
 run often; the same result with DEBUG logging on; the exact vertex
@@ -188,11 +189,16 @@ def bounded_systems(draw):
     return draw(st.permutations(rows)), dim
 
 
-@pytest.mark.parametrize("order", ["mincutoff", "given"])
+# The kernel inserts rows in the order given; the result must not depend
+# on it, so the tests below run each system as given and reversed.
+ORDERS = {"given": list, "reversed": lambda rows: list(reversed(rows))}
+
+
+@pytest.mark.parametrize("order", ORDERS)
 @given(bounded_systems())
 def test_polytope_vertices_match_brute_force(order, system):
     ineqs, dim = system
-    assert dd.polytope_vertices(ineqs, dim, order=order) == \
+    assert dd.polytope_vertices(ORDERS[order](ineqs), dim) == \
         brute_force_vertices(ineqs, [], dim)
 
 
@@ -208,8 +214,8 @@ def test_hom_vertices_match_brute_force(pair):
     src, m, tgt, n = pair
     H = homs.build_hom(polytope.standard(src, m), polytope.standard(tgt, n))
     expected = brute_force_vertices(H.rows, [], H.ambient_dim)
-    for order in ("mincutoff", "given"):
-        assert dd.polytope_vertices(H.rows, H.ambient_dim, order=order) == expected
+    for order in ORDERS.values():
+        assert dd.polytope_vertices(order(H.rows), H.ambient_dim) == expected
 
 
 @st.composite
@@ -239,8 +245,8 @@ def degenerate_systems(draw):
 def test_degenerate_vertices_match_brute_force(system):
     ineqs, dim = system
     expected = brute_force_vertices(ineqs, [], dim)
-    for order in ("mincutoff", "given"):
-        assert dd.polytope_vertices(ineqs, dim, order=order) == expected
+    for order in ORDERS.values():
+        assert dd.polytope_vertices(order(ineqs), dim) == expected
 
 
 @st.composite
@@ -270,8 +276,8 @@ def test_vertices_are_sorted_exactly(triangle):
         if normal[0] * r[0] + normal[1] * r[1] > offset:
             normal, offset = (-normal[0], -normal[1]), -offset
         ineqs.append((normal, offset))
-    for order in ("mincutoff", "given"):
-        assert dd.polytope_vertices(ineqs, 2, order=order) == sorted(triangle)
+    for order in ORDERS.values():
+        assert dd.polytope_vertices(order(ineqs), 2) == sorted(triangle)
 
 
 def test_dd_result_does_not_depend_on_log_level(caplog):
@@ -310,12 +316,12 @@ def unbounded_systems(draw):
     return rows, dim
 
 
-@pytest.mark.parametrize("order", ["mincutoff", "given"])
+@pytest.mark.parametrize("order", ORDERS)
 @given(unbounded_systems())
 def test_polytope_vertices_rejects_unbounded_systems(order, system):
     ineqs, dim = system
     with pytest.raises(UnboundedPolytopeError):
-        dd.polytope_vertices(ineqs, dim, order=order)
+        dd.polytope_vertices(ORDERS[order](ineqs), dim)
 
 
 @st.composite

@@ -383,3 +383,23 @@ def test_intersect_matches_brute_force_on_random_shifted_diamonds():
         K = intersect(D, S)
         rows = D.hrep.inequalities + S.hrep.inequalities
         assert list(K.vertices) == brute_force_vertices(rows, (), 2)
+
+
+def test_hull_of_diamond_hom_vertices_keeps_few_rays(caplog):
+    # the V -> H conversion inserts one dual row per vertex in sorted
+    # order, which peaks at 1,404 rays here; inserting the row violated
+    # by the fewest rays peaks at 8,250
+    import logging
+    import re
+
+    from hompoly.homs import flatten_map
+    from hompoly.verify import _hom
+
+    _, _, H, maps = _hom("crosspolytope", 3, "crosspolytope", 3)
+    assert len(maps) == 318
+    with caplog.at_level(logging.DEBUG, logger="hompoly.dd"):
+        hull = from_points([flatten_map(f) for f in maps], H.ambient_dim)
+    assert (hull.n_vertices, hull.n_facets) == (318, 48)
+    rays = [int(re.search(r": rays (\d+),", r.getMessage()).group(1))
+            for r in caplog.records if r.name == "hompoly.dd"]
+    assert rays and max(rays) <= 2000

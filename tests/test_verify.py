@@ -448,3 +448,16 @@ def test_extended_claims_at_diamond_4_simplex_4():
     for claim_id, params in plan:
         result = run_claim(claim_id, params)
         assert (result.status, result.witness) == ("pass", None)
+
+
+@pytest.mark.extended
+def test_extended_facet_form_into_and_out_of_crosspolytope_3():
+    """facet-form at dimension 3: each hull of up to 1296 vertex maps is
+    one V -> H conversion, affordable with rows inserted in sorted order."""
+    plan = [("facet-form", {"source": src, "m": 3, "target": tgt, "n": 3})
+            for src, tgt in [("cube", "crosspolytope"), ("crosspolytope", "crosspolytope"),
+                             ("simplex", "crosspolytope"), ("crosspolytope", "simplex")]]
+    assert all(item in verify.EXTENDED_SUITE and item not in CORE_SUITE for item in plan)
+    for claim_id, params in plan:
+        result = run_claim(claim_id, params)
+        assert (result.status, result.witness) == ("pass", None)
