@@ -41,7 +41,6 @@ from .linalg import affine_hull, rank, solve
 from .polytope import (
     HRep,
     Polytope,
-    VRep,
     bipyramid,
     combinatorially_equal,
     contains_interior,
@@ -51,7 +50,6 @@ from .polytope import (
     intersect,
     negate,
     polar_dual,
-    product,
     standard,
     translate,
 )

@@ -15,13 +15,15 @@ from fractions import Fraction
 from .counts import intersection_bound
 from .errors import SizeGuardError
 from .linalg import vec
-from .polytope import from_points, intersect, negate, standard, translate
+from .polytope import contains_interior, from_points, intersect, negate, standard, translate
 
 log = logging.getLogger(__name__)
 
 _MULT = 6364136223846793005
 _INC = 1442695040888963407
 _MASK = (1 << 64) - 1
+
+MAX_RETRIES = 32  # draws per experiment before ValueError
 
 
 class SeededGenerator:
@@ -48,15 +50,18 @@ class SeededGenerator:
         return vec([self.next_rational() for _ in range(n)])
 
 
-def perturbed_barycenter_count(n: int, seed: int, eps=Fraction(1, 1000),
-                               max_retries: int = 32) -> int:
-    """Vertex count of simplex âˆ© (point-reflected simplex) for a center
+def perturbed_barycenter_count(n: int, seed: int, eps=Fraction(1, 1000)) -> int:
+    """Vertex count of K = S & (2z - S), S the simplex, for a center z
     jittered off the barycenter by eps times a seeded draw.
 
-    Draws are redrawn (bounded) if the intersection fails to be
-    full-dimensional, and ValueError is raised when every draw fails
-    (an eps too large for the simplex); with the default eps the count
-    is expected to be the generic value, independent of the seed.
+    Draws are redrawn (bounded) if K fails to be full-dimensional, and
+    ValueError is raised when every draw fails (an eps too large for the
+    simplex); with the default eps the count is expected to be the
+    generic value, independent of the seed.
+
+    K is full-dimensional iff z is strictly inside S, which is what is
+    tested: K is symmetric about z, so a nonempty K contains z, and if z
+    lies on a facet u . x = c of S then every x in K has u . x = c.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -66,22 +71,21 @@ def perturbed_barycenter_count(n: int, seed: int, eps=Fraction(1, 1000),
     simplex = standard("simplex", n)
     bary = vec([Fraction(1, n + 1)] * n)
     gen = SeededGenerator(seed)
-    for attempt in range(max_retries):
+    for attempt in range(MAX_RETRIES):
         d = gen.draw_point(n)
         z = tuple(b + eps * di for b, di in zip(bary, d))
-        reflected = translate(negate(simplex), [2 * zi for zi in z])
-        K = intersect(simplex, reflected)
-        if K.dim == n:
+        if contains_interior(simplex, z):
             if attempt:
                 log.info("perturbed intersection needed %d redraws (n=%d seed=%d)",
                          attempt, n, seed)
-            return K.n_vertices
+            reflected = translate(negate(simplex), [2 * zi for zi in z])
+            return intersect(simplex, reflected).n_vertices
         log.info("degenerate perturbation, redrawing (n=%d seed=%d attempt=%d)",
                  n, seed, attempt)
-    raise ValueError(f"no full-dimensional perturbation within {max_retries} draws")
+    raise ValueError(f"no full-dimensional perturbation within {MAX_RETRIES} draws")
 
 
-def random_simplex_intersection_count(n: int, seed: int, max_retries: int = 32) -> int:
+def random_simplex_intersection_count(n: int, seed: int) -> int:
     """Vertex count of the intersection of two seeded random n-simplices.
 
     The value depends on the seed (the generic count does not exist
@@ -91,7 +95,7 @@ def random_simplex_intersection_count(n: int, seed: int, max_retries: int = 32) 
     if n < 2:
         raise ValueError("need n >= 2")
     gen = SeededGenerator(seed)
-    for attempt in range(max_retries):
+    for _ in range(MAX_RETRIES):
         pts = [gen.draw_point(n) for _ in range(2 * (n + 1))]
         first = from_points(pts[: n + 1])
         second = from_points(pts[n + 1:])
@@ -99,7 +103,7 @@ def random_simplex_intersection_count(n: int, seed: int, max_retries: int = 32) 
             log.info("degenerate random simplex, redrawing (n=%d seed=%d)", n, seed)
             continue
         return intersect(first, second).n_vertices
-    raise ValueError(f"no nondegenerate simplex pair within {max_retries} draws")
+    raise ValueError(f"no nondegenerate simplex pair within {MAX_RETRIES} draws")
 
 
 @dataclass(frozen=True)

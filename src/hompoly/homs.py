@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import dd
 from .linalg import Mat, Vec, _independent_rows, _int_row, add, dot, rank, vec, zero_vec
-from .polytope import Polytope, VRep, _tight_rows_span, from_points
+from .polytope import Polytope, _tight_rows_span, from_points
 
 __all__ = [
     "AffineMap",
@@ -220,8 +220,9 @@ def restrict_to_subcrosspolytope(f: AffineMap, indices) -> AffineMap:
     return AffineMap(rows, f.offset)
 
 
-def cube_simplex_realization(m: int, n: int) -> VRep:
-    """Explicit vertex model of the cube-to-simplex mapping polytope.
+def cube_simplex_realization(m: int, n: int) -> tuple[Vec, ...]:
+    """Explicit vertex model of the cube-to-simplex mapping polytope, as
+    its sorted point tuple.
 
     In R^{n+nm}, with e_i the simplex directions and e_{ik} the m extra
     directions attached to each of them, the points are 0, 2e_i,
@@ -257,4 +258,4 @@ def cube_simplex_realization(m: int, n: int) -> VRep:
                 p[n + j * m + k] -= 1
                 pts.add(tuple(p))
     assert len(pts) == (n + 1) * (m * n + 1)
-    return VRep(tuple(sorted(pts)))
+    return tuple(sorted(pts))

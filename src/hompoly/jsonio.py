@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 from .homs import AffineMap, HomPolytope, map_rank, structured_row_order
 from .linalg import Vec
-from .polytope import Polytope, VRep, from_inequalities, from_points
+from .polytope import Polytope, from_inequalities, from_points
 
 if TYPE_CHECKING:
     from .counts import CountReport
@@ -77,11 +77,9 @@ def _dim(data, key: str) -> int:
     return d
 
 
-def polytope_to_json(P: Polytope, include_vertices: bool = True,
-                     include_hrep: bool = True) -> dict:
-    out: dict = {"ambient_dim": P.ambient_dim}
-    if include_vertices:
-        out["vertices"] = [vec_to_json(v) for v in P.vertices]
+def polytope_to_json(P: Polytope, include_hrep: bool = True) -> dict:
+    out: dict = {"ambient_dim": P.ambient_dim,
+                 "vertices": [vec_to_json(v) for v in P.vertices]}
     if include_hrep:
         h = P.hrep
         out["inequalities"] = _rows_to_json(h.inequalities)
@@ -95,7 +93,8 @@ def polytope_from_json(data: dict) -> Polytope:
     The listed points go through `from_points`, so points that are not
     vertices (interior points, duplicates) are dropped, and the rows go
     through `from_inequalities`.  When both are given they must describe
-    the same polytope; a mismatch raises ValueError.
+    the same polytope; a mismatch raises ValueError.  Either way the
+    result's `hrep` is its facets, so redundant rows are not kept.
     """
     _require_object(data, ("ambient_dim",), "polytope")
     ambient = _dim(data, "ambient_dim")
@@ -116,18 +115,15 @@ def polytope_from_json(data: dict) -> Polytope:
     if Q.vertices != P.vertices:
         raise ValueError("polytope JSON: 'vertices' and the inequalities describe "
                          "different polytopes")
-    return Polytope(ambient, vrep=VRep(P.vertices), hrep=Q.hrep)
+    return P
 
 
-def map_to_json(f: AffineMap, is_vertex: bool | None = None) -> dict:
-    out = {
+def map_to_json(f: AffineMap) -> dict:
+    return {
         "A": [vec_to_json(row) for row in f.matrix],
         "b": vec_to_json(f.offset),
         "rank": map_rank(f),
     }
-    if is_vertex is not None:
-        out["is_vertex"] = is_vertex
-    return out
 
 
 def map_from_json(data: dict) -> AffineMap:

@@ -1,10 +1,12 @@
-"""Polytopes with exact dual representations.
+"""Polytopes as vertex sets with their facet systems.
 
-A Polytope carries a vertex representation, an inequality
-representation, or both; whichever is missing is computed on demand
-through the double description kernel and cached.  The cache fill-in is
-idempotent (the computed representation is canonical), so concurrent
-readers are safe; values are otherwise immutable.
+A Polytope is its canonical vertex tuple plus one inequality
+representation, the canonical irredundant one: every inequality a
+facet, the equations the affine hull.  Constructors fix the vertices
+(`from_inequalities` converts its rows by double description at once);
+the facet system is derived from them on first use and cached.  The
+cache fill-in is idempotent, so concurrent readers are safe; values are
+otherwise immutable.
 
 Canonical forms, used everywhere set comparison or reproducible output
 matters:
@@ -27,13 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import product
 
 from . import dd
 from .errors import SizeGuardError
 from .linalg import (
     Vec,
-    _free_column_basis,
     add,
     affine_hull,
     dot,
@@ -43,6 +44,7 @@ from .linalg import (
     rank,
     rref,
     scale,
+    solve,
     sub,
     vec,
     zero_vec,
@@ -50,12 +52,7 @@ from .linalg import (
 
 IneqRow = tuple[Vec, Fraction]
 
-
-@dataclass(frozen=True)
-class VRep:
-    """Irredundant vertex list, lexicographically sorted."""
-
-    vertices: tuple[Vec, ...]
+COMBINATORIAL_GUARD = 200  # vertices, in `combinatorially_equal`
 
 
 @dataclass(frozen=True)
@@ -112,56 +109,30 @@ def _canonical_hrep(ineqs, eqs) -> HRep:
 
 
 class Polytope:
-    """Bounded convex polytope in Q^ambient_dim with cached dual reps.
+    """Bounded convex polytope in Q^ambient_dim: its sorted vertices and
+    `hrep`, its canonical facet system, derived from them on first use.
+    A constructor below that passes `hrep` or `dim` vouches for them."""
 
-    `hrep` is any valid inequality description; `minimal_hrep` is the
-    canonical irredundant one (every inequality a facet, equations the
-    affine hull), recomputed from the vertex set when the stored system
-    is not known to be minimal.
-    """
+    __slots__ = ("ambient_dim", "_vertices", "_hrep", "_dim")
 
-    __slots__ = ("ambient_dim", "_vrep", "_hrep", "_hrep_minimal", "_dim")
-
-    def __init__(self, ambient_dim: int, vrep: VRep | None = None,
-                 hrep: HRep | None = None, dim: int | None = None,
-                 hrep_minimal: bool = False):
-        if vrep is None and hrep is None:
-            raise ValueError("a polytope needs at least one representation")
+    def __init__(self, ambient_dim: int, vertices: tuple[Vec, ...],
+                 hrep: HRep | None = None, dim: int | None = None):
         self.ambient_dim = ambient_dim
-        self._vrep = vrep
+        self._vertices = vertices
         self._hrep = hrep
-        self._hrep_minimal = hrep_minimal and hrep is not None
         self._dim = dim
 
     # -- representations -------------------------------------------------
 
     @property
     def vertices(self) -> tuple[Vec, ...]:
-        if self._vrep is None:
-            self._vrep = VRep(tuple(_vertices_from_hrep(self._hrep, self.ambient_dim)))
-        return self._vrep.vertices
+        return self._vertices
 
     @property
     def hrep(self) -> HRep:
         if self._hrep is None:
-            self._hrep = _hrep_from_vertices(self.vertices, self.ambient_dim)
-            self._hrep_minimal = True
+            self._hrep = _hrep_from_vertices(self._vertices, self.ambient_dim)
         return self._hrep
-
-    @property
-    def minimal_hrep(self) -> HRep:
-        if not self._hrep_minimal:
-            self._hrep = _hrep_from_vertices(self.vertices, self.ambient_dim)
-            self._hrep_minimal = True
-        return self._hrep
-
-    @property
-    def inequalities(self) -> tuple[IneqRow, ...]:
-        return self.hrep.inequalities
-
-    @property
-    def equations(self) -> tuple[IneqRow, ...]:
-        return self.hrep.equations
 
     @property
     def is_empty(self) -> bool:
@@ -180,7 +151,7 @@ class Polytope:
 
     @property
     def n_facets(self) -> int:
-        return len(self.minimal_hrep.inequalities)
+        return len(self.hrep.inequalities)
 
     def __eq__(self, other):
         if not isinstance(other, Polytope):
@@ -188,12 +159,8 @@ class Polytope:
         return self.ambient_dim == other.ambient_dim and self.vertices == other.vertices
 
     def __repr__(self):
-        reps = []
-        if self._vrep is not None:
-            reps.append(f"{len(self._vrep.vertices)} vertices")
-        if self._hrep is not None:
-            reps.append(f"{len(self._hrep.inequalities)} inequalities")
-        return f"Polytope(R^{self.ambient_dim}, {', '.join(reps)})"
+        facets = "" if self._hrep is None else f", {len(self._hrep.inequalities)} facets"
+        return f"Polytope(R^{self.ambient_dim}, {len(self.vertices)} vertices{facets})"
 
     def contains(self, x: Vec) -> bool:
         x = vec(x)
@@ -203,37 +170,27 @@ class Polytope:
 
 
 def empty_polytope(ambient_dim: int) -> Polytope:
-    contradiction = ((zero_vec(ambient_dim), Fraction(-1)),)
-    return Polytope(ambient_dim, vrep=VRep(()), hrep=HRep(contradiction, ()), dim=-1,
-                    hrep_minimal=True)
+    return Polytope(ambient_dim, (), dim=-1)
 
 
 # -- conversions ---------------------------------------------------------
 
 
 def _vertices_from_hrep(hrep: HRep, ambient: int) -> list[Vec]:
-    eqs = hrep.equations
     ineqs = hrep.inequalities
-    if not eqs:
+    if not hrep.equations:
         return dd.polytope_vertices(ineqs, ambient)
 
-    _, eq_red, eq_pivots = _canonical_equations(eqs)
-    if ambient in eq_pivots:
+    sol = solve([n for n, _ in hrep.equations], [c for _, c in hrep.equations])
+    if sol is None:
         return []  # 0 = 1 after reduction: no solutions
-    base = [Fraction(0)] * ambient
-    for row, p in zip(eq_red, eq_pivots):
-        base[p] = row[-1]
-    dirs = _free_column_basis(eq_red, eq_pivots, ambient)
-    base_v = tuple(base)
+    base, dirs = sol.particular, sol.nullspace
 
-    frame_ineqs = []
-    for normal, offset in ineqs:
-        frame_ineqs.append((tuple(dot(normal, d) for d in dirs),
-                            offset - dot(normal, base_v)))
-    frame_pts = dd.polytope_vertices(frame_ineqs, len(dirs))
+    frame_ineqs = [(tuple(dot(normal, d) for d in dirs), offset - dot(normal, base))
+                   for normal, offset in ineqs]
     out = []
-    for u in frame_pts:
-        x = list(base_v)
+    for u in dd.polytope_vertices(frame_ineqs, len(dirs)):
+        x = list(base)
         for coeff, direction in zip(u, dirs):
             if coeff:
                 for i, di in enumerate(direction):
@@ -284,11 +241,14 @@ def _hrep_from_vertices(vertices, ambient: int) -> HRep:
 
 
 def from_inequalities(ineqs, eqs, ambient_dim: int) -> Polytope:
-    """Polytope from (normal, offset) inequality and equation rows."""
-    rows = [(vec(n), Fraction(c)) for n, c in ineqs]
-    eq_rows = [(vec(n), Fraction(c)) for n, c in eqs]
-    hrep = _canonical_hrep(rows, eq_rows)
-    return Polytope(ambient_dim, hrep=hrep)  # not necessarily irredundant
+    """Polytope from (normal, offset) inequality and equation rows.
+
+    The rows may be redundant: they are canonicalised and converted to
+    vertices at once, and `hrep` is then derived from the vertices.
+    Raises UnboundedPolytopeError if the rows cut out an unbounded set.
+    """
+    hrep = _canonical_hrep(ineqs, eqs)
+    return Polytope(ambient_dim, tuple(_vertices_from_hrep(hrep, ambient_dim)))
 
 
 def from_points(points, ambient_dim: int | None = None) -> Polytope:
@@ -303,12 +263,11 @@ def from_points(points, ambient_dim: int | None = None) -> Polytope:
         raise ValueError("points of mixed dimension")
     hrep = _hrep_from_vertices(pts, ambient)
     if len(pts) == 1:
-        return Polytope(ambient, vrep=VRep(tuple(pts)), hrep=hrep, dim=0,
-                        hrep_minimal=True)
+        return Polytope(ambient, tuple(pts), hrep, dim=0)
     eq_normals = [n for n, _ in hrep.equations]
     verts = tuple(p for p in pts
                   if _tight_rows_span(p, hrep.inequalities, eq_normals, ambient))
-    return Polytope(ambient, vrep=VRep(verts), hrep=hrep, hrep_minimal=True)
+    return Polytope(ambient, verts, hrep)
 
 
 def standard(kind: str, n: int) -> Polytope:
@@ -323,7 +282,7 @@ def standard(kind: str, n: int) -> Polytope:
                  for i in range(n)]
         ineqs.append(((one,) * n, one))
     elif kind == "cube":
-        verts = [tuple(Fraction(s) for s in signs) for signs in iproduct((-1, 1), repeat=n)]
+        verts = [tuple(Fraction(s) for s in signs) for signs in product((-1, 1), repeat=n)]
         ineqs = []
         for i in range(n):
             for s in (-1, 1):
@@ -333,12 +292,10 @@ def standard(kind: str, n: int) -> Polytope:
         for i in range(n):
             for s in (-1, 1):
                 verts.append(tuple(Fraction(s) if j == i else Fraction(0) for j in range(n)))
-        ineqs = [(tuple(Fraction(s) for s in signs), one) for signs in iproduct((-1, 1), repeat=n)]
+        ineqs = [(tuple(Fraction(s) for s in signs), one) for signs in product((-1, 1), repeat=n)]
     else:
         raise ValueError(f"unknown polytope kind {kind!r}")
-    vrep = VRep(tuple(sorted(verts)))
-    hrep = _canonical_hrep(ineqs, ())
-    return Polytope(n, vrep=vrep, hrep=hrep, dim=n, hrep_minimal=True)
+    return Polytope(n, tuple(sorted(verts)), _canonical_hrep(ineqs, ()), dim=n)
 
 
 # -- operations ------------------------------------------------------------
@@ -349,56 +306,43 @@ def polar_dual(P: Polytope) -> Polytope:
     d = P.ambient_dim
     if P.dim != d:
         raise ValueError("polar dual needs a full-dimensional polytope")
-    h = P.minimal_hrep
+    h = P.hrep
     if any(c <= 0 for _, c in h.inequalities):
         raise ValueError("polar dual needs the origin in the interior")
     verts = sorted(scale(n, 1 / c) for n, c in h.inequalities)
     ineqs = [(v, Fraction(1)) for v in P.vertices]
-    return Polytope(d, vrep=VRep(tuple(verts)), hrep=_canonical_hrep(ineqs, ()), dim=d,
-                    hrep_minimal=True)
+    return Polytope(d, tuple(verts), _canonical_hrep(ineqs, ()), dim=d)
+
+
+def _map_rows(P: Polytope, row):
+    """P's facet system with each row sent through `row`, if it is cached."""
+    h = P._hrep
+    if h is None:
+        return None
+    return _canonical_hrep([row(n, c) for n, c in h.inequalities],
+                           [row(n, c) for n, c in h.equations])
 
 
 def translate(P: Polytope, t) -> Polytope:
     t = vec(t)
     if len(t) != P.ambient_dim:
         raise ValueError("translation vector of wrong dimension")
-    vrep = hrep = None
-    if P._vrep is not None:
-        vrep = VRep(tuple(sorted(add(v, t) for v in P._vrep.vertices)))
-    if P._hrep is not None:
-        h = P._hrep
-        hrep = _canonical_hrep(
-            [(n, c + dot(n, t)) for n, c in h.inequalities],
-            [(n, c + dot(n, t)) for n, c in h.equations])
-    return Polytope(P.ambient_dim, vrep=vrep, hrep=hrep, dim=P._dim,
-                    hrep_minimal=P._hrep_minimal)
+    return Polytope(P.ambient_dim, tuple(sorted(add(v, t) for v in P.vertices)),
+                    _map_rows(P, lambda n, c: (n, c + dot(n, t))), P._dim)
 
 
 def negate(P: Polytope) -> Polytope:
-    vrep = hrep = None
-    if P._vrep is not None:
-        vrep = VRep(tuple(sorted(vneg(v) for v in P._vrep.vertices)))
-    if P._hrep is not None:
-        h = P._hrep
-        hrep = _canonical_hrep(
-            [(vneg(n), c) for n, c in h.inequalities],
-            [(vneg(n), c) for n, c in h.equations])
-    return Polytope(P.ambient_dim, vrep=vrep, hrep=hrep, dim=P._dim,
-                    hrep_minimal=P._hrep_minimal)
+    return Polytope(P.ambient_dim, tuple(sorted(vneg(v) for v in P.vertices)),
+                    _map_rows(P, lambda n, c: (vneg(n), c)), P._dim)
 
 
 def intersect(P: Polytope, Q: Polytope) -> Polytope:
     """Intersection; may be lower-dimensional or empty."""
     if P.ambient_dim != Q.ambient_dim:
         raise ValueError("intersection of polytopes in different ambient spaces")
-    d = P.ambient_dim
     hp, hq = P.hrep, Q.hrep
-    combined = _canonical_hrep(hp.inequalities + hq.inequalities,
-                               hp.equations + hq.equations)
-    verts = _vertices_from_hrep(combined, d)
-    if not verts:
-        return empty_polytope(d)
-    return Polytope(d, vrep=VRep(tuple(verts)))
+    return from_inequalities(hp.inequalities + hq.inequalities,
+                             hp.equations + hq.equations, P.ambient_dim)
 
 
 def bipyramid(P: Polytope) -> Polytope:
@@ -409,25 +353,7 @@ def bipyramid(P: Polytope) -> Polytope:
     verts = [v + (zero,) for v in P.vertices]
     verts.append(zero_vec(d) + (-one,))
     verts.append(zero_vec(d) + (one,))
-    return Polytope(d + 1, vrep=VRep(tuple(sorted(verts))))
-
-
-def product(P: Polytope, Q: Polytope) -> Polytope:
-    """Cartesian product with both representations assembled directly."""
-    dp, dq = P.ambient_dim, Q.ambient_dim
-    zq = zero_vec(dq)
-    zp = zero_vec(dp)
-    verts = tuple(vp + vq for vp in P.vertices for vq in Q.vertices)
-    hp, hq = P.minimal_hrep, Q.minimal_hrep
-    ineqs = [(n + zq, c) for n, c in hp.inequalities]
-    ineqs += [(zp + n, c) for n, c in hq.inequalities]
-    eqs = [(n + zq, c) for n, c in hp.equations]
-    eqs += [(zp + n, c) for n, c in hq.equations]
-    dim = None
-    if P._dim is not None and Q._dim is not None:
-        dim = -1 if (P._dim < 0 or Q._dim < 0) else P._dim + Q._dim
-    return Polytope(dp + dq, vrep=VRep(verts), hrep=_canonical_hrep(ineqs, eqs), dim=dim,
-                    hrep_minimal=True)
+    return Polytope(d + 1, tuple(sorted(verts)))
 
 
 def contains_interior(P: Polytope, x) -> bool:
@@ -435,13 +361,13 @@ def contains_interior(P: Polytope, x) -> bool:
     x = vec(x)
     if P.is_empty:
         return False
-    h = P.minimal_hrep
+    h = P.hrep
     return (all(dot(n, x) == c for n, c in h.equations)
             and all(dot(n, x) < c for n, c in h.inequalities))
 
 
 def _incidence_masks(P: Polytope) -> list[int]:
-    ineqs = P.minimal_hrep.inequalities
+    ineqs = P.hrep.inequalities
     masks = []
     for v in P.vertices:
         m = 0
@@ -452,15 +378,15 @@ def _incidence_masks(P: Polytope) -> list[int]:
     return masks
 
 
-def combinatorially_equal(P: Polytope, Q: Polytope, guard: int = 200) -> bool:
+def combinatorially_equal(P: Polytope, Q: Polytope) -> bool:
     """Vertex-facet incidence matrices agree up to row/column permutation.
 
     Backtracking search over vertex bijections with color refinement and
     pairwise common-facet pruning; guarded to small vertex counts.
     """
-    if P.n_vertices > guard or Q.n_vertices > guard:
-        raise SizeGuardError(
-            f"combinatorial comparison guarded to {guard} vertices; compare counts instead")
+    if P.n_vertices > COMBINATORIAL_GUARD or Q.n_vertices > COMBINATORIAL_GUARD:
+        raise SizeGuardError(f"combinatorial comparison guarded to {COMBINATORIAL_GUARD} "
+                             f"vertices; compare counts instead")
     if P.n_vertices != Q.n_vertices or P.n_facets != Q.n_facets:
         return False
     mp = _incidence_masks(P)

@@ -62,6 +62,7 @@ from .linalg import (
 )
 from .polytope import (
     Polytope,
+    _canonical_hrep,
     bipyramid,
     combinatorially_equal,
     contains_interior,
@@ -179,8 +180,8 @@ def _claim_facet_form(source: str, m: int, target: str, n: int):
     rows; also logs how many rows are facet-defining."""
     P, Q, H, maps = _hom(source, m, target, n)
     poly = from_points([flatten_map(f) for f in maps], H.ambient_dim)
-    facets = set(poly.minimal_hrep.inequalities)
-    rows = set(from_inequalities(H.rows, (), H.ambient_dim).hrep.inequalities)
+    facets = set(poly.hrep.inequalities)
+    rows = set(_canonical_hrep(H.rows, ()).inequalities)
     extra = facets - rows
     log.info("facet-form %s_%d->%s_%d: %d of %d rows facet-defining",
              source, m, target, n, len(facets & rows), len(H.rows))
@@ -233,7 +234,7 @@ def _claim_rank1_factorization(m: int, n: int):
 
 
 def _claim_cube_simplex_realization(m: int, n: int, compare: bool = False):
-    pts = cube_simplex_realization(m, n).vertices
+    pts = cube_simplex_realization(m, n)
     if len(pts) != (n + 1) * (m * n + 1):
         return False, {"points": len(pts)}
     hull = from_points(pts)
@@ -499,8 +500,8 @@ def _face_law_failure(img: Polytope, facet_rows, n: int):
     g_dim = G.dim
     if g_dim != img.dim:
         return {"face_dim": g_dim, "image_dim": img.dim}
-    h = img.minimal_hrep
-    for u, c in G.minimal_hrep.inequalities:
+    h = img.hrep
+    for u, c in G.hrep.inequalities:
         cut = from_inequalities(h.inequalities, h.equations + ((u, c),), n)
         if cut.dim != g_dim - 1:
             return {"facet_cut_dim": cut.dim, "expected": g_dim - 1}
@@ -517,7 +518,7 @@ def _claim_face_law(source: str, m: int, n: int):
     map that has it.
     """
     P, Q, H, maps = _hom(source, m, "simplex", n)
-    facet_rows = Q.minimal_hrep.inequalities
+    facet_rows = Q.hrep.inequalities
     failures = {}  # hit set -> failure payload, or None if it passes
     for f, hit in _hit_sets(maps, P):
         if hit not in failures:

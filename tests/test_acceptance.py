@@ -32,11 +32,11 @@ from hompoly.homs import (
 from hompoly.polytope import (
     bipyramid,
     combinatorially_equal,
+    from_inequalities,
     from_points,
     polar_dual,
     standard,
     translate,
-    Polytope,
 )
 from hompoly.verify import _diamond_records, _hom, run_claim
 
@@ -64,13 +64,13 @@ def test_criterion_02_cube_simplex_rank_at_most_one():
 
 
 def test_criterion_03_explicit_realization():
-    hull = from_points(cube_simplex_realization(2, 2).vertices)
+    hull = from_points(cube_simplex_realization(2, 2))
     hom_poly = from_points(
         [flatten_map(f) for f in _hom("cube", 2, "simplex", 2)[3]], 6)
     assert combinatorially_equal(hull, hom_poly)
     for m in (1, 2, 3):
         for n in (1, 2, 3):
-            pts = cube_simplex_realization(m, n).vertices
+            pts = cube_simplex_realization(m, n)
             assert len(pts) == (n + 1) * (m * n + 1)
             hull = from_points(pts)
             assert hull.dim == n * m + n
@@ -172,7 +172,7 @@ def test_criterion_13_property_suites():
     for kind in ("simplex", "cube", "crosspolytope"):
         for n in (1, 2, 3, 4):
             P = standard(kind, n)
-            assert Polytope(n, hrep=P.minimal_hrep).vertices == P.vertices
+            assert from_inequalities(P.hrep.inequalities, (), n).vertices == P.vertices
     # dimension formula on all constructed homs
     for src, m, tgt, n in [("cube", 2, "simplex", 2), ("simplex", 1, "simplex", 1),
                            ("crosspolytope", 2, "crosspolytope", 2),

@@ -268,6 +268,29 @@ def test_polytope_file_interior_point_is_not_a_vertex(tmp_path, capsys):
     assert "inequalities 6" in out
 
 
+def test_construct_with_redundant_target_row_uses_only_facets(tmp_path, capsys):
+    # the square [-1, 1]^2 plus the redundant row x + y <= 5: one hom row
+    # per (vertex, facet) pair, none for the redundant row
+    rows = [{"normal": n, "offset": "1"}
+            for n in (["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"])]
+    rows.append({"normal": ["1", "1"], "offset": "5"})
+    poly_file = tmp_path / "sq.json"
+    poly_file.write_text(json.dumps({"ambient_dim": 2, "inequalities": rows}))
+    code, out, _ = run_cli(capsys, "construct", "cube:1", f"file:{poly_file}")
+    assert code == 0
+    assert "inequalities 8" in out
+    maps = []
+    for name, target in (("file", f"file:{poly_file}"), ("cube", "cube:2")):
+        hom_file = tmp_path / f"hom-{name}.json"
+        maps_file = tmp_path / f"maps-{name}.json"
+        run_cli(capsys, "construct", "cube:1", target, "--out", str(hom_file))
+        assert {fi for _, fi in json.loads(hom_file.read_text())["pairs"]} == {0, 1, 2, 3}
+        code, out, _ = run_cli(capsys, "vertices", str(hom_file), "--out", str(maps_file))
+        assert code == 0 and "vertex maps: 16" in out
+        maps.append(maps_file.read_bytes())
+    assert maps[0] == maps[1]
+
+
 def test_polytope_file_vertices_and_rows_must_agree(tmp_path, capsys):
     # the rows describe [0, 2], the vertices [0, 1]
     poly_file = tmp_path / "bad.json"

@@ -350,7 +350,7 @@ def test_lower_dimensional_v_h_v_round_trip(case):
     assert list(P.vertices) == expected
     assert P.dim == len(oracle_rref([[a - b for a, b in zip(p, pts[0])] for p in pts])[1])
     assert P.dim < ambient
-    back = polytope.Polytope(ambient, hrep=P.minimal_hrep)
+    back = polytope.from_inequalities(P.hrep.inequalities, P.hrep.equations, ambient)
     assert list(back.vertices) == expected
     assert back.dim == P.dim
 
@@ -568,12 +568,13 @@ def test_canonical_hrep_with_equations_matches_brute_force(system):
     P = polytope.from_inequalities(ineqs, eqs, dim)
     expected = brute_force_vertices(ineqs, eqs, dim)
     assert list(P.vertices) == expected
-    assert list(polytope.Polytope(dim, hrep=P.hrep).vertices) == expected
+    h = polytope._canonical_hrep(ineqs, eqs)
+    assert polytope._vertices_from_hrep(h, dim) == expected
     _, pivots = oracle_rref([list(u) + [c] for u, c in eqs])
     if dim in pivots:  # the equations alone reduce to 0 = 1
-        assert P.hrep == polytope.empty_polytope(dim).hrep
+        assert h == polytope.empty_polytope(dim).hrep
     else:
-        assert all(any(u) for u, _ in P.hrep.equations)
+        assert all(any(u) for u, _ in h.equations)
 
 
 @st.composite

@@ -11,7 +11,7 @@ from hompoly.experiments import (
     reproduce_table,
 )
 from hompoly.linalg import vec
-from hompoly.polytope import intersect, negate, standard, translate
+from hompoly.polytope import contains_interior, intersect, negate, standard, translate
 
 
 def test_generator_state_recurrence():
@@ -51,6 +51,28 @@ def test_intersection_is_centrally_symmetric_about_z():
     K = intersect(simplex, translate(negate(simplex), [2 * zi for zi in z]))
     reflected = {tuple(2 * zi - xi for zi, xi in zip(z, v)) for v in K.vertices}
     assert reflected == set(K.vertices)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_full_dimensional_iff_center_strictly_inside(n):
+    # perturbed_barycenter_count tests z against the simplex instead of
+    # building K = S & (2z - S) and reading its dimension
+    simplex = standard("simplex", n)
+    third = Fraction(1, 3)
+    centers = {
+        "interior": [Fraction(1, n + 1)] * n,
+        "near facet": [Fraction(1, 10**6)] + [third / n] * (n - 1),
+        "on facet x_0 = 0": [0] + [third] * (n - 1),
+        "on facet sum = 1": [Fraction(1, n)] * n,
+        "vertex": [0] * n,
+        "outside": [Fraction(-1, 10)] + [third] * (n - 1),
+        "far outside": [2] * n,
+    }
+    for name, z in centers.items():
+        K = intersect(simplex, translate(negate(simplex), [2 * Fraction(zi) for zi in z]))
+        inside = contains_interior(simplex, z)
+        assert inside == (K.dim == n), name
+        assert inside == (name in ("interior", "near facet")), name
 
 
 def test_exact_barycenter_baseline_is_symmetric():

@@ -177,7 +177,7 @@ def test_restrict_identity_gives_axis_inclusion():
 
 
 def test_cube_simplex_realization_smallest():
-    pts = cube_simplex_realization(1, 1).vertices
+    pts = cube_simplex_realization(1, 1)
     assert len(pts) == 4
     assert vec([0, 0]) in pts and vec([2, 0]) in pts
     assert vec([1, 1]) in pts and vec([1, -1]) in pts
@@ -185,7 +185,7 @@ def test_cube_simplex_realization_smallest():
 
 def test_cube_simplex_realization_counts_and_dimension():
     for m, n in [(1, 1), (2, 2), (3, 2), (2, 3), (3, 3)]:
-        pts = cube_simplex_realization(m, n).vertices
+        pts = cube_simplex_realization(m, n)
         assert len(pts) == (n + 1) * (m * n + 1)
         hull = from_points(pts)
         assert hull.dim == n * m + n
@@ -193,7 +193,7 @@ def test_cube_simplex_realization_counts_and_dimension():
 
 
 def test_cube_simplex_realization_matches_enumerated_hom():
-    hull = from_points(cube_simplex_realization(2, 2).vertices)
+    hull = from_points(cube_simplex_realization(2, 2))
     H = build_hom(standard("cube", 2), standard("simplex", 2))
     assert combinatorially_equal(hull, from_inequalities(H.rows, (), H.ambient_dim))
 

@@ -6,7 +6,6 @@ from hompoly.errors import SizeGuardError, UnboundedPolytopeError
 from hompoly.linalg import dot, vec, zero_vec
 from hompoly.polytope import (
     Polytope,
-    VRep,
     _incidence_masks,
     bipyramid,
     combinatorially_equal,
@@ -17,7 +16,6 @@ from hompoly.polytope import (
     intersect,
     negate,
     polar_dual,
-    product,
     standard,
     translate,
 )
@@ -31,8 +29,8 @@ def both_reps_agree(P):
     # every vertex satisfies the H-rep, and DD reproduces the vertex list
     for v in P.vertices:
         assert P.contains(v)
-    assert Polytope(P.ambient_dim, hrep=P.hrep).vertices == P.vertices
-    h = P.minimal_hrep
+    h = P.hrep
+    assert from_inequalities(h.inequalities, h.equations, P.ambient_dim).vertices == P.vertices
     assert vertex_certificate_ok(P.vertices, h.inequalities, h.equations)
 
 
@@ -70,9 +68,9 @@ def test_standard_rejects_n_zero():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_round_trip_standard(kind, n):
     P = standard(kind, n)
-    Q = Polytope(P.ambient_dim, hrep=P.hrep)
+    Q = from_inequalities(P.hrep.inequalities, P.hrep.equations, P.ambient_dim)
     assert Q.vertices == P.vertices
-    R = Polytope(P.ambient_dim, vrep=VRep(P.vertices))
+    R = Polytope(P.ambient_dim, P.vertices)
     assert R.hrep == P.hrep
 
 
@@ -224,17 +222,6 @@ def test_bipyramid_of_segment_is_square_combinatorially():
     assert combinatorially_equal(B, standard("cube", 2))
 
 
-def test_product_counts():
-    s1 = standard("cube", 1)
-    assert product(s1, s1).vertices == standard("cube", 2).vertices
-    t2 = standard("simplex", 2)
-    assert product(t2, t2).n_vertices == 9
-    d3 = standard("crosspolytope", 3)
-    sq = product(d3, d3)
-    assert sq.n_vertices == 36
-    assert sq.n_facets == d3.n_facets * 2
-
-
 def test_dimension_and_interior():
     t2 = standard("simplex", 2)
     assert contains_interior(t2, [F(1, 3), F(1, 3)])
@@ -268,9 +255,9 @@ def test_combinatorially_equal_self():
 
 
 def test_combinatorial_guard():
-    P = standard("cube", 2)
+    P = standard("cube", 8)  # 256 vertices
     with pytest.raises(SizeGuardError):
-        combinatorially_equal(P, P, guard=3)
+        combinatorially_equal(P, P)
 
 
 def test_empty_polytope_value():
@@ -282,9 +269,8 @@ def test_empty_polytope_value():
 
 def test_unbounded_raises():
     # half-line x >= 0 in R^1
-    P = from_inequalities([([-1], 0)], (), 1)
     with pytest.raises(UnboundedPolytopeError):
-        P.vertices
+        from_inequalities([([-1], 0)], (), 1)
 
 
 def test_infeasible_hrep_gives_empty():
@@ -293,6 +279,13 @@ def test_infeasible_hrep_gives_empty():
 
 
 SQUARE_ROWS = [([1, 0], 1), ([-1, 0], 1), ([0, 1], 1), ([0, -1], 1)]
+
+
+def test_from_inequalities_keeps_only_facets():
+    # the square plus the redundant row x + y <= 5
+    P = from_inequalities(SQUARE_ROWS + [([1, 1], 5)], (), 2)
+    assert len(P.hrep.inequalities) == 4
+    assert P.hrep == standard("cube", 2).hrep
 
 
 def test_infeasible_zero_normal_row_gives_canonical_empty_system():
@@ -355,7 +348,7 @@ def test_implicit_equality_in_inequality_system():
     P = from_inequalities([([1, 0], 0), ([-1, 0], 0), ([0, 1], 1), ([0, -1], 0)], (), 2)
     assert P.vertices == (vec([0, 0]), vec([0, 1]))
     assert P.dim == 1
-    assert len(P.minimal_hrep.equations) == 1
+    assert len(P.hrep.equations) == 1
 
 
 def test_from_points_matches_extreme_point_oracle():

@@ -265,7 +265,7 @@ def _oracle_vertex_image_law(P, Q, maps):
 
 
 def _oracle_face_law(P, Q, maps, n):
-    facet_rows = Q.minimal_hrep.inequalities
+    facet_rows = Q.hrep.inequalities
     for f in maps:
         img = verify.image_polytope(f, P)
         active = [(u, c) for u, c in facet_rows
@@ -275,8 +275,8 @@ def _oracle_face_law(P, Q, maps, n):
         if g_dim != img.dim:
             return False, {"map": [str(x) for x in flatten_map(f)],
                            "face_dim": g_dim, "image_dim": img.dim}
-        for u, c in G.minimal_hrep.inequalities:
-            h = img.minimal_hrep
+        for u, c in G.hrep.inequalities:
+            h = img.hrep
             cut = from_inequalities(h.inequalities, h.equations + ((u, c),), n)
             if cut.dim != g_dim - 1:
                 return False, {"map": [str(x) for x in flatten_map(f)],
