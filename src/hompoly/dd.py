@@ -24,13 +24,14 @@ Representation choices, all in service of exactness and speed:
   dim - 2 gives at once the ids of the positive rays that share enough
   active rows with w to span a 2-face with it.  They are taken in
   ascending id order, which is the order of the ray list.
-- Witness reuse.  A pair (u, w) with common active set s is not
+- Witness sweep.  A pair (u, w) with common active set s is not
   adjacent iff some third live ray r is active on every row of s; the
   full test ANDs the live rays other than u and w with the set of every
-  row of s.  The r that refuted an earlier candidate of the same w is
-  kept with its active set and tried first on each later candidate
-  (r.mask contains s, and r is not u), so the full test runs only when
-  no known witness applies.
+  row of s.  Every r the test leaves also refutes each later candidate
+  v of w with v.mask & w.mask inside r.mask, that is each v active on
+  no row of w.mask & ~r.mask, so one bitset expression per witness
+  removes them all from w's candidates (r itself kept).  The full test
+  runs only on the candidates that survive every sweep.
 - Input rows are cleared to primitive integer rows by the shared
   `linalg._int_row` (multiply by the lcm of the denominators, divide by
   the content; positive scalings only, so each inequality keeps its
@@ -84,16 +85,17 @@ def _bitsets(rays: list[_Ray], n_rows: int, by_id: list[_Ray]) -> list[int]:
     that row."""
     first = len(by_id)
     by_id.extend(rays)
-    bufs = [bytearray((len(rays) + 7) >> 3) for _ in range(n_rows)]
-    for k, ray in enumerate(rays):
-        ray.id = first + k
-        byte, bit = k >> 3, 1 << (k & 7)
-        m = ray.mask
-        while m:
-            b = m & -m
-            bufs[b.bit_length() - 1][byte] |= bit
-            m ^= b
-    return [int.from_bytes(buf, "little") << first for buf in bufs]
+    for k, ray in enumerate(rays, first):
+        ray.id = k
+    if not rays:
+        return [0] * n_rows
+    # transpose the masks as binary strings: character n_rows - 1 - i of
+    # each string is the ray's bit for row i
+    fmt = f"0{n_rows}b"
+    cols = [int("".join(col[::-1]), 2) << first
+            for col in zip(*[format(ray.mask, fmt) for ray in rays])]
+    cols.reverse()
+    return cols
 
 
 def _id_set(rays: list[_Ray], n_ids: int) -> int:
@@ -221,24 +223,13 @@ def cone_extreme_rays(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
             w_coords = w.coords
             w_vals = w.vals
             others = live ^ (1 << w.id)
-            # (id, mask) of the rays that refuted earlier candidates of w
-            witnesses: list[tuple[int, int]] = []
             while cands:
                 bit_u = cands & -cands
                 cands ^= bit_u
-                u_id = bit_u.bit_length() - 1
-                u = by_id[u_id]
+                u = by_id[bit_u.bit_length() - 1]
                 s = u.mask & w_mask
-                # (u, w) is not adjacent if a third live ray is active on
-                # every row of s; try the known witnesses first
-                refuted = False
-                for r_id, r_mask in witnesses:
-                    if r_mask & s == s and r_id != u_id:
-                        refuted = True
-                        break
-                if refuted:
-                    n_hits += 1
-                    continue
+                # (u, w) is not adjacent iff a third live ray is active on
+                # every row of s
                 n_tests += 1
                 x = others ^ bit_u
                 m = s
@@ -249,9 +240,21 @@ def cone_extreme_rays(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
                         break
                     m ^= b
                 if x:
-                    # newest first: it refutes the next candidates most often
-                    r_id = (x & -x).bit_length() - 1
-                    witnesses.insert(0, (r_id, by_id[r_id].mask))
+                    # each witness r also refutes every remaining candidate v
+                    # with v.mask & w.mask inside r.mask, i.e. every v active
+                    # on no row of w.mask & ~r.mask (r itself excepted)
+                    n_left = cands.bit_count()
+                    while x and cands:
+                        bit_r = x & -x
+                        x ^= bit_r
+                        keep = bit_r
+                        m = w_mask & ~by_id[bit_r.bit_length() - 1].mask
+                        while m:
+                            b = m & -m
+                            keep |= pos_cols[b.bit_length() - 1]
+                            m ^= b
+                        cands &= keep
+                    n_hits += n_left - cands.bit_count()
                     continue
                 uv = u.vals[j]
                 u_coords = u.coords

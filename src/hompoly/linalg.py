@@ -189,9 +189,17 @@ def _independent_rows(rows, dim: int) -> list[int]:
     """Indices of the first dim linearly independent integer rows, greedily.
 
     Row i is chosen iff it is independent of the rows before it, that is
-    iff column i of the transposed rows is a pivot column.
+    iff column i of the transposed rows is a pivot column.  Whether a
+    column is a pivot depends only on the columns to its left, so the
+    sweep runs on the first 2 * dim rows and doubles that prefix only
+    while it holds fewer than dim pivots.
     """
-    return _echelon([list(col) for col in zip(*rows)])[0][:dim]
+    k = 2 * dim
+    while True:
+        pivots = _echelon([list(col) for col in zip(*rows[:k])])[0]
+        if len(pivots) >= dim or k >= len(rows):
+            return pivots[:dim]
+        k *= 2
 
 
 def int_det(rows) -> int:

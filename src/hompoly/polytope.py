@@ -346,8 +346,14 @@ def intersect(P: Polytope, Q: Polytope) -> Polytope:
 
 
 def bipyramid(P: Polytope) -> Polytope:
-    """conv(P x {0}, +-e_{n+1}) one dimension up."""
+    """conv(P x {0}, +-e_{n+1}) one dimension up.
+
+    P's vertices stay vertices only when the origin lies in P's relative
+    interior; any other P raises ValueError.
+    """
     d = P.ambient_dim
+    if not contains_interior(P, zero_vec(d)):
+        raise ValueError("bipyramid needs the origin in the relative interior of P")
     zero = Fraction(0)
     one = Fraction(1)
     verts = [v + (zero,) for v in P.vertices]

@@ -718,6 +718,8 @@ CORE_SUITE: list[tuple[str, dict]] = [
 EXTENDED_SUITE: list[tuple[str, dict]] = CORE_SUITE + [
     ("diamond-center", {"m": 3, "n": 3}),
     ("count-agreement", {"family": "diamond-diamond", "m": 3, "n": 3}),
+    ("diamond-center", {"m": 4, "n": 4}),
+    ("count-agreement", {"family": "diamond-diamond", "m": 4, "n": 4}),
     ("diamond-image-shape-witness", {"m": 5, "n": 4}),
     ("beta-value", {"n": 5, "expected": 408}),
     ("box-diamond-large", {"m": 3, "n": 4, "expected": 27968}),

@@ -207,6 +207,20 @@ def test_criterion_08_extended_diamond_diamond_3_3():
 
 
 @pytest.mark.extended
+def test_criterion_08_extended_diamond_diamond_4_4():
+    # the DD's longest run among the extended tests: 108 insertions,
+    # peak 40,960 rays, about two minutes
+    maps = _hom("crosspolytope", 4, "crosspolytope", 4)[3]
+    assert len(maps) == count_diamond_diamond(4, 4).closed_form == 13704
+    assert rank_histogram(maps) == {0: 8, 1: 448, 2: 1344, 3: 11520, 4: 384}
+    assert run_claim("diamond-center", {"m": 4, "n": 4}).passed
+    assert run_claim("count-agreement",
+                     {"family": "diamond-diamond", "m": 4, "n": 4}).passed
+    note("8-extended", "crosspolytope-to-crosspolytope (4,4) count 13704 exact; "
+                       "4096 interior-center maps")
+
+
+@pytest.mark.extended
 def test_criterion_06_extended_diamond_simplex_4_4():
     maps = _hom("crosspolytope", 4, "simplex", 4)[3]
     assert len(maps) == 4965

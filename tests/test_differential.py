@@ -3,12 +3,13 @@
 `linalg.dot` is compared with the naive Fraction sum and `linalg.vec`
 checked to be idempotent, `linalg.rref` and the greedy
 `linalg._independent_rows` with the oracle's textbook Fraction
-elimination, `linalg.int_det` with the Leibniz formula and the rank of
+elimination (and its doubling prefix with one sweep over all rows, on
+hom rows and rank-deficient rows), `linalg.int_det` with the Leibniz formula and the rank of
 integer matrices with the oracle's pivot count, `dd.polytope_vertices`
 with exhaustive basis enumeration, each system as given and with its
 rows reversed (zero-normal rows included; unbounded
 systems must raise; small hom systems and degenerate systems in cone
-dimension 5-7, where the kernel's row-count threshold and witness reuse
+dimension 5-7, where the kernel's row-count threshold and witness sweep
 run often; the same result with DEBUG logging on; the exact vertex
 order when two coordinates are as close as their denominators allow),
 the V -> H -> V
@@ -204,7 +205,7 @@ def test_polytope_vertices_match_brute_force(order, system):
 
 # Hom systems of 12 rows in dimension 6 (cone dimension 7): vertex maps
 # share many tight rows, so the kernel's row-count threshold and its
-# reuse of non-adjacency witnesses both run often.
+# sweep of non-adjacency witnesses both run often.
 SMALL_HOMS = [("simplex", 2, "crosspolytope", 2), ("cube", 2, "simplex", 2),
               ("crosspolytope", 2, "simplex", 2), ("simplex", 2, "cube", 2)]
 
@@ -216,6 +217,50 @@ def test_hom_vertices_match_brute_force(pair):
     expected = brute_force_vertices(H.rows, [], H.ambient_dim)
     for order in ORDERS.values():
         assert dd.polytope_vertices(order(H.rows), H.ambient_dim) == expected
+
+
+def full_sweep_independent_rows(rows, cap):
+    """`_independent_rows` without the prefix: one sweep over every row."""
+    return linalg._echelon([list(col) for col in zip(*rows)])[0][:cap]
+
+
+@pytest.mark.parametrize("pair", SMALL_HOMS + [("cube", 3, "crosspolytope", 3),
+                                               ("crosspolytope", 3, "crosspolytope", 3)],
+                         ids=lambda p: "{}{}-{}{}".format(*p))
+def test_independent_rows_prefix_matches_full_sweep_on_hom_rows(pair):
+    # the DD's basis over its homogenized rows, in insertion order, and
+    # the structured order's choice of source vertices
+    src, m, tgt, n = pair
+    H = homs.build_hom(polytope.standard(src, m), polytope.standard(tgt, n))
+    rows = [linalg._int_row([c] + [-x for x in a])
+            for a, c in (H.rows[k] for k in homs.structured_row_order(H))]
+    lifted = [linalg._int_row(v + (1,)) for v in H.source.vertices]
+    for system in (rows, rows[::-1], lifted):
+        for cap in range(1, len(system[0]) + 1):
+            assert linalg._independent_rows(system, cap) == \
+                full_sweep_independent_rows(system, cap)
+
+
+@st.composite
+def rank_deficient_rows(draw):
+    """Integer rows of length 2-6 spanning a space of lower dimension,
+    each a small combination of a few basis rows; sparse coefficients
+    make zero rows and runs of dependent leading rows common."""
+    n_cols = draw(st.integers(2, 6))
+    r = draw(st.integers(0, n_cols - 1))
+    entry = st.integers(-3, 3)
+    basis = [draw(st.lists(entry, min_size=n_cols, max_size=n_cols)) for _ in range(r)]
+    coeff = st.sampled_from([0, 0, 0, 1, -1, 2])
+    rows = []
+    for _ in range(draw(st.integers(1, 24))):
+        coeffs = [draw(coeff) for _ in basis]
+        rows.append(tuple(sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(n_cols)))
+    return rows
+
+
+@given(rank_deficient_rows(), st.integers(1, 6))
+def test_independent_rows_prefix_matches_full_sweep_on_rank_deficient_rows(rows, cap):
+    assert linalg._independent_rows(rows, cap) == full_sweep_independent_rows(rows, cap)
 
 
 @st.composite

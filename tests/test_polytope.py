@@ -222,6 +222,15 @@ def test_bipyramid_of_segment_is_square_combinatorially():
     assert combinatorially_equal(B, standard("cube", 2))
 
 
+def test_bipyramid_needs_the_origin_inside():
+    # the lifted vertices of P are the bipyramid's vertices only with the
+    # origin in P's relative interior: over [1, 2] the hull has 3 vertices
+    with pytest.raises(ValueError, match="relative interior"):
+        bipyramid(from_points([[1], [2]]))
+    with pytest.raises(ValueError, match="relative interior"):
+        bipyramid(from_points([[0], [1]]))
+
+
 def test_dimension_and_interior():
     t2 = standard("simplex", 2)
     assert contains_interior(t2, [F(1, 3), F(1, 3)])
