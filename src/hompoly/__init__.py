@@ -37,7 +37,7 @@ from .homs import (
     rank_histogram,
     restrict_to_subcrosspolytope,
 )
-from .linalg import affine_hull, rank, solve
+from .linalg import affine_hull, rank
 from .polytope import (
     HRep,
     Polytope,

@@ -303,6 +303,8 @@ def intersection_bound(n: int) -> int:
 def rank_k_sandwich(m: int, k: int) -> tuple[int, int]:
     """Lower and upper bounds for the rank-k vertex-map count from the
     m-crosspolytope onto a k-simplex."""
+    if not 1 <= k <= m:
+        raise ValueError(f"rank sandwich needs 1 <= k <= m, got m={m}, k={k}")
     lo = sigma(m, k) * beta(k)
     hi = (2**k * factorial(m) // factorial(m - k)) * intersection_bound(k) ** (m - k) * beta(k)
     return lo, hi

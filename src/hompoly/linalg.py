@@ -18,10 +18,11 @@ All integer elimination runs through one routine, `_echelon`:
 fraction-free (Bareiss) elimination on integer-cleared rows, each update
 divided exactly by the previous pivot, which keeps entries as small as
 the minors of the input.  The forward sweep gives rank, determinants and
-the greedy choice of independent rows; the reduced sweep, which also
-clears the rows above each pivot, gives the reduced row echelon form
-(rows divided by their pivots only on return) and the DD kernel's
-inverse of its initial basis.
+the greedy choice of independent rows, each in one sweep over all the
+rows; the reduced sweep, which also clears the rows above each pivot,
+gives the reduced row echelon form (rows divided by their pivots only
+on return), the equations `affine_hull` reads off it, cofactor vectors
+and the DD kernel's inverse of its initial basis.
 """
 
 from __future__ import annotations
@@ -189,17 +190,9 @@ def _independent_rows(rows, dim: int) -> list[int]:
     """Indices of the first dim linearly independent integer rows, greedily.
 
     Row i is chosen iff it is independent of the rows before it, that is
-    iff column i of the transposed rows is a pivot column.  Whether a
-    column is a pivot depends only on the columns to its left, so the
-    sweep runs on the first 2 * dim rows and doubles that prefix only
-    while it holds fewer than dim pivots.
+    iff column i of the transposed rows is a pivot column.
     """
-    k = 2 * dim
-    while True:
-        pivots = _echelon([list(col) for col in zip(*rows[:k])])[0]
-        if len(pivots) >= dim or k >= len(rows):
-            return pivots[:dim]
-        k *= 2
+    return _echelon([list(col) for col in zip(*rows)])[0][:dim]
 
 
 def int_det(rows) -> int:
@@ -265,76 +258,21 @@ def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
 
 
 @dataclass(frozen=True)
-class LinearSolution:
-    """Solution set of M x = rhs: a particular point plus a nullspace basis."""
-
-    particular: Vec
-    nullspace: tuple[Vec, ...]
-
-    @property
-    def unique(self) -> bool:
-        return not self.nullspace
-
-
-def solve(M: Mat, rhs: Vec):
-    """Exact solution classification for M x = rhs.
-
-    Returns None when inconsistent, otherwise a LinearSolution whose
-    nullspace is empty exactly when the solution is unique.
-    """
-    if len(rhs) != len(M):
-        raise ValueError("rhs length does not match row count")
-    if not M:
-        return LinearSolution((), ())
-    n_cols = len(M[0])
-    aug = [list(row) + [b] for row, b in zip(M, rhs)]
-    red, pivots = rref(aug)
-    if n_cols in pivots:
-        return None
-    particular = [ZERO] * n_cols
-    for row, c in zip(red, pivots):
-        particular[c] = row[-1]
-    return LinearSolution(tuple(particular), _free_column_basis(red, pivots, n_cols))
-
-
-def _free_column_basis(red, pivots: list[int], n_cols: int) -> tuple[Vec, ...]:
-    """Nullspace basis read off a reduced row echelon form.
-
-    One vector per non-pivot column f among the first n_cols: 1 at f,
-    minus column f of the reduced rows at the pivots, 0 elsewhere.
-    """
-    basis = []
-    for f in range(n_cols):
-        if f in pivots:
-            continue
-        v = [ZERO] * n_cols
-        v[f] = ONE
-        for row, c in zip(red, pivots):
-            v[c] = -row[f]
-        basis.append(tuple(v))
-    return tuple(basis)
-
-
-@dataclass(frozen=True)
 class AffineHull:
-    """Affine hull of a point set.
+    """Affine hull of a point set: its dimension and (normal, offset)
+    pairs with normal . x = offset cutting it out."""
 
-    `basis` spans the hull's direction space (rows in reduced echelon
-    form), and `equations` are (normal, offset) pairs with
-    normal . x = offset cutting out the hull; dim = len(basis).
-    """
-
-    basepoint: Vec
-    basis: tuple[Vec, ...]
+    dim: int
     equations: tuple[tuple[Vec, Fraction], ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
 
 
 def affine_hull(points) -> AffineHull:
-    """Affine hull of a nonempty list of points of common dimension."""
+    """Affine hull of a nonempty list of points of common dimension.
+
+    One equation per non-pivot column f of the reduced differences
+    p - p0: its normal is 1 at f and minus column f of the reduced rows
+    at the pivots, scaled to a primitive integer row.
+    """
     pts = [vec(p) for p in points]
     if not pts:
         raise ValueError("affine hull of an empty point set")
@@ -343,9 +281,14 @@ def affine_hull(points) -> AffineHull:
         raise ValueError("points of mixed dimension")
     p0 = pts[0]
     red, pivots = rref(sub(p, p0) for p in pts[1:])
-    basis = tuple(tuple(row) for row in red)
     equations = []
-    for raw in _free_column_basis(red, pivots, n):
+    for f in range(n):
+        if f in pivots:
+            continue
+        raw = [ZERO] * n
+        raw[f] = ONE
+        for row, c in zip(red, pivots):
+            raw[c] = -row[f]
         normal = primitive(raw, orient=True)
         equations.append((normal, dot(normal, p0)))
-    return AffineHull(p0, basis, tuple(equations))
+    return AffineHull(len(pivots), tuple(equations))

@@ -17,12 +17,24 @@ matters:
 - equation rows are the primitive reduced row echelon form of the
   affine hull's equation system.
 
+Both conversions run in one coordinate frame: the columns that lead no
+canonical equation.  Each leading column is zero in every other
+equation and in every canonical inequality, so a point of the affine
+hull is its frame coordinates plus one solved entry per equation.
+
+- H -> V restricts the inequalities to the frame, enumerates the
+  vertices there, and lifts each with x_p = (c - n . x) / n_p for each
+  equation (n, c) with leading column p.
+- V -> H is one cone call on the points: by homogenization the facets
+  of conv(V) are the extreme rays (c, a) of the cone
+  {(c, a) : c + a . v[frame] >= 0 for all v in V}, each the facet
+  -a . x[frame] <= c (Fukuda & Prodon 1996).
+
 The DD kernel inserts rows in the order it is given them, so every
 conversion inserts in canonical sorted order: H -> V the sorted
-inequality rows, V -> H one dual row per point, points sorted.
-Lower-dimensional polytopes keep explicit equations and all conversions
-run inside the affine hull's coordinate frame.  The empty polytope is a
-first-class value: no vertices, contradictory inequality system.
+inequality rows, V -> H one row (1, v[frame]) per point, points sorted.
+The empty polytope is a first-class value: no vertices, contradictory
+inequality system.
 """
 
 from __future__ import annotations
@@ -34,7 +46,9 @@ from itertools import product
 from . import dd
 from .errors import SizeGuardError
 from .linalg import (
+    ZERO,
     Vec,
+    _int_row,
     add,
     affine_hull,
     dot,
@@ -44,8 +58,6 @@ from .linalg import (
     rank,
     rref,
     scale,
-    solve,
-    sub,
     vec,
     zero_vec,
 )
@@ -176,65 +188,46 @@ def empty_polytope(ambient_dim: int) -> Polytope:
 # -- conversions ---------------------------------------------------------
 
 
+def _frame(equations, ambient: int) -> tuple[list[int], list[int]]:
+    """The frame columns, those that lead no canonical equation, and the
+    leading column of each equation."""
+    lead = [next(i for i, x in enumerate(n) if x) for n, _ in equations]
+    return [i for i in range(ambient) if i not in lead], lead
+
+
 def _vertices_from_hrep(hrep: HRep, ambient: int) -> list[Vec]:
-    ineqs = hrep.inequalities
-    if not hrep.equations:
-        return dd.polytope_vertices(ineqs, ambient)
-
-    sol = solve([n for n, _ in hrep.equations], [c for _, c in hrep.equations])
-    if sol is None:
-        return []  # 0 = 1 after reduction: no solutions
-    base, dirs = sol.particular, sol.nullspace
-
-    frame_ineqs = [(tuple(dot(normal, d) for d in dirs), offset - dot(normal, base))
-                   for normal, offset in ineqs]
+    frame, lead = _frame(hrep.equations, ambient)
+    frame_ineqs = [(tuple(n[i] for i in frame), c) for n, c in hrep.inequalities]
     out = []
-    for u in dd.polytope_vertices(frame_ineqs, len(dirs)):
-        x = list(base)
-        for coeff, direction in zip(u, dirs):
-            if coeff:
-                for i, di in enumerate(direction):
-                    x[i] += coeff * di
+    for u in dd.polytope_vertices(frame_ineqs, len(frame)):
+        x = [ZERO] * ambient
+        for i, ui in zip(frame, u):
+            x[i] = ui
+        # each leading column is zero in every other equation, so the
+        # entries already solved do not enter n . x
+        for (n, c), p in zip(hrep.equations, lead):
+            x[p] = (c - dot(n, x)) / n[p]
         out.append(tuple(x))
     out.sort()
     return out
 
 
-def _frame_coords(points, hull) -> tuple[list[Vec], list[int]]:
-    # hull.basis is in RREF, so frame coordinates are read off pivot columns
-    pivot_cols = []
-    for row in hull.basis:
-        pivot_cols.append(next(i for i, x in enumerate(row) if x != 0))
-    base = hull.basepoint
-    coords = [tuple(p[c] - base[c] for c in pivot_cols) for p in points]
-    return coords, pivot_cols
-
-
 def _hrep_from_vertices(vertices, ambient: int) -> HRep:
     if not vertices:
         return HRep(((zero_vec(ambient), Fraction(-1)),), ())
-    hull = affine_hull(vertices)
-    k = hull.dim
-    if k == 0:
-        return _canonical_hrep((), hull.equations)
-
-    coords, pivot_cols = _frame_coords(vertices, hull)
-    m = len(coords)
-    centroid = tuple(sum(c[j] for c in coords) / m for j in range(k))
-    shifted = [sub(c, centroid) for c in coords]
-    dual_rows = [(w, Fraction(1)) for w in shifted]
-    dual_vertices = dd.polytope_vertices(dual_rows, k)
-
-    # y . w <= 1 on the shifted frame coordinates reads, in the ambient
-    # space, y . x[pivot_cols] <= 1 + y . (centroid + basepoint[pivot_cols])
-    anchor = tuple(g + hull.basepoint[c] for g, c in zip(centroid, pivot_cols))
+    eqs = _canonical_equations(affine_hull(vertices).equations)[0]
+    frame, _ = _frame(eqs, ambient)
+    if not frame:  # a single point: no facets
+        return HRep((), eqs)
+    # the facets are the extreme rays (c, a) of {(c, a) : c + a . v[frame] >= 0}
+    rows = [tuple(_int_row([1] + [v[i] for i in frame])) for v in vertices]
     ineqs = []
-    for y in dual_vertices:
-        normal = [Fraction(0)] * ambient
-        for yj, c in zip(y, pivot_cols):
-            normal[c] = yj
-        ineqs.append((tuple(normal), 1 + dot(y, anchor)))
-    return _canonical_hrep(ineqs, hull.equations)
+    for c, *a in dd.cone_extreme_rays(rows):
+        normal = [0] * ambient
+        for i, ai in zip(frame, a):
+            normal[i] = -ai
+        ineqs.append((normal, c))
+    return _canonical_hrep(ineqs, eqs)
 
 
 # -- constructors ----------------------------------------------------------

@@ -54,10 +54,8 @@ from .linalg import (
     affine_hull,
     dot,
     int_det,
-    mat,
     rank,
-    solve,
-    vec,
+    rref,
     zero_vec,
 )
 from .polytope import (
@@ -377,15 +375,11 @@ def _full_rank_diamond_witness(n: int) -> AffineMap:
     target = standard("simplex", n)
     src = list(sandwich.vertices)
     dst = list(target.vertices)
-    # affine map determined by where the n+1 simplex vertices go
-    rows = [list(s) + [1] for s in src]
-    cols = []
-    for j in range(n):
-        rhs = vec([d[j] for d in dst])
-        sol = solve(mat([vec(r) for r in rows]), rhs)
-        cols.append(sol.particular)
-    matrix = tuple(tuple(cols[j][i] for i in range(n)) for j in range(n))
-    offset = tuple(cols[j][n] for j in range(n))
+    # affine map determined by where the n+1 simplex vertices go: the
+    # reduced rows (s, 1 | d) read (I | X) with (s, 1) X = d
+    red, _ = rref([list(s) + [1] + list(d) for s, d in zip(src, dst)])
+    matrix = tuple(tuple(red[i][n + 1 + j] for i in range(n)) for j in range(n))
+    offset = tuple(red[n][n + 1 + j] for j in range(n))
     return AffineMap(matrix, offset)
 
 
@@ -393,7 +387,7 @@ def _claim_diamond_image_shape_witness(m: int, n: int):
     """For m > n > 3 a full-rank vertex map with non-crosspolytope image
     exists; construct and certify one."""
     if not (m > n > 3):
-        return False, {"bad_parameters": (m, n)}
+        raise ValueError(f"diamond-image-shape-witness needs m > n > 3, got m={m}, n={n}")
     source_small = standard("crosspolytope", n)
     target = standard("simplex", n)
     f = _full_rank_diamond_witness(n)
@@ -531,7 +525,7 @@ def _claim_face_law(source: str, m: int, n: int):
 
 def _claim_count_agreement(family: str, m: int, n: int):
     if family not in COUNT_FAMILIES:
-        return False, {"unknown_family": family}
+        raise ValueError(f"unknown count family {family!r}; known: {sorted(COUNT_FAMILIES)}")
     closed_form = COUNT_FAMILIES[family][2](m, n).closed_form
     enumerated = enumerated_count(family, m, n)
     if enumerated != closed_form:
@@ -540,8 +534,8 @@ def _claim_count_agreement(family: str, m: int, n: int):
 
 
 def _claim_rank_sandwich(m: int, k: int):
-    middle = sum(r == k for r, _ in _diamond_records(m, k))
     lo, hi = rank_k_sandwich(m, k)
+    middle = sum(r == k for r, _ in _diamond_records(m, k))
     if not (lo <= middle <= hi):
         return False, {"lower": lo, "enumerated": middle, "upper": hi}
     return True, None

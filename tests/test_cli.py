@@ -385,6 +385,20 @@ def test_table_without_a_usable_draw_is_usage_error(capsys):
     assert out == "" and "within 32 draws" in err
 
 
+@pytest.mark.parametrize("claim,params,message", [
+    ("count-agreement", ["family=foo", "m=1", "n=1"], "unknown count family 'foo'"),
+    ("diamond-image-shape-witness", ["m=3", "n=3"], "needs m > n > 3"),
+    ("rank-sandwich", ["m=2", "k=3"], "needs 1 <= k <= m"),
+], ids=["unknown-family", "witness-m-not-above-n", "sandwich-k-above-m"])
+def test_verify_bad_claim_parameters_are_usage_errors(capsys, claim, params, message):
+    argv = ["verify", "--claim", claim]
+    for kv in params:
+        argv += ["--param", kv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error:") and message in err
+
+
 def test_verify_missing_param_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "--claim", "beta-value", "--param", "n=2")
     assert code == 2

@@ -3,11 +3,12 @@
 `linalg.dot` is compared with the naive Fraction sum and `linalg.vec`
 checked to be idempotent, `linalg.rref` and the greedy
 `linalg._independent_rows` with the oracle's textbook Fraction
-elimination (and its doubling prefix with one sweep over all rows, on
-hom rows and rank-deficient rows), `linalg.int_det` with the Leibniz formula and the rank of
-integer matrices with the oracle's pivot count, `dd.polytope_vertices`
-with exhaustive basis enumeration, each system as given and with its
-rows reversed (zero-normal rows included; unbounded
+elimination (and its choice on each prefix of hom rows and
+rank-deficient rows with its choice on all of them), `linalg.int_det`
+with the Leibniz formula and the rank of integer matrices with the
+oracle's pivot count, `dd.polytope_vertices` with exhaustive basis
+enumeration, each system as given and with its rows reversed
+(zero-normal rows included; unbounded
 systems must raise; small hom systems and degenerate systems in cone
 dimension 5-7, where the kernel's row-count threshold and witness sweep
 run often; the same result with DEBUG logging on; the exact vertex
@@ -219,26 +220,28 @@ def test_hom_vertices_match_brute_force(pair):
         assert dd.polytope_vertices(order(H.rows), H.ambient_dim) == expected
 
 
-def full_sweep_independent_rows(rows, cap):
-    """`_independent_rows` without the prefix: one sweep over every row."""
-    return linalg._echelon([list(col) for col in zip(*rows)])[0][:cap]
+def assert_prefix_matches_full_sweep(rows):
+    """The greedy choice on each prefix of the rows is the full sweep's
+    choice among that prefix: whether a row is chosen depends only on
+    the rows before it."""
+    full = linalg._independent_rows(rows, len(rows))
+    for k in range(1, len(rows) + 1):
+        assert linalg._independent_rows(rows[:k], k) == [i for i in full if i < k]
 
 
 @pytest.mark.parametrize("pair", SMALL_HOMS + [("cube", 3, "crosspolytope", 3),
                                                ("crosspolytope", 3, "crosspolytope", 3)],
                          ids=lambda p: "{}{}-{}{}".format(*p))
 def test_independent_rows_prefix_matches_full_sweep_on_hom_rows(pair):
-    # the DD's basis over its homogenized rows, in insertion order, and
-    # the structured order's choice of source vertices
+    # the DD's homogenized rows, in insertion order and reversed, and the
+    # source vertices that the structured order chooses among
     src, m, tgt, n = pair
     H = homs.build_hom(polytope.standard(src, m), polytope.standard(tgt, n))
     rows = [linalg._int_row([c] + [-x for x in a])
             for a, c in (H.rows[k] for k in homs.structured_row_order(H))]
     lifted = [linalg._int_row(v + (1,)) for v in H.source.vertices]
     for system in (rows, rows[::-1], lifted):
-        for cap in range(1, len(system[0]) + 1):
-            assert linalg._independent_rows(system, cap) == \
-                full_sweep_independent_rows(system, cap)
+        assert_prefix_matches_full_sweep(system)
 
 
 @st.composite
@@ -258,9 +261,9 @@ def rank_deficient_rows(draw):
     return rows
 
 
-@given(rank_deficient_rows(), st.integers(1, 6))
-def test_independent_rows_prefix_matches_full_sweep_on_rank_deficient_rows(rows, cap):
-    assert linalg._independent_rows(rows, cap) == full_sweep_independent_rows(rows, cap)
+@given(rank_deficient_rows())
+def test_independent_rows_prefix_matches_full_sweep_on_rank_deficient_rows(rows):
+    assert_prefix_matches_full_sweep(rows)
 
 
 @st.composite
@@ -371,10 +374,11 @@ def test_polytope_vertices_rejects_unbounded_systems(order, system):
 
 @st.composite
 def flat_point_sets(draw):
-    """Distinct points of a k-flat in R^2 or R^3 with k < ambient
+    """Distinct points of a k-flat in R^2, R^3 or R^4 with k < ambient
     dimension: a lattice base point plus small rational combinations of
-    k integer directions (which may be dependent, lowering the flat)."""
-    ambient = draw(st.integers(2, 3))
+    k integer directions (which may be dependent, lowering the flat),
+    sometimes with the points' centroid added as one more point."""
+    ambient = draw(st.integers(2, 4))
     k = draw(st.integers(0, ambient - 1))
     vector = st.lists(st.integers(-2, 2), min_size=ambient, max_size=ambient)
     base = draw(vector)
@@ -384,6 +388,8 @@ def flat_point_sets(draw):
     for cs in draw(st.lists(st.lists(coeff, min_size=k, max_size=k), min_size=1, max_size=6)):
         pts.add(tuple(Fraction(b) + sum((c * d[i] for c, d in zip(cs, dirs)), Fraction(0))
                       for i, b in enumerate(base)))
+    if draw(st.booleans()):
+        pts.add(tuple(sum(col) / len(pts) for col in zip(*pts)))
     return sorted(pts), ambient
 
 

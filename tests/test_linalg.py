@@ -9,10 +9,8 @@ from hompoly.linalg import (
     primitive,
     rank,
     rref,
-    solve,
     sub,
     vec,
-    zero_vec,
 )
 
 
@@ -51,50 +49,9 @@ def test_rank_matches_rref_pivot_count():
         assert rank(M) == len(pivots)
 
 
-def test_solve_unique():
-    sol = solve(unit_rows(2), vec([1, 2]))
-    assert sol is not None and sol.unique
-    assert sol.particular == vec([1, 2])
-
-
-def test_solve_inconsistent():
-    assert solve(mat([[0]]), vec([1])) is None
-
-
-def test_solve_parametric_family():
-    sol = solve(mat([[1, 1]]), vec([2]))
-    assert sol is not None and not sol.unique
-    assert sol.particular == vec([2, 0])
-    assert len(sol.nullspace) == 1
-    # same line as (1, -1)
-    assert primitive(sol.nullspace[0], orient=True) in (vec([1, -1]), vec([-1, 1]))
-
-
-def test_solve_satisfies_system_by_substitution():
-    rng = random.Random(3)
-    for _ in range(40):
-        n = rng.randrange(1, 5)
-        m = rng.randrange(1, 5)
-        M = mat([[rng.randrange(-3, 4) for _ in range(n)] for _ in range(m)])
-        rhs = vec([rng.randrange(-3, 4) for _ in range(m)])
-        sol = solve(M, rhs)
-        if sol is None:
-            continue
-        assert tuple(dot(row, sol.particular) for row in M) == rhs
-        for v in sol.nullspace:
-            assert all(dot(row, v) == 0 for row in M)
-
-
-def test_nullspace_dimension():
-    ns = solve(mat([[1, 1, 0], [0, 0, 1]]), zero_vec(2)).nullspace
-    assert len(ns) == 1
-    assert dot(ns[0], vec([1, 1, 0])) == 0
-
-
 def test_affine_hull_segment():
     hull = affine_hull([vec([0, 0]), vec([1, 0])])
     assert hull.dim == 1
-    assert hull.basis == (vec([1, 0]),)
     assert hull.equations == ((vec([0, 1]), Fraction(0)),)
 
 

@@ -341,15 +341,21 @@ def test_single_point_from_equations():
 
 
 def test_lower_dimensional_hrep_to_vrep():
-    # triangle embedded in the plane x+y+z=1 of R^3
-    P = from_inequalities(
-        [([-1, 0, 0], 0), ([0, -1, 0], 0), ([0, 0, -1], 0)],
-        [([1, 1, 1], 1)],
-        3,
-    )
-    assert P.n_vertices == 3
-    assert P.dim == 2
-    both_reps_agree(P)
+    # triangles in the planes x+y+z=1 and 3x+2y+z=6 of R^3 (the second
+    # with a leading coefficient other than 1), and a segment of R^3 cut
+    # out by two equations
+    nonneg = [([-1, 0, 0], 0), ([0, -1, 0], 0), ([0, 0, -1], 0)]
+    cases = [
+        (nonneg, [([1, 1, 1], 1)], [(0, 0, 1), (0, 1, 0), (1, 0, 0)]),
+        (nonneg, [([3, 2, 1], 6)], [(0, 0, 6), (0, 3, 0), (2, 0, 0)]),
+        ([([1, 0, 0], 3), ([-1, 0, 0], -1)], [([1, -1, 0], 0), ([0, 1, 1], 2)],
+         [(1, 1, 1), (3, 3, -1)]),
+    ]
+    for ineqs, eqs, vertices in cases:
+        P = from_inequalities(ineqs, eqs, 3)
+        assert P.vertices == tuple(vec(v) for v in vertices)
+        assert P.dim == 3 - len(eqs)
+        both_reps_agree(P)
 
 
 def test_implicit_equality_in_inequality_system():
