@@ -64,7 +64,7 @@ from math import gcd
 from .errors import UnboundedPolytopeError
 from .linalg import Vec, _echelon, _independent_rows, _int_row
 
-__all__ = ["cone_extreme_rays", "polytope_vertices"]
+__all__ = ["cone_extreme_rays", "polytope_rays", "polytope_vertices"]
 
 log = logging.getLogger(__name__)
 
@@ -297,15 +297,17 @@ def cone_extreme_rays(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return [r.coords for r in rays]
 
 
-def polytope_vertices(ineqs, dim: int) -> list[Vec]:
-    """Vertices of {x in R^dim : normal . x <= offset for all inequalities}.
+def polytope_rays(ineqs, dim: int) -> list[tuple[int, ...]]:
+    """Vertices of {x in R^dim : normal . x <= offset for all inequalities}
+    as primitive integer rays (t, c_1, ..., c_dim) with t > 0, the vertex
+    being x = c / t.
 
     Inequalities are (normal, offset) pairs with integer-valued rational
-    entries accepted.  Returns the lexicographically sorted vertex list;
-    raises UnboundedPolytopeError if the feasible set has a recession
-    direction.  An empty feasible set yields an empty list.  The kernel
-    inserts the inequalities in the order given (the homogenizing row
-    1 >= 0 last), so their order changes only the running time.
+    entries accepted.  Rays come back in no particular order; raises
+    UnboundedPolytopeError if the feasible set has a recession direction.
+    An empty feasible set yields an empty list.  The kernel inserts the
+    inequalities in the order given (the homogenizing row 1 >= 0 last),
+    so their order changes only the running time.
     """
     rows: list[tuple[int, ...]] = []
     for normal, offset in ineqs:
@@ -318,14 +320,26 @@ def polytope_vertices(ineqs, dim: int) -> list[Vec]:
     rows.append(tuple([1] + [0] * dim))
 
     if dim == 0:
-        return [()]
+        return [(1,)]
 
     rays = cone_extreme_rays(rows)
     if any(ray[0] <= 0 for ray in rays):
         raise UnboundedPolytopeError("feasible set has a recession direction")
+    return rays
+
+
+def _ray_points(rays) -> list[Vec]:
+    """The points c / t of integer rays (t, c) with t > 0, sorted
+    lexicographically.  The rays need not be primitive."""
     # Two different points c/t and c'/t' differ by at least 1/(t t') > 2^-K
     # in their first differing coordinate, so the integer keys
     # floor(c 2^K / t) order the points exactly.
     K = 2 * max((ray[0] for ray in rays), default=1).bit_length()
-    rays.sort(key=lambda ray: [(c << K) // ray[0] for c in ray[1:]])
+    rays = sorted(rays, key=lambda ray: [(c << K) // ray[0] for c in ray[1:]])
     return [tuple(Fraction(c, ray[0]) for c in ray[1:]) for ray in rays]
+
+
+def polytope_vertices(ineqs, dim: int) -> list[Vec]:
+    """The vertices of `polytope_rays(ineqs, dim)` as rational points,
+    sorted lexicographically."""
+    return _ray_points(polytope_rays(ineqs, dim))

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import dd
 from .linalg import Mat, Vec, _independent_rows, _int_row, add, dot, rank, vec, zero_vec
-from .polytope import Polytope, _tight_rows_span, from_points
+from .polytope import Polytope, from_points
 
 __all__ = [
     "AffineMap",
@@ -190,7 +190,8 @@ def is_vertex_map(f: AffineMap, P: Polytope, Q: Polytope,
         hom = build_hom(P, Q)
     if not maps_into(f, P, Q):
         raise ValueError("map does not send the source into the target")
-    return _tight_rows_span(flatten_map(f), hom.rows, [], hom.ambient_dim)
+    x = flatten_map(f)
+    return rank([n for n, c in hom.rows if dot(n, x) == c]) == hom.ambient_dim
 
 
 def rank_histogram(maps) -> dict[int, int]:

@@ -3,10 +3,13 @@
 A Polytope is its canonical vertex tuple plus one inequality
 representation, the canonical irredundant one: every inequality a
 facet, the equations the affine hull.  Constructors fix the vertices
-(`from_inequalities` converts its rows by double description at once);
-the facet system is derived from them on first use and cached.  The
-cache fill-in is idempotent, so concurrent readers are safe; values are
-otherwise immutable.
+(`from_inequalities` converts its rows by double description at once,
+so an unbounded system raises there); the facet system is derived from
+them on first use and cached.  `from_inequalities` keeps the DD's
+primitive integer rays until the vertices are first read, and only
+then builds the sorted Fraction tuples, so a caller that reads only
+`n_vertices` never makes a Fraction.  Each cache fill-in is idempotent,
+so concurrent readers are safe; values are otherwise immutable.
 
 Canonical forms, used everywhere set comparison or reproducible output
 matters:
@@ -22,13 +25,20 @@ canonical equation.  Each leading column is zero in every other
 equation and in every canonical inequality, so a point of the affine
 hull is its frame coordinates plus one solved entry per equation.
 
-- H -> V restricts the inequalities to the frame, enumerates the
-  vertices there, and lifts each with x_p = (c - n . x) / n_p for each
-  equation (n, c) with leading column p.
+- H -> V restricts the inequalities to the frame and enumerates the
+  vertices there as integer rays (t, c), the point c / t.  On first
+  read each is lifted, still in integers, with x_p = (e - n . x) / n_p
+  for each equation n . x = e with leading column p.
 - V -> H is one cone call on the points: by homogenization the facets
   of conv(V) are the extreme rays (c, a) of the cone
   {(c, a) : c + a . v[frame] >= 0 for all v in V}, each the facet
-  -a . x[frame] <= c (Fukuda & Prodon 1996).
+  -a . x[frame] <= c (Fukuda & Prodon 1996).  The same integer rows
+  decide which points are vertices: point v is one iff no other point
+  lies on every facet through v.  A vertex is the only point of the
+  face those facets cut out.  Any other point lies in the relative
+  interior of a face of dimension >= 1 (the whole hull, for a point on
+  no facet), whose vertices are among the points and lie on every
+  facet through v.
 
 The DD kernel inserts rows in the order it is given them, so every
 conversion inserts in canonical sorted order: H -> V the sorted
@@ -42,11 +52,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from . import dd
 from .errors import SizeGuardError
 from .linalg import (
-    ZERO,
     Vec,
     _int_row,
     add,
@@ -55,7 +65,6 @@ from .linalg import (
     is_zero,
     neg as vneg,
     primitive,
-    rank,
     rref,
     scale,
     vec,
@@ -123,14 +132,22 @@ def _canonical_hrep(ineqs, eqs) -> HRep:
 class Polytope:
     """Bounded convex polytope in Q^ambient_dim: its sorted vertices and
     `hrep`, its canonical facet system, derived from them on first use.
-    A constructor below that passes `hrep` or `dim` vouches for them."""
 
-    __slots__ = ("ambient_dim", "_vertices", "_hrep", "_dim")
+    A polytope made by `from_inequalities` holds, in place of vertices,
+    `rays`: the DD's integer rays in the frame of the canonical equations
+    and those equations.  `vertices` converts them on first read (see
+    `_vertices_from_hrep`) and caches the result; `n_vertices`,
+    `is_empty` and `repr` count the rays.  A constructor below that
+    passes `hrep` or `dim` vouches for them."""
 
-    def __init__(self, ambient_dim: int, vertices: tuple[Vec, ...],
-                 hrep: HRep | None = None, dim: int | None = None):
+    __slots__ = ("ambient_dim", "_vertices", "_rays", "_hrep", "_dim")
+
+    def __init__(self, ambient_dim: int, vertices: tuple[Vec, ...] | None,
+                 hrep: HRep | None = None, dim: int | None = None,
+                 rays: tuple[list[tuple[int, ...]], tuple[IneqRow, ...]] | None = None):
         self.ambient_dim = ambient_dim
         self._vertices = vertices
+        self._rays = rays
         self._hrep = hrep
         self._dim = dim
 
@@ -138,28 +155,36 @@ class Polytope:
 
     @property
     def vertices(self) -> tuple[Vec, ...]:
+        if self._vertices is None:
+            self._vertices = tuple(_vertices_from_hrep(*self._rays, self.ambient_dim))
         return self._vertices
 
     @property
     def hrep(self) -> HRep:
         if self._hrep is None:
-            self._hrep = _hrep_from_vertices(self._vertices, self.ambient_dim)
+            self._hrep = _hrep_from_vertices(self.vertices, self.ambient_dim)[0]
         return self._hrep
 
     @property
     def is_empty(self) -> bool:
-        return len(self.vertices) == 0
+        return self.n_vertices == 0
 
     @property
     def dim(self) -> int:
         if self._dim is None:
-            vs = self.vertices
-            self._dim = affine_hull(vs).dim if vs else -1
+            if self.is_empty:
+                self._dim = -1
+            elif self._hrep is not None:  # its equations are the affine hull's
+                self._dim = self.ambient_dim - len(self._hrep.equations)
+            else:
+                self._dim = affine_hull(self.vertices).dim
         return self._dim
 
     @property
     def n_vertices(self) -> int:
-        return len(self.vertices)
+        if self._vertices is None:
+            return len(self._rays[0])
+        return len(self._vertices)
 
     @property
     def n_facets(self) -> int:
@@ -172,7 +197,7 @@ class Polytope:
 
     def __repr__(self):
         facets = "" if self._hrep is None else f", {len(self._hrep.inequalities)} facets"
-        return f"Polytope(R^{self.ambient_dim}, {len(self.vertices)} vertices{facets})"
+        return f"Polytope(R^{self.ambient_dim}, {self.n_vertices} vertices{facets})"
 
     def contains(self, x: Vec) -> bool:
         x = vec(x)
@@ -182,7 +207,7 @@ class Polytope:
 
 
 def empty_polytope(ambient_dim: int) -> Polytope:
-    return Polytope(ambient_dim, (), dim=-1)
+    return Polytope(ambient_dim, ())
 
 
 # -- conversions ---------------------------------------------------------
@@ -195,39 +220,66 @@ def _frame(equations, ambient: int) -> tuple[list[int], list[int]]:
     return [i for i in range(ambient) if i not in lead], lead
 
 
-def _vertices_from_hrep(hrep: HRep, ambient: int) -> list[Vec]:
-    frame, lead = _frame(hrep.equations, ambient)
-    frame_ineqs = [(tuple(n[i] for i in frame), c) for n, c in hrep.inequalities]
-    out = []
-    for u in dd.polytope_vertices(frame_ineqs, len(frame)):
-        x = [ZERO] * ambient
-        for i, ui in zip(frame, u):
-            x[i] = ui
-        # each leading column is zero in every other equation, so the
-        # entries already solved do not enter n . x
-        for (n, c), p in zip(hrep.equations, lead):
-            x[p] = (c - dot(n, x)) / n[p]
-        out.append(tuple(x))
-    out.sort()
-    return out
+def _vertices_from_hrep(rays, equations, ambient: int) -> list[Vec]:
+    """The sorted vertices of a canonical H-rep with these `equations`,
+    from the integer rays (t, c) that `dd.polytope_rays` gives for its
+    inequalities restricted to the frame.
+
+    The lift stays in integers: with L the lcm of the leading
+    coefficients n_p, the vertex is (X_0, ..., X_ambient-1) / (t L),
+    where a frame entry is X_i = c_i L and a leading one is
+    X_p = (L / n_p) (e t - n . c) for the equation n . x = e.  Each
+    leading column is zero in every other equation, so the entries
+    already solved do not enter n . c.  Without equations the lift is
+    the identity.
+    """
+    frame, lead = _frame(equations, ambient)
+    eqs = [([int(n[i]) for i in frame], int(e), p, int(n[p]))
+           for (n, e), p in zip(equations, lead)]
+    L = lcm(*(n_p for *_, n_p in eqs))
+    lifted = []
+    for t, *c in rays:
+        x = [0] * ambient
+        for i, ci in zip(frame, c):
+            x[i] = ci * L
+        for n, e, p, n_p in eqs:
+            x[p] = L // n_p * (e * t - sum(a * b for a, b in zip(n, c)))
+        lifted.append((t * L, *x))
+    return dd._ray_points(lifted)
 
 
-def _hrep_from_vertices(vertices, ambient: int) -> HRep:
-    if not vertices:
-        return HRep(((zero_vec(ambient), Fraction(-1)),), ())
-    eqs = _canonical_equations(affine_hull(vertices).equations)[0]
+def _hrep_from_vertices(points, ambient: int) -> tuple[HRep, tuple[Vec, ...]]:
+    """The facet system of conv(points), and the points that are its
+    vertices, in the given order; `points` are distinct.  Point k is a
+    vertex iff the AND of the bitsets of the facets through it is {k}
+    (the module docstring has the proof)."""
+    if not points:
+        return HRep(((zero_vec(ambient), Fraction(-1)),), ()), ()
+    eqs = _canonical_equations(affine_hull(points).equations)[0]
     frame, _ = _frame(eqs, ambient)
     if not frame:  # a single point: no facets
-        return HRep((), eqs)
-    # the facets are the extreme rays (c, a) of {(c, a) : c + a . v[frame] >= 0}
-    rows = [tuple(_int_row([1] + [v[i] for i in frame])) for v in vertices]
+        return HRep((), eqs), tuple(points)
+    rows = [tuple(_int_row([1] + [v[i] for i in frame])) for v in points]
     ineqs = []
-    for c, *a in dd.cone_extreme_rays(rows):
+    on = []  # per facet, the bitset of the points on it
+    for ray in dd.cone_extreme_rays(rows):
+        c, *a = ray
         normal = [0] * ambient
         for i, ai in zip(frame, a):
             normal[i] = -ai
         ineqs.append((normal, c))
-    return _canonical_hrep(ineqs, eqs)
+        on.append(sum(1 << k for k, row in enumerate(rows)
+                      if sum(x * y for x, y in zip(ray, row)) == 0))
+    verts = []
+    for k, v in enumerate(points):
+        bit = 1 << k
+        common = (1 << len(points)) - 1
+        for m in on:
+            if m & bit:
+                common &= m
+        if common == bit:
+            verts.append(v)
+    return _canonical_hrep(ineqs, eqs), tuple(verts)
 
 
 # -- constructors ----------------------------------------------------------
@@ -236,12 +288,16 @@ def _hrep_from_vertices(vertices, ambient: int) -> HRep:
 def from_inequalities(ineqs, eqs, ambient_dim: int) -> Polytope:
     """Polytope from (normal, offset) inequality and equation rows.
 
-    The rows may be redundant: they are canonicalised and converted to
-    vertices at once, and `hrep` is then derived from the vertices.
+    The rows may be redundant: they are canonicalised and converted by
+    double description at once, the vertices kept as the DD's integer
+    rays until first read, and `hrep` is then derived from the vertices.
     Raises UnboundedPolytopeError if the rows cut out an unbounded set.
     """
     hrep = _canonical_hrep(ineqs, eqs)
-    return Polytope(ambient_dim, tuple(_vertices_from_hrep(hrep, ambient_dim)))
+    frame, _ = _frame(hrep.equations, ambient_dim)
+    rays = dd.polytope_rays([(tuple(n[i] for i in frame), c) for n, c in hrep.inequalities],
+                            len(frame))
+    return Polytope(ambient_dim, None, rays=(rays, hrep.equations))
 
 
 def from_points(points, ambient_dim: int | None = None) -> Polytope:
@@ -254,12 +310,7 @@ def from_points(points, ambient_dim: int | None = None) -> Polytope:
     ambient = len(pts[0]) if ambient_dim is None else ambient_dim
     if any(len(p) != ambient for p in pts):
         raise ValueError("points of mixed dimension")
-    hrep = _hrep_from_vertices(pts, ambient)
-    if len(pts) == 1:
-        return Polytope(ambient, tuple(pts), hrep, dim=0)
-    eq_normals = [n for n, _ in hrep.equations]
-    verts = tuple(p for p in pts
-                  if _tight_rows_span(p, hrep.inequalities, eq_normals, ambient))
+    hrep, verts = _hrep_from_vertices(pts, ambient)
     return Polytope(ambient, verts, hrep)
 
 
@@ -288,7 +339,7 @@ def standard(kind: str, n: int) -> Polytope:
         ineqs = [(tuple(Fraction(s) for s in signs), one) for signs in product((-1, 1), repeat=n)]
     else:
         raise ValueError(f"unknown polytope kind {kind!r}")
-    return Polytope(n, tuple(sorted(verts)), _canonical_hrep(ineqs, ()), dim=n)
+    return Polytope(n, tuple(sorted(verts)), _canonical_hrep(ineqs, ()))
 
 
 # -- operations ------------------------------------------------------------
@@ -304,7 +355,7 @@ def polar_dual(P: Polytope) -> Polytope:
         raise ValueError("polar dual needs the origin in the interior")
     verts = sorted(scale(n, 1 / c) for n, c in h.inequalities)
     ineqs = [(v, Fraction(1)) for v in P.vertices]
-    return Polytope(d, tuple(verts), _canonical_hrep(ineqs, ()), dim=d)
+    return Polytope(d, tuple(verts), _canonical_hrep(ineqs, ()))
 
 
 def _map_rows(P: Polytope, row):
@@ -439,11 +490,3 @@ def combinatorially_equal(P: Polytope, Q: Polytope) -> bool:
         return False
 
     return backtrack(0)
-
-
-def _tight_rows_span(x: Vec, ineqs, eq_normals: list, dim: int) -> bool:
-    """Active-set rank certificate: the normals of the rows tight at x,
-    together with the equation normals, have rank dim.  For a point of
-    the feasible set this holds iff the point is a vertex."""
-    tight = [n for n, c in ineqs if dot(n, x) == c]
-    return rank(tight + eq_normals) == dim

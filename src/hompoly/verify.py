@@ -30,7 +30,6 @@ from __future__ import annotations
 import inspect
 import logging
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -736,6 +735,10 @@ def run_suite(level: str = "core", threads: int = 1) -> list[VerificationResult]
     else:
         raise ValueError(f"unknown suite level {level!r}")
     if threads > 1:
+        # imported here: it pulls multiprocessing, pickle and socket into
+        # every run that imports this module
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             futures = [pool.submit(run_claim, cid, params) for cid, params in plan]
             return [f.result() for f in futures]

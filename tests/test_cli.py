@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hompoly
 from hompoly.cli import main
 
 
@@ -477,3 +482,13 @@ def test_standard_sizes_match_standard_polytopes(kind):
     for n in range(1, 5):
         P = standard(kind, n)
         assert STANDARD_SIZES[kind](n) == (P.n_vertices, P.n_facets)
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # the process pool is imported only by `verify --threads N` with N > 1;
+    # it would pull multiprocessing, pickle and socket into every run
+    env = dict(os.environ, PYTHONPATH=str(Path(hompoly.__file__).resolve().parents[1]))
+    probe = "import sys, hompoly.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

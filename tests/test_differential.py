@@ -14,7 +14,9 @@ dimension 5-7, where the kernel's row-count threshold and witness sweep
 run often; the same result with DEBUG logging on; the exact vertex
 order when two coordinates are as close as their denominators allow),
 the V -> H -> V
-round trip of lower-dimensional point sets with the extreme-point oracle,
+round trip of lower-dimensional point sets and the vertices `from_points`
+reads off its facets (points inside edges and faces, duplicates, the
+centroid, one and two points) with the extreme-point oracle,
 the cofactor-sign test of `counts.origin_strictly_inside` and the
 half-space mask search `counts._valid_subsets` (exhaustively for
 n <= 4) with a barycentric solve, `linalg.cofactor_vector` and the masks
@@ -407,6 +409,51 @@ def test_lower_dimensional_v_h_v_round_trip(case):
 
 
 @st.composite
+def hull_point_lists(draw):
+    """Point lists for `from_points`: a flat point set, the corners of a
+    box in R^1 to R^3, or rational points in R^1 to R^4, sometimes cut to
+    one or two points; plus points inside edges and faces (midpoints of
+    two points, barycenters of three), the centroid and duplicates."""
+    coord = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    base = draw(st.sampled_from(["flat", "box", "free"]))
+    if base == "flat":
+        pts, ambient = draw(flat_point_sets())
+    elif base == "box":
+        ambient = draw(st.integers(1, 3))
+        pts = list(product(*(sorted(draw(st.sets(coord, min_size=2, max_size=2)))
+                             for _ in range(ambient))))
+    else:
+        ambient = draw(st.integers(1, 4))
+        point = st.lists(coord, min_size=ambient, max_size=ambient).map(tuple)
+        pts = draw(st.lists(point, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        pts = pts[:draw(st.integers(1, 2))]
+    extras = []
+    kinds = st.sampled_from(["midpoint", "barycenter", "centroid", "duplicate"])
+    for kind in draw(st.lists(kinds, min_size=1, max_size=3)):
+        if kind == "duplicate":
+            extras.append(draw(st.sampled_from(pts)))
+            continue
+        k = min({"midpoint": 2, "barycenter": 3}.get(kind, len(pts)), len(pts))
+        chosen = [pts[i] for i in draw(st.sets(st.integers(0, len(pts) - 1),
+                                               min_size=k, max_size=k))]
+        extras.append(tuple(sum(col, Fraction(0)) / k for col in zip(*chosen)))
+    return draw(st.permutations(list(pts) + extras)), ambient
+
+
+@given(hull_point_lists())
+def test_from_points_keeps_exactly_the_extreme_points(case):
+    """The vertices `from_points` reads off the facet incidences are the
+    extreme points, and the facet system is the hull's."""
+    pts, ambient = case
+    expected = brute_force_extreme_points(set(pts))  # the oracle wants distinct points
+    P = polytope.from_points(pts, ambient)
+    assert list(P.vertices) == expected
+    h = P.hrep
+    assert polytope.from_inequalities(h.inequalities, h.equations, ambient).vertices == P.vertices
+
+
+@st.composite
 def point_tuples(draw):
     """n+1 integer points of R^n (n = 1..4, entries in [-3, 3]), often
     degenerate: a repeated point, three points on a line, or the origin
@@ -618,9 +665,10 @@ def test_canonical_hrep_with_equations_matches_brute_force(system):
     ineqs, eqs, dim = system
     P = polytope.from_inequalities(ineqs, eqs, dim)
     expected = brute_force_vertices(ineqs, eqs, dim)
+    assert P.n_vertices == len(expected)
+    assert polytope._vertices_from_hrep(*P._rays, dim) == expected
     assert list(P.vertices) == expected
     h = polytope._canonical_hrep(ineqs, eqs)
-    assert polytope._vertices_from_hrep(h, dim) == expected
     _, pivots = oracle_rref([list(u) + [c] for u, c in eqs])
     if dim in pivots:  # the equations alone reduce to 0 = 1
         assert h == polytope.empty_polytope(dim).hrep

@@ -121,3 +121,22 @@ def test_rows_are_seed_row_decoupled():
     # the direct call with that derived seed
     rows = reproduce_table(3, 3, seed=10)
     assert rows[0].perturbed_count == perturbed_barycenter_count(3, 13)
+
+
+# `hompoly table 3 8 --seed s` for s = 1..4: per seed, the (n, random count)
+# of each row.  The perturbed count of row n is the generic value
+# GENERIC_PERTURBED[n] whatever the seed.
+GENERIC_PERTURBED = {3: 12, 4: 30, 5: 60, 6: 140, 7: 280, 8: 630}
+TABLE_RANDOM_COUNTS = {
+    1: [(3, 0), (4, 0), (5, 0), (6, 80), (7, 0), (8, 0)],
+    2: [(3, 0), (4, 0), (5, 0), (6, 7), (7, 26), (8, 0)],
+    3: [(3, 4), (4, 0), (5, 54), (6, 0), (7, 0), (8, 389)],
+    4: [(3, 4), (4, 5), (5, 0), (6, 0), (7, 106), (8, 562)],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(TABLE_RANDOM_COUNTS))
+def test_table_rows_are_pinned(seed):
+    rows = reproduce_table(3, 8, seed=seed)
+    assert [(r.n, r.random_count) for r in rows] == TABLE_RANDOM_COUNTS[seed]
+    assert [r.perturbed_count for r in rows] == [GENERIC_PERTURBED[r.n] for r in rows]

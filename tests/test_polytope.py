@@ -282,6 +282,41 @@ def test_unbounded_raises():
         from_inequalities([([-1], 0)], (), 1)
 
 
+def test_unbounded_raises_at_construction_not_on_read():
+    # the unit square cut open on one side: the DD runs in from_inequalities
+    with pytest.raises(UnboundedPolytopeError):
+        from_inequalities([([1, 0], 1), ([-1, 0], 1), ([0, 1], 1)], (), 2)
+    # unbounded inside the plane x + y + z = 1
+    with pytest.raises(UnboundedPolytopeError):
+        from_inequalities([([-1, 0, 0], 0), ([0, -1, 0], 0)], [([1, 1, 1], 1)], 3)
+
+
+def test_intersect_counts_vertices_without_converting_them(monkeypatch):
+    import hompoly.polytope as polytope_mod
+
+    calls = []
+    convert = polytope_mod._vertices_from_hrep
+
+    def counted(*args):
+        calls.append(args)
+        return convert(*args)
+
+    monkeypatch.setattr(polytope_mod, "_vertices_from_hrep", counted)
+    S = standard("simplex", 3)
+    z = [F(1, 4), F(1, 5), F(1, 6)]
+    K = intersect(S, translate(negate(S), [2 * x for x in z]))
+    flat = intersect(S, from_points([[2, 0, -1], [0, 2, -1], [0, 0, 1]]))  # in x + y + z = 1
+    gone = intersect(S, translate(S, [5, 0, 0]))
+    assert (K.n_vertices, flat.n_vertices, gone.n_vertices) == (12, 3, 0)
+    assert not K.is_empty and gone.is_empty
+    assert repr(K) == "Polytope(R^3, 12 vertices)"
+    assert calls == []
+    assert flat.vertices == (vec([0, 0, 1]), vec([0, 1, 0]), vec([1, 0, 0]))
+    assert K.vertices == K.vertices and K.vertices == tuple(sorted(K.vertices))
+    assert len(calls) == 2  # one per polytope read, cached after that
+    assert all(S.contains(v) for v in K.vertices)
+
+
 def test_infeasible_hrep_gives_empty():
     P = from_inequalities([([1], -1), ([-1], -1)], (), 1)  # x <= -1 and x >= 1
     assert P.is_empty
