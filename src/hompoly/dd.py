@@ -44,8 +44,10 @@ Representation choices, all in service of exactness and speed:
 - After the initial basis, functionals are inserted in exactly the
   order given.  The order is the caller's choice: it can change the
   intermediate ray counts by orders of magnitude, never the result.
-  Hom systems come in `homs.structured_row_order`; polytope conversions
-  pass rows in the canonical sorted order they already hold.
+  Hom systems come in `homs.structured_row_order` (facet by facet when
+  the target has no more facets than the source has vertices, vertex by
+  vertex otherwise); polytope conversions pass rows in the canonical
+  sorted order they already hold.
 
 The kernel requires a pointed cone, which is automatic for the
 homogenization of a bounded (possibly lower-dimensional or empty)
@@ -259,9 +261,7 @@ def cone_extreme_rays(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
                 uv = u.vals[j]
                 u_coords = u.coords
                 coords = [uv * wc - wv * uc for wc, uc in zip(w_coords, u_coords)]
-                g = 0
-                for a in coords:
-                    g = gcd(g, a)
+                g = gcd(*coords)
                 u_vals = u.vals
                 if g > 1:
                     coords = [a // g for a in coords]

@@ -156,15 +156,44 @@ def build_hom(P: Polytope, Q: Polytope) -> HomPolytope:
 def structured_row_order(H: HomPolytope) -> list[int]:
     """Row insertion order for double description.
 
-    The groups belonging to an affinely independent set of source
-    vertices go first: the map evaluating an affine map at m+1 affinely
-    independent points is a linear isomorphism, so after those groups
-    the intermediate feasible set is a product of copies of the target
-    and stays small.  Violation-count insertion heuristics were measured
-    to blow up on the larger of these systems; this order does not.
-    The set is chosen greedily: the first m+1 vertices, in vertex order,
-    whose lifts (v, 1) are linearly independent.
+    Row (v, f) says u_f . f(v) <= c_f, so the rows can go in as groups
+    of either index.  A vertex group says f(v) lies in Q; a facet group
+    says the affine function u_f . f, one of n+1 in all, is at most c_f
+    on every vertex of P.  The order inserts by the smaller index set,
+    ties going to facets:
+
+    - Facet by facet, rows sorted by (facet, vertex), when Q has no more
+      facets than P has vertices.
+    - Vertex by vertex otherwise, the groups of an affinely independent
+      set of source vertices first.  Evaluating an affine map at m+1
+      affinely independent points is a linear isomorphism, so after
+      those groups the intermediate feasible set is the product Q^(m+1).
+      The set is chosen greedily: the first m+1 vertices, in vertex
+      order, whose lifts (v, 1) are linearly independent.
+
+    The rule is empirical, and it picks the faster order on every system
+    below but cube 3 -> cross 4, where the two are close.  The vertex
+    set never depends on the order, only the DD's intermediate ray
+    counts and running time do.  Measured with `enumerate_vertex_maps` (2-vCPU
+    Xeon VM, Python 3.11.7; peak is the most rays after any insertion),
+    (vertices of P, facets of Q):
+
+    | system | vertex order | facet order |
+    | --- | --- | --- |
+    | cube 3 -> cross 3 (8, 8) | 0.27 s, peak 1,593 | 0.10 s, peak 502 |
+    | cross 4 -> simplex 4 (8, 5) | 0.54 s | 0.34 s |
+    | cube 4 -> cross 3 (16, 8) | 8.4 s, peak 13,737 | 0.95 s, peak 2,318 |
+    | cube 4 -> cube 3 (16, 6) | 4.7 s | 0.16 s |
+    | cross 5 -> simplex 4 (10, 5) | 35.1 s | 33.5 s |
+    | simplex 3 -> cross 3 (4, 8) | 0.06 s, peak 1,512 | 0.10 s, peak 2,401 |
+    | cube 3 -> cross 4 (8, 16) | 46-58 s | 45.6 s |
+    | cross 4 -> cross 4 (8, 16) | 86-123 s, peak 40,960 | over 420 s |
+
+    Violation-count insertion heuristics (`mincutoff`) were measured to
+    blow up on the larger of these systems.
     """
+    if H.target.n_facets <= H.source.n_vertices:
+        return sorted(range(len(H.rows)), key=lambda k: (H.pairs[k][1], H.pairs[k][0]))
     lifted = [_int_row(v + (1,)) for v in H.source.vertices]
     chosen = set(_independent_rows(lifted, H.source_dim + 1))
     return sorted(range(len(H.rows)),

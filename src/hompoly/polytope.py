@@ -65,6 +65,7 @@ from .linalg import (
     is_zero,
     neg as vneg,
     primitive,
+    rank,
     rref,
     scale,
     vec,
@@ -137,8 +138,9 @@ class Polytope:
     `rays`: the DD's integer rays in the frame of the canonical equations
     and those equations.  `vertices` converts them on first read (see
     `_vertices_from_hrep`) and caches the result; `n_vertices`,
-    `is_empty` and `repr` count the rays.  A constructor below that
-    passes `hrep` or `dim` vouches for them."""
+    `is_empty` and `repr` count the rays, and `dim` is their rank less
+    one.  A constructor below that passes `hrep` or `dim` vouches for
+    them."""
 
     __slots__ = ("ambient_dim", "_vertices", "_rays", "_hrep", "_dim")
 
@@ -176,6 +178,10 @@ class Polytope:
                 self._dim = -1
             elif self._hrep is not None:  # its equations are the affine hull's
                 self._dim = self.ambient_dim - len(self._hrep.equations)
+            elif self._rays is not None:
+                # the rays (t, c) are homogeneous and the lift out of the
+                # frame is affine and injective
+                self._dim = rank(self._rays[0]) - 1
             else:
                 self._dim = affine_hull(self.vertices).dim
         return self._dim

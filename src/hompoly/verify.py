@@ -716,6 +716,7 @@ EXTENDED_SUITE: list[tuple[str, dict]] = CORE_SUITE + [
     ("diamond-image-shape-witness", {"m": 5, "n": 4}),
     ("beta-value", {"n": 5, "expected": 408}),
     ("box-diamond-large", {"m": 3, "n": 4, "expected": 27968}),
+    ("box-diamond-large", {"m": 4, "n": 3, "expected": 270}),
     ("diamond-subcross", {"m": 4, "n": 4}),
     ("vertex-image-law", {"m": 4, "target": "simplex", "n": 4}),
     ("face-law", {"source": "crosspolytope", "m": 4, "n": 4}),

@@ -198,42 +198,81 @@ def test_cube_simplex_realization_matches_enumerated_hom():
     assert combinatorially_equal(hull, from_inequalities(H.rows, (), H.ambient_dim))
 
 
+def _vertex_order(H):
+    # the rows of the first m+1 source vertices (in order) whose lifts
+    # (v, 1) raise the rank go first, then vertex by vertex
+    verts = H.source.vertices
+    chosen = []
+    for vi in range(len(verts)):
+        lifts = [list(verts[j]) + [1] for j in chosen + [vi]]
+        if len(chosen) <= H.source_dim and len(oracle_rref(lifts)[1]) > len(chosen):
+            chosen.append(vi)
+    assert len(chosen) == H.source_dim + 1
+    return sorted(range(len(H.rows)), key=lambda k: (H.pairs[k][0] not in chosen, H.pairs[k]))
+
+
+def _facet_order(H):
+    return sorted(range(len(H.rows)), key=lambda k: (H.pairs[k][1], H.pairs[k][0]))
+
+
 @pytest.mark.parametrize("kind", ["simplex", "cube", "crosspolytope"])
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_structured_row_order_starts_with_independent_vertices(kind, m):
-    # the rows of the first m+1 source vertices (in order) whose lifts
-    # (v, 1) raise the rank go first
-    H = build_hom(standard(kind, m), standard("simplex", 1))
-    verts = H.source.vertices
-    chosen = []
-    for vi, v in enumerate(verts):
-        lifts = [list(verts[j]) + [1] for j in chosen + [vi]]
-        if len(chosen) <= m and len(oracle_rref(lifts)[1]) > len(chosen):
-            chosen.append(vi)
-    assert len(chosen) == m + 1
-    assert structured_row_order(H) == sorted(
-        range(len(H.rows)), key=lambda k: (H.pairs[k][0] not in chosen, H.pairs[k]))
+    # into the 8 facets of crosspolytope 3: a source with fewer vertices
+    # goes vertex by vertex, independent vertices first; cube 3 and
+    # crosspolytope 4 (ties) and cube 4 go facet by facet
+    H = build_hom(standard(kind, m), standard("crosspolytope", 3))
+    assert len(H.target.hrep.inequalities) == 8
+    if len(H.source.vertices) < 8:
+        assert structured_row_order(H) == _vertex_order(H)
+    else:
+        assert (kind, m) in {("cube", 3), ("cube", 4), ("crosspolytope", 4)}
+        assert structured_row_order(H) == _facet_order(H)
+
+
+@pytest.mark.parametrize("src, m, tgt, n, by", [
+    ("cube", 2, "simplex", 3, "facet"),            # 4 vertices, 4 facets
+    ("crosspolytope", 2, "cube", 2, "facet"),      # 4 vertices, 4 facets
+    ("crosspolytope", 3, "cube", 2, "facet"),      # 6 vertices, 4 facets
+    ("simplex", 2, "crosspolytope", 2, "vertex"),  # 3 vertices, 4 facets
+    ("simplex", 3, "cube", 3, "vertex"),           # 4 vertices, 6 facets
+])
+def test_structured_row_order_goes_by_the_smaller_index_set(src, m, tgt, n, by):
+    # facet by facet when Q has no more facets than P has vertices
+    H = build_hom(standard(src, m), standard(tgt, n))
+    expected = _facet_order(H) if by == "facet" else _vertex_order(H)
+    assert structured_row_order(H) == expected
 
 
 def test_structured_enumeration_matches_heuristic_order():
-    # the vertex set cannot depend on the insertion order
+    # the vertex set cannot depend on the insertion order: the chosen
+    # order, the other rule's order, pair order and reversed pair order
     from hompoly import dd
 
     for src, m, tgt, n in [("cube", 2, "simplex", 2),
                            ("crosspolytope", 2, "crosspolytope", 2),
-                           ("crosspolytope", 3, "simplex", 2)]:
+                           ("crosspolytope", 3, "simplex", 2),
+                           ("cube", 3, "crosspolytope", 3),     # facets, a tie
+                           ("simplex", 2, "crosspolytope", 2),  # vertices
+                           ("cube", 2, "simplex", 3),           # facets, a tie
+                           ("crosspolytope", 3, "cube", 2)]:    # facets
         H = build_hom(standard(src, m), standard(tgt, n))
         structured = [flatten_map(f) for f in enumerate_vertex_maps(H)]
-        for rows in (list(H.rows), list(reversed(H.rows))):  # pair order and reversed
-            heuristic = dd.polytope_vertices(rows, H.ambient_dim)
-            assert structured == heuristic
-
+        chosen = structured_row_order(H)
+        other = _vertex_order(H) if chosen == _facet_order(H) else _facet_order(H)
+        assert other != chosen
+        n_rows = len(H.rows)
+        for order in (other, range(n_rows), reversed(range(n_rows))):
+            rows = [H.rows[k] for k in order]
+            assert structured == dd.polytope_vertices(rows, H.ambient_dim)
 
 
 def test_witness_sweep_leaves_few_full_tests(caplog):
     # each witness a full test finds removes every remaining candidate it
-    # refutes, so most of the 93,636 candidates never reach a full test;
+    # refutes, so most of the 32,456 candidates never reach a full test;
     # refuting them one at a time by known witnesses ran 28,563 full tests
+    # in vertex order, where the sweep leaves 11,699 of 93,636.  Facet
+    # order (8 facets, 8 vertices) peaks at 502 rays, vertex order 1,593.
     import logging
     import re
 
@@ -241,13 +280,15 @@ def test_witness_sweep_leaves_few_full_tests(caplog):
     with caplog.at_level(logging.DEBUG, logger="hompoly.dd"):
         maps = enumerate_vertex_maps(H)
     assert len(maps) == 168
-    line = re.compile(r"insert \d+/\d+ row \d+: rays \d+, negative \d+, candidates (\d+), "
+    line = re.compile(r"insert \d+/\d+ row \d+: rays (\d+), negative \d+, candidates (\d+), "
                       r"witness hits (\d+), full tests (\d+), new \d+, \d+\.\d+s$")
-    counts = [tuple(map(int, line.match(r.getMessage()).groups()))
-              for r in caplog.records if r.name == "hompoly.dd"]
+    records = [tuple(map(int, line.match(r.getMessage()).groups()))
+               for r in caplog.records if r.name == "hompoly.dd"]
+    counts = [record[1:] for record in records]
     # one record per row outside the initial basis (the hom rows and the
     # homogenizing row, less ambient_dim + 1 basis rows)
     assert len(counts) == len(H.rows) - H.ambient_dim
     # every candidate is either swept away or fully tested
     assert all(cands == hits + tests for cands, hits, tests in counts)
-    assert sum(tests for _, _, tests in counts) <= 14000
+    assert sum(tests for _, _, tests in counts) <= 5000
+    assert max(rays for rays, *_ in records) <= 600

@@ -1,3 +1,4 @@
+import logging
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -109,6 +110,26 @@ def test_every_registered_claim_has_core_coverage():
     covered = {cid for cid, _ in CORE_SUITE}
     extended_only = {"box-diamond-large", "diamond-image-shape-witness"}
     assert covered | extended_only == set(CLAIMS)
+
+
+def test_box_diamond_large_at_cube_4_crosspolytope_3_keeps_few_rays(caplog):
+    # Hom(cube 4, crosspolytope 3) goes in facet by facet (8 facets, 16
+    # vertices) and peaks at 2,318 rays; vertex by vertex it peaked at
+    # 13,737 and took about ten times as long
+    import re
+
+    from hompoly.counts import bound_box_diamond
+
+    assert bound_box_diamond(4, 3) == 270
+    params = {"m": 4, "n": 3, "expected": 270}
+    assert ("box-diamond-large", params) in verify.EXTENDED_SUITE
+    verify._hom.cache_clear()
+    with caplog.at_level(logging.DEBUG, logger="hompoly.dd"):
+        result = run_claim("box-diamond-large", params)
+    assert (result.status, result.witness) == ("pass", None)
+    rays = [int(re.search(r": rays (\d+),", r.getMessage()).group(1))
+            for r in caplog.records if r.name == "hompoly.dd"]
+    assert rays and max(rays) <= 2400
 
 
 def test_run_suite_returns_results_in_plan_order():
