@@ -39,8 +39,13 @@ Representation choices, all in service of exactness and speed:
   dropped for c >= 0 and makes the set empty for c < 0.
 - Initial basis selection and the initial simplicial cone use the
   shared fraction-free elimination `linalg._echelon` (forward on the
-  transposed rows, reduced on [B | I]), so Fractions appear only in the
-  input rows and in the output vertices.
+  transposed rows, reduced on [B | I]), so no Fraction arises in the
+  kernel.  `polytope_rays` returns the integer rays themselves, and
+  `_sorted_rays` puts them in the lexicographic order of their points
+  c / t without building those points: `hompoly vertices` writes its
+  maps straight from the sorted rays, and Fractions appear only in the
+  input rows and, for `polytope_vertices` and `Polytope.vertices`, in
+  the output points.
 - After the initial basis, functionals are inserted in exactly the
   order given.  The order is the caller's choice: it can change the
   intermediate ray counts by orders of magnitude, never the result.
@@ -328,15 +333,20 @@ def polytope_rays(ineqs, dim: int) -> list[tuple[int, ...]]:
     return rays
 
 
-def _ray_points(rays) -> list[Vec]:
-    """The points c / t of integer rays (t, c) with t > 0, sorted
+def _sorted_rays(rays) -> list[tuple[int, ...]]:
+    """Integer rays (t, c) with t > 0 sorted by their points c / t,
     lexicographically.  The rays need not be primitive."""
     # Two different points c/t and c'/t' differ by at least 1/(t t') > 2^-K
     # in their first differing coordinate, so the integer keys
     # floor(c 2^K / t) order the points exactly.
     K = 2 * max((ray[0] for ray in rays), default=1).bit_length()
-    rays = sorted(rays, key=lambda ray: [(c << K) // ray[0] for c in ray[1:]])
-    return [tuple(Fraction(c, ray[0]) for c in ray[1:]) for ray in rays]
+    return sorted(rays, key=lambda ray: [(c << K) // ray[0] for c in ray[1:]])
+
+
+def _ray_points(rays) -> list[Vec]:
+    """The points c / t of integer rays (t, c) with t > 0, sorted
+    lexicographically.  The rays need not be primitive."""
+    return [tuple(Fraction(c, ray[0]) for c in ray[1:]) for ray in _sorted_rays(rays)]
 
 
 def polytope_vertices(ineqs, dim: int) -> list[Vec]:

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import dd
-from .linalg import Mat, Vec, _independent_rows, _int_row, add, dot, rank, vec, zero_vec
+from .linalg import (Mat, Vec, _echelon, _independent_rows, _int_row, add, dot, rank, vec,
+                     zero_vec)
 from .polytope import Polytope, from_points
 
 __all__ = [
@@ -86,6 +87,14 @@ def unflatten_map(coords, m: int, n: int) -> AffineMap:
     b = coords[:n]
     rows = tuple(coords[n + j * m: n + (j + 1) * m] for j in range(n))
     return AffineMap(rows, b)
+
+
+def _ray_rank(ray, m: int, n: int) -> int:
+    """Rank of the linear part of the map x = c / t of an integer ray
+    (t, c), c flattened as above: the rank of the integer rows of t A,
+    which is that of A."""
+    return len(_echelon([list(ray[1 + n + j * m: 1 + n + (j + 1) * m])
+                         for j in range(n)])[0])
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,16 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import hompoly
-from hompoly.cli import main
+from hompoly import dd, homs, linalg
+from hompoly.cli import main, parse_polytope_spec
+from hompoly.homs import build_hom, enumerate_vertex_maps, map_rank
+from hompoly.jsonio import dumps_canonical, rat_to_str
 
 
 def run_cli(capsys, *argv):
@@ -81,6 +85,98 @@ def test_rank_histogram_with_and_without_maps_out(tmp_path, capsys):
     assert json.loads(with_out)["rank_histogram"] == {"0": 4, "1": 24}
     ranks = [m["rank"] for m in json.loads(maps_file.read_text())]
     assert (ranks.count(0), ranks.count(1)) == (4, 24)
+
+
+def _oracle_vertices_output(source, target):
+    """The maps file and --json stdout of `vertices --ranks`, built from
+    the AffineMaps of `enumerate_vertex_maps` and the Fraction writers."""
+    H = build_hom(parse_polytope_spec(source)[1], parse_polytope_spec(target)[1])
+    maps = enumerate_vertex_maps(H)
+    payload = [{"A": [[rat_to_str(x) for x in row] for row in f.matrix],
+                "b": [rat_to_str(x) for x in f.offset],
+                "rank": map_rank(f)} for f in maps]
+    hist = Counter(map_rank(f) for f in maps)
+    summary = {"count": len(maps), "rank_histogram": {str(k): hist[k] for k in sorted(hist)}}
+    return dumps_canonical(payload), dumps_canonical(summary)
+
+
+@pytest.mark.parametrize("source, target, rational", [
+    ("cube:3", "crosspolytope:3", True),
+    ("crosspolytope:2", "crosspolytope:3", True),
+    ("cube:2", "simplex:3", True),
+    ("simplex:2", "cube:2", False),
+])
+def test_vertices_out_matches_fraction_oracle(tmp_path, capsys, source, target, rational):
+    hom_file = tmp_path / "hom.json"
+    maps_file = tmp_path / "maps.json"
+    run_cli(capsys, "construct", source, target, "--out", str(hom_file))
+    code, out, _ = run_cli(capsys, "vertices", str(hom_file), "--ranks", "--json",
+                           "--out", str(maps_file))
+    assert code == 0
+    maps_text, summary = _oracle_vertices_output(source, target)
+    assert maps_file.read_text() == maps_text
+    assert out == summary
+    assert ("/" in maps_text) == rational  # the gcd path of the coordinate strings
+
+
+DEGENERATE_HOMS = {
+    "infeasible": (
+        {"source_dim": 1, "target_dim": 1, "ambient_dim": 2,
+         "inequalities": [{"normal": ["0", "0"], "offset": "-1"}]},
+        "[]\n",
+        '{\n  "count": 0,\n  "rank_histogram": {}\n}\n'),
+    "source-dim-0": (
+        {"source_dim": 0, "target_dim": 1, "ambient_dim": 1,
+         "inequalities": [{"normal": ["1"], "offset": "1/2"},
+                          {"normal": ["-1"], "offset": "1/3"}]},
+        '[\n  {\n    "A": [\n      []\n    ],\n    "b": [\n      "-1/3"\n    ],\n'
+        '    "rank": 0\n  },\n  {\n    "A": [\n      []\n    ],\n    "b": [\n'
+        '      "1/2"\n    ],\n    "rank": 0\n  }\n]\n',
+        '{\n  "count": 2,\n  "rank_histogram": {\n    "0": 2\n  }\n}\n'),
+    "target-dim-0": (
+        {"source_dim": 2, "target_dim": 0, "ambient_dim": 0, "inequalities": []},
+        '[\n  {\n    "A": [],\n    "b": [],\n    "rank": 0\n  }\n]\n',
+        '{\n  "count": 1,\n  "rank_histogram": {\n    "0": 1\n  }\n}\n'),
+}
+
+
+@pytest.mark.parametrize("case", DEGENERATE_HOMS)
+def test_vertices_out_of_degenerate_homs_is_pinned(tmp_path, capsys, case):
+    data, maps_text, summary = DEGENERATE_HOMS[case]
+    hom_file = tmp_path / "hom.json"
+    maps_file = tmp_path / "maps.json"
+    hom_file.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "vertices", str(hom_file), "--ranks", "--json",
+                           "--out", str(maps_file))
+    assert code == 0
+    assert maps_file.read_text() == maps_text
+    assert out == summary
+
+
+def test_vertices_makes_no_fraction_maps(tmp_path, capsys, monkeypatch):
+    """`vertices` writes maps and ranks from the DD's integer rays: it
+    neither builds AffineMaps, nor converts rays to Fraction points, nor
+    takes a rank of Fraction rows."""
+    hom_file = tmp_path / "hom.json"
+    maps_file = tmp_path / "maps.json"
+    run_cli(capsys, "construct", "cube:2", "simplex:3", "--out", str(hom_file))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("vertices went through Fraction maps")
+
+    # every binding, as `from .linalg import rank` makes one per module
+    for original in (homs.unflatten_map, dd._ray_points, linalg.rank):
+        for name, mod in list(sys.modules.items()):
+            if name == "hompoly" or name.startswith("hompoly."):
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, refuse)
+    for out_args in ([], ["--out", str(maps_file)]):
+        code, out, _ = run_cli(capsys, "vertices", str(hom_file), "--ranks", "--json",
+                               *out_args)
+        assert code == 0
+        assert json.loads(out)["rank_histogram"] == {"0": 4, "1": 24}
+    assert len(json.loads(maps_file.read_text())) == 28
 
 
 def test_custom_polytope_file_round_trip(tmp_path, capsys):

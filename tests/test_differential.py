@@ -24,8 +24,11 @@ built from it with `int_det` on cube faces, singular ones included, the
 id-based `groups.orbit_count` with a sweep over point tuples, the
 canonical H-rep of systems with zero-normal and dependent equations with
 exhaustive basis enumeration, and the crosspolytope flag of
-`verify._cross_record` with the image's H-rep and isomorphism search, on
-generated inputs that stress the degenerate cases.
+`verify._cross_record` with the image's H-rep and isomorphism search,
+and the coordinate strings and ranks `jsonio` reads off integer rays
+with `rat_to_str` and `map_rank` of the Fraction maps (entries up to
+2^70, non-primitive rays, rank-deficient A), on generated inputs that
+stress the degenerate cases.
 """
 
 import logging
@@ -48,7 +51,7 @@ from _oracles import (  # noqa: E402
     oracle_rref,
     origin_inside_oracle,
 )
-from hompoly import counts, dd, groups, homs, linalg, polytope, verify  # noqa: E402
+from hompoly import counts, dd, groups, homs, jsonio, linalg, polytope, verify  # noqa: E402
 from hompoly.errors import UnboundedPolytopeError  # noqa: E402
 
 rationals = st.one_of(
@@ -720,3 +723,54 @@ def test_cross_record_matches_image_oracle(f):
     image = homs.image_polytope(f, P)
     assert verify._cross_record(f) == (homs.map_rank(f),
                                        polytope.combinatorially_equal(image, model))
+
+
+# integers up to 2^70 in size, with small values and 0 drawn often
+big_ints = st.one_of(st.just(0), st.integers(-12, 12), st.integers(-2 ** 70, 2 ** 70))
+
+
+@given(big_ints, st.one_of(st.integers(1, 12), st.integers(1, 2 ** 70)),
+       st.sampled_from([1, 2, 6, 2 ** 35]))
+def test_ray_coordinate_string_matches_fraction(c, t, k):
+    """The string of c / t read off gcd(c, t), for primitive and scaled
+    (non-primitive) pairs alike, is the one `rat_to_str` gives."""
+    text = jsonio.rat_to_str(Fraction(c, t))
+    assert jsonio._ray_str(c, t) == text
+    assert jsonio._ray_str(k * c, k * t) == text
+
+
+@st.composite
+def map_rays(draw):
+    """An integer ray (t, b, A) of a map R^m -> R^n, times a scale k so
+    that it is often not primitive; the rows of A are drawn free, zero
+    or as integer combinations of earlier rows, so A is often
+    rank-deficient."""
+    m, n = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    t = draw(st.one_of(st.just(1), st.integers(1, 12), st.integers(1, 2 ** 70)))
+    entries = st.lists(big_ints, min_size=m, max_size=m)
+    b = draw(st.lists(big_ints, min_size=n, max_size=n))
+    A: list[list[int]] = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["free", "zero", "combo"]))
+        if kind == "free" or (kind == "combo" and not A):
+            A.append(draw(entries))
+        elif kind == "zero":
+            A.append([0] * m)
+        else:
+            s, u = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            r1, r2 = draw(st.sampled_from(A)), draw(st.sampled_from(A))
+            A.append([s * x + u * y for x, y in zip(r1, r2)])
+    k = draw(st.sampled_from([1, 3, 2 ** 35]))
+    return tuple(k * x for x in [t, *b, *(x for row in A for x in row)]), m, n
+
+
+@given(map_rays())
+def test_ray_map_json_matches_fraction_map(case):
+    ray, m, n = case
+    f = homs.unflatten_map([Fraction(c, ray[0]) for c in ray[1:]], m, n)
+    assert homs._ray_rank(ray, m, n) == homs.map_rank(f)
+    expected = {"A": [jsonio.vec_to_json(row) for row in f.matrix],
+                "b": jsonio.vec_to_json(f.offset),
+                "rank": homs.map_rank(f)}
+    assert jsonio.maps_to_json([ray], m, n) == [expected]
+    assert jsonio.map_to_json(f) == expected

@@ -42,10 +42,22 @@ def test_polytope_json_vertex_order_is_canonical():
 
 
 def test_map_round_trip():
-    f = AffineMap(((Fraction(1, 2), Fraction(0)),), (Fraction(-1),))
-    data = jsonio.map_to_json(f)
-    assert data["rank"] == 1
-    assert jsonio.map_from_json(data) == f
+    F = Fraction
+    cases = [
+        (((F(1, 2), F(0)),), (F(-1),), 1),
+        # 2x3, negative, zero and mixed-denominator entries
+        (((F(-3, 4), F(0), F(5, 6)), (F(2), F(-1, 3), F(0))), (F(-7, 10), F(0)), 2),
+        # rank-deficient: the second row is -2 times the first
+        (((F(1, 2), F(-1), F(3, 4)), (F(-1), F(2), F(-3, 2))), (F(1, 3), F(-2, 9)), 1),
+        (((F(0), F(0), F(0)), (F(0), F(0), F(0))), (F(5, 3), F(-1)), 0),
+    ]
+    for A, b, rank in cases:
+        f = AffineMap(A, b)
+        data = jsonio.map_to_json(f)
+        assert data == {"A": [[jsonio.rat_to_str(x) for x in row] for row in A],
+                        "b": [jsonio.rat_to_str(x) for x in b],
+                        "rank": rank}
+        assert jsonio.map_from_json(data) == f
 
 
 def test_hom_json_contents():
