@@ -27,7 +27,7 @@ from fractions import Fraction
 from . import counts as counts_mod
 from . import experiments, jsonio, verify
 from .errors import SizeGuardError, UnboundedPolytopeError
-from .homs import _ray_rank, build_hom
+from .homs import AffineMap, build_hom, map_rank
 from .polytope import Polytope, intersect, polar_dual, standard
 
 LARGE_DIM_GUARD = 16
@@ -104,21 +104,20 @@ def cmd_vertices(args) -> int:
     rows, m, n, ambient = jsonio.hom_system_from_json(data)
     _check_large(args, ambient, len(rows))
     rays = dd.polytope_rays(rows, ambient)
-    payload: dict = {"count": len(rays)}
-    lines = [f"vertex maps: {len(rays)}"]
-    maps_payload = jsonio.maps_to_json(dd._sorted_rays(rays), m, n) if args.out else None
+    maps = [AffineMap.from_ray(ray, m, n) for ray in dd._sorted_rays(rays)]
+    payload: dict = {"count": len(maps)}
+    lines = [f"vertex maps: {len(maps)}"]
+    maps_payload = [jsonio.map_to_json(f) for f in maps] if args.out else None
     if args.ranks:
-        if maps_payload is None:
-            ranks = (_ray_rank(ray, m, n) for ray in rays)
-        else:  # the payload already holds each map's rank
-            ranks = (d["rank"] for d in maps_payload)
+        # with --out the payload already holds each map's rank
+        ranks = map(map_rank, maps) if maps_payload is None else (d["rank"] for d in maps_payload)
         hist = dict(sorted(Counter(ranks).items()))
         payload["rank_histogram"] = {str(k): v for k, v in hist.items()}
         lines.append("rank histogram: " + ", ".join(f"{k}: {v}" for k, v in hist.items()))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(jsonio.dumps_canonical(maps_payload))
-        lines.append(f"wrote {len(rays)} maps to {args.out}")
+        lines.append(f"wrote {len(maps)} maps to {args.out}")
     _emit(args, payload, lines)
     return 0
 

@@ -42,10 +42,11 @@ Representation choices, all in service of exactness and speed:
   transposed rows, reduced on [B | I]), so no Fraction arises in the
   kernel.  `polytope_rays` returns the integer rays themselves, and
   `_sorted_rays` puts them in the lexicographic order of their points
-  c / t without building those points: `hompoly vertices` writes its
-  maps straight from the sorted rays, and Fractions appear only in the
-  input rows and, for `polytope_vertices` and `Polytope.vertices`, in
-  the output points.
+  c / t without building those points.  A vertex map is such a ray
+  (`homs.AffineMap.from_ray`, for `enumerate_vertex_maps` and `hompoly
+  vertices` alike), so Fractions appear only in the input rows and,
+  for `polytope_vertices` and `Polytope.vertices`, in the output
+  points.
 - After the initial basis, functionals are inserted in exactly the
   order given.  The order is the caller's choice: it can change the
   intermediate ray counts by orders of magnitude, never the result.

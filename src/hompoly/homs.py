@@ -10,6 +10,10 @@ Flattening convention (fixed; documented for JSON round-trips): the
 coordinates are b_1 .. b_n followed by A in row-major order, i.e.
 A_{1,1} .. A_{1,m}, A_{2,1} .. A_{n,m}.
 
+A vertex map is one primitive integer ray (t, c) of this space, c / t
+being its coordinates, as the DD kernel returns it.  `AffineMap` holds
+it, and this module is the only one that reads the layout of c.
+
 Vertexhood of an individual map is decided by the active-set rank
 certificate: f is a vertex iff its tight constraints span R^{nm+n}.
 This is the exact polyhedral form of the perturbation criterion (a
@@ -22,6 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from . import dd
 from .linalg import (Mat, Vec, _echelon, _independent_rows, _int_row, add, dot, rank, vec,
@@ -42,59 +47,76 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class AffineMap:
-    """f(x) = matrix . x + offset, mapping R^source_dim to R^target_dim."""
+    """f(x) = A x + b from R^source_dim to R^target_dim, held (immutable)
+    as its primitive integer ray (t, c): t > 0, gcd(t, c) = 1 and
+    c = t (b, A) flattened as above.  That ray is unique, so equality
+    and hashing compare rays.  `parts` gives the integers t, t b and the
+    rows of t A; `matrix`, `offset`, `flatten_map` and `evaluate` build
+    Fractions on each call."""
 
-    matrix: Mat   # target_dim x source_dim
-    offset: Vec   # target_dim
+    __slots__ = ("ray", "source_dim", "target_dim")
 
-    def __post_init__(self):
-        if any(len(row) != self.source_dim for row in self.matrix):
+    def __init__(self, matrix, offset):
+        m = len(matrix[0]) if matrix else 0
+        if any(len(row) != m for row in matrix):
             raise ValueError("ragged matrix")
-        if len(self.matrix) != len(self.offset):
+        if len(matrix) != len(offset):
             raise ValueError("matrix and offset of different target dimension")
+        self.ray = tuple(_int_row([1, *offset, *(x for row in matrix for x in row)]))
+        self.source_dim = m
+        self.target_dim = len(offset)
+
+    @classmethod
+    def from_ray(cls, ray: tuple[int, ...], m: int, n: int) -> AffineMap:
+        """The map R^m -> R^n of a primitive integer ray (t, c), t > 0."""
+        f = cls.__new__(cls)
+        f.ray, f.source_dim, f.target_dim = ray, m, n
+        return f
+
+    def __eq__(self, other):
+        return (type(other) is AffineMap and self.ray == other.ray
+                and self.source_dim == other.source_dim)
+
+    def __hash__(self):
+        return hash(self.ray)
+
+    def __repr__(self):
+        return f"AffineMap.from_ray({self.ray!r}, {self.source_dim}, {self.target_dim})"
 
     @property
-    def source_dim(self) -> int:
-        return len(self.matrix[0]) if self.matrix else 0
+    def parts(self) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """(t, t b, rows of t A), all integers."""
+        ray, m, n = self.ray, self.source_dim, self.target_dim
+        return ray[0], ray[1:n + 1], tuple([ray[n + 1 + j * m: n + 1 + j * m + m]
+                                            for j in range(n)])
 
     @property
-    def target_dim(self) -> int:
-        return len(self.offset)
+    def matrix(self) -> Mat:
+        t, _, rows = self.parts
+        return tuple(tuple(Fraction(a, t) for a in row) for row in rows)
+
+    @property
+    def offset(self) -> Vec:
+        t, b, _ = self.parts
+        return tuple(Fraction(a, t) for a in b)
 
     def evaluate(self, x) -> Vec:
+        t, b, rows = self.parts
         x = vec(x)
-        return tuple(dot(row, x) + b for row, b in zip(self.matrix, self.offset))
+        return tuple(Fraction(d.numerator + c * d.denominator, d.denominator * t)
+                     for d, c in zip([dot(row, x) for row in rows], b))
 
 
 def map_rank(f: AffineMap) -> int:
-    """Rank of the linear part = dimension of the image of a full-dim source."""
-    return rank(f.matrix)
+    """Rank of the linear part = dimension of the image of a full-dim
+    source: the rank of the integer rows of t A, which is that of A."""
+    return len(_echelon([list(row) for row in f.parts[2]])[0])
 
 
 def flatten_map(f: AffineMap) -> Vec:
-    flat = list(f.offset)
-    for row in f.matrix:
-        flat.extend(row)
-    return tuple(flat)
-
-
-def unflatten_map(coords, m: int, n: int) -> AffineMap:
-    coords = vec(coords)
-    if len(coords) != n * m + n:
-        raise ValueError("flattened map of wrong length")
-    b = coords[:n]
-    rows = tuple(coords[n + j * m: n + (j + 1) * m] for j in range(n))
-    return AffineMap(rows, b)
-
-
-def _ray_rank(ray, m: int, n: int) -> int:
-    """Rank of the linear part of the map x = c / t of an integer ray
-    (t, c), c flattened as above: the rank of the integer rows of t A,
-    which is that of A."""
-    return len(_echelon([list(ray[1 + n + j * m: 1 + n + (j + 1) * m])
-                         for j in range(n)])[0])
+    t = f.ray[0]
+    return tuple(Fraction(c, t) for c in f.ray[1:])
 
 
 @dataclass(frozen=True)
@@ -210,11 +232,11 @@ def structured_row_order(H: HomPolytope) -> list[int]:
 
 
 def enumerate_vertex_maps(H: HomPolytope) -> tuple[AffineMap, ...]:
-    """All vertex maps, in canonical (lexicographic flattened) order."""
+    """All vertex maps, in canonical (lexicographic flattened) order,
+    each the DD's ray of it."""
     m, n = H.source_dim, H.target_dim
-    rows = [H.rows[k] for k in structured_row_order(H)]
-    verts = dd.polytope_vertices(rows, H.ambient_dim)
-    return tuple(unflatten_map(w, m, n) for w in verts)
+    rays = dd.polytope_rays([H.rows[k] for k in structured_row_order(H)], H.ambient_dim)
+    return tuple(AffineMap.from_ray(ray, m, n) for ray in dd._sorted_rays(rays))
 
 
 def maps_into(f: AffineMap, P: Polytope, Q: Polytope) -> bool:
@@ -228,8 +250,8 @@ def is_vertex_map(f: AffineMap, P: Polytope, Q: Polytope,
         hom = build_hom(P, Q)
     if not maps_into(f, P, Q):
         raise ValueError("map does not send the source into the target")
-    x = flatten_map(f)
-    return rank([n for n, c in hom.rows if dot(n, x) == c]) == hom.ambient_dim
+    t, x = f.ray[0], f.ray[1:]
+    return rank([n for n, c in hom.rows if dot(n, x) == t * c]) == hom.ambient_dim
 
 
 def rank_histogram(maps) -> dict[int, int]:
@@ -248,15 +270,18 @@ def restrict_to_subcrosspolytope(f: AffineMap, indices) -> AffineMap:
 
     `indices` are 0-based source axes; the embedding sends the k-th
     basis vector to the axis indices[k] and fixes the origin, so the
-    restriction keeps the columns of A at those axes.
+    restriction keeps the columns of A at those axes.  The kept entries
+    are divided by their gcd with t, so the ray stays primitive.
     """
     idx = sorted(set(indices))
     if not idx:
         raise ValueError("need a nonempty axis subset")
     if idx[0] < 0 or idx[-1] >= f.source_dim:
         raise ValueError("axis index out of range")
-    rows = tuple(tuple(row[i] for i in idx) for row in f.matrix)
-    return AffineMap(rows, f.offset)
+    t, b, rows = f.parts
+    ray = [t, *b, *(row[i] for row in rows for i in idx)]
+    g = gcd(*ray)
+    return AffineMap.from_ray(tuple(a // g for a in ray), len(idx), f.target_dim)
 
 
 def cube_simplex_realization(m: int, n: int) -> tuple[Vec, ...]:

@@ -5,23 +5,20 @@ the denominator is 1.  All object keys are emitted sorted and vertex /
 inequality lists are in canonical order, so identical inputs always
 produce byte-identical JSON.
 
-Vertex maps are written from integer rays (t, c) with t > 0, the map's
-flattened coordinates being c / t: `maps_to_json` takes the DD's rays
-as they are, builds each coordinate string from gcd(c_i, t) and reads
-the rank off the integer rows of t A, so no Fraction is made on the way
-from the kernel to the file.  `map_to_json` clears an `AffineMap` to
-such a ray (the lcm of its denominators, then its entries times that)
-and goes through the same serializer.
+A vertex map is written from the integers of its ray (t, t b, rows of
+t A; see `homs.AffineMap`): `map_to_json` builds each coordinate string
+of x = c / t from gcd(c, t) and takes the rank from `homs.map_rank`, so
+no Fraction is made on the way from the kernel to the file.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import TYPE_CHECKING
 
-from .homs import AffineMap, HomPolytope, _ray_rank, flatten_map, structured_row_order
+from .homs import AffineMap, HomPolytope, map_rank, structured_row_order
 from .linalg import Vec
 from .polytope import Polytope, from_inequalities, from_points
 
@@ -135,32 +132,13 @@ def _ray_str(c: int, t: int) -> str:
     return f"{c // g}/{t // g}"
 
 
-def _ray_to_json(ray, m: int, n: int) -> dict:
-    t = ray[0]
-    coords = [str(c) for c in ray[1:]] if t == 1 else [_ray_str(c, t) for c in ray[1:]]
-    return {
-        "A": [coords[n + j * m: n + (j + 1) * m] for j in range(n)],
-        "b": coords[:n],
-        "rank": _ray_rank(ray, m, n),
-    }
-
-
-def maps_to_json(rays, m: int, n: int) -> list[dict]:
-    """The maps R^m -> R^n of integer rays (t, c), t > 0, in the given
-    order; c is flattened b first, then A row-major."""
-    return [_ray_to_json(ray, m, n) for ray in rays]
-
-
 def map_to_json(f: AffineMap) -> dict:
-    flat = flatten_map(f)
-    L = lcm(*[x.denominator for x in flat])
-    return _ray_to_json((L, *[x.numerator * (L // x.denominator) for x in flat]),
-                        f.source_dim, f.target_dim)
-
-
-def map_from_json(data: dict) -> AffineMap:
-    return AffineMap(tuple(json_to_vec(r) for r in data["A"]),
-                     json_to_vec(data["b"]))
+    t, b, rows = f.parts
+    if t == 1:
+        return {"A": [list(map(str, row)) for row in rows], "b": list(map(str, b)),
+                "rank": map_rank(f)}
+    return {"A": [[_ray_str(c, t) for c in row] for row in rows],
+            "b": [_ray_str(c, t) for c in b], "rank": map_rank(f)}
 
 
 def hom_to_json(H: HomPolytope, source_desc: dict, target_desc: dict) -> dict:

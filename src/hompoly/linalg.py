@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-Rat = Fraction
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 

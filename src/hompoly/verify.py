@@ -49,7 +49,6 @@ from .homs import (
     restrict_to_subcrosspolytope,
 )
 from .linalg import (
-    _int_row,
     affine_hull,
     dot,
     int_det,
@@ -115,13 +114,13 @@ def _cross_record(f: AffineMap) -> tuple[int, bool]:
     set of columns behind the v_k.  Conversely such an S makes the image
     b + a_S(crosspolytope_n).  Below rank n, is_cross is False.
 
-    The test runs on A scaled to integers (it is homogeneous), by
+    The test runs on the integer columns of t A (it is homogeneous), by
     Cramer's rule: with D = det(a_S) and D_k(j) the same determinant
     with column k replaced by a_j, it requires sum_k |D_k(j)| <= |D|.
     """
     n, m = f.target_dim, f.source_dim
-    flat = _int_row([x for row in f.matrix for x in row])
-    cols = [flat[i::m] for i in range(m)]
+    rows = f.parts[2]
+    cols = [[row[i] for row in rows] for i in range(m)]
     r = rank(cols)
     if r < n:
         return r, False
@@ -318,7 +317,7 @@ def _claim_diamond_subcross(m: int, n: int):
             g = restrict_to_subcrosspolytope(f, idx)
             ok = verdicts.get(g)
             if ok is None:
-                ok = verdicts[g] = (rank(g.matrix) == n
+                ok = verdicts[g] = (map_rank(g) == n
                                     and is_vertex_map(g, sub, Q, hom=sub_hom))
             if ok:
                 break
@@ -423,11 +422,11 @@ def _hit_sets(maps, P: Polytope):
 
     Integer arithmetic: P's vertices are scaled once by the lcm V of
     their denominators and kept as their nonzero (coordinate, entry)
-    pairs, and each map's offset and columns by the lcm L of its
-    denominators, so V L f(v) = V (L b) + sum_k (V v_k)(L a_k) is summed
-    column by column.  The hit set of Fraction points is built once per
-    distinct set of integer images and denominator L V, and equals
-    frozenset(f.evaluate(v) for v in P.vertices).
+    pairs, and each map gives L = t, L b and the columns L a_k of its
+    ray (`AffineMap.parts`), so V L f(v) = V (L b) + sum_k (V v_k)(L a_k)
+    is summed column by column.  The hit set of Fraction points is built
+    once per distinct set of integer images and denominator L V, and
+    equals frozenset(f.evaluate(v) for v in P.vertices).
     """
     verts = P.vertices
     V = lcm(*(x.denominator for v in verts for x in v))
@@ -435,11 +434,9 @@ def _hit_sets(maps, P: Polytope):
              for v in verts]
     memo = {}  # (integer images, denominator) -> hit set
     for f in maps:
-        L = lcm(*(x.denominator for x in f.offset),
-                *(x.denominator for row in f.matrix for x in row))
-        base = [V * x.numerator * (L // x.denominator) for x in f.offset]
-        cols = list(zip(*([x.numerator * (L // x.denominator) for x in row]
-                          for row in f.matrix)))
+        L, b, rows = f.parts
+        base = [V * x for x in b]
+        cols = list(zip(*rows))
         images = set()
         for vt in terms:
             img = base

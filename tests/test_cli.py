@@ -154,9 +154,10 @@ def test_vertices_out_of_degenerate_homs_is_pinned(tmp_path, capsys, case):
 
 
 def test_vertices_makes_no_fraction_maps(tmp_path, capsys, monkeypatch):
-    """`vertices` writes maps and ranks from the DD's integer rays: it
-    neither builds AffineMaps, nor converts rays to Fraction points, nor
-    takes a rank of Fraction rows."""
+    """`vertices` wraps the DD's integer rays as `AffineMap`s and writes
+    maps and ranks from their integers: it neither converts rays to
+    Fraction points, nor reads a map's Fraction accessors, nor takes a
+    rank of Fraction rows."""
     hom_file = tmp_path / "hom.json"
     maps_file = tmp_path / "maps.json"
     run_cli(capsys, "construct", "cube:2", "simplex:3", "--out", str(hom_file))
@@ -165,12 +166,15 @@ def test_vertices_makes_no_fraction_maps(tmp_path, capsys, monkeypatch):
         raise AssertionError("vertices went through Fraction maps")
 
     # every binding, as `from .linalg import rank` makes one per module
-    for original in (homs.unflatten_map, dd._ray_points, linalg.rank):
+    for original in (homs.flatten_map, dd._ray_points, linalg.rank):
         for name, mod in list(sys.modules.items()):
             if name == "hompoly" or name.startswith("hompoly."):
                 for attr, value in list(vars(mod).items()):
                     if value is original:
                         monkeypatch.setattr(mod, attr, refuse)
+    for accessor in ("matrix", "offset"):
+        monkeypatch.setattr(homs.AffineMap, accessor, property(refuse))
+    monkeypatch.setattr(homs.AffineMap, "evaluate", refuse)
     for out_args in ([], ["--out", str(maps_file)]):
         code, out, _ = run_cli(capsys, "vertices", str(hom_file), "--ranks", "--json",
                                *out_args)

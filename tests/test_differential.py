@@ -25,10 +25,11 @@ id-based `groups.orbit_count` with a sweep over point tuples, the
 canonical H-rep of systems with zero-normal and dependent equations with
 exhaustive basis enumeration, and the crosspolytope flag of
 `verify._cross_record` with the image's H-rep and isomorphism search,
-and the coordinate strings and ranks `jsonio` reads off integer rays
-with `rat_to_str` and `map_rank` of the Fraction maps (entries up to
-2^70, non-primitive rays, rank-deficient A), on generated inputs that
-stress the degenerate cases.
+and the ray-held `homs.AffineMap` (its equality, hash, Fraction
+accessors, `map_rank` and `jsonio.map_to_json`) with the map built
+from the Fractions c / t, `linalg.rank` and `rat_to_str` (entries up
+to 2^70, non-primitive rays, rank-deficient A), on generated inputs
+that stress the degenerate cases.
 """
 
 import logging
@@ -36,6 +37,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from math import gcd
 
 import pytest
 
@@ -764,13 +766,26 @@ def map_rays(draw):
     return tuple(k * x for x in [t, *b, *(x for row in A for x in row)]), m, n
 
 
-@given(map_rays())
-def test_ray_map_json_matches_fraction_map(case):
+@given(map_rays(), st.data())
+def test_ray_map_matches_fraction_map(case, data):
+    """`AffineMap.from_ray` of the primitive form of a drawn ray is the
+    map built from the Fractions c / t: equal and hash-equal, with the
+    same Fractions from its accessors, the rank of its Fraction matrix,
+    and the JSON of those Fractions."""
     ray, m, n = case
-    f = homs.unflatten_map([Fraction(c, ray[0]) for c in ray[1:]], m, n)
-    assert homs._ray_rank(ray, m, n) == homs.map_rank(f)
-    expected = {"A": [jsonio.vec_to_json(row) for row in f.matrix],
-                "b": jsonio.vec_to_json(f.offset),
-                "rank": homs.map_rank(f)}
-    assert jsonio.maps_to_json([ray], m, n) == [expected]
-    assert jsonio.map_to_json(f) == expected
+    flat = tuple(Fraction(c, ray[0]) for c in ray[1:])
+    b, A = flat[:n], tuple(flat[n + j * m: n + (j + 1) * m] for j in range(n))
+    g = gcd(*ray)
+    f = homs.AffineMap.from_ray(tuple(c // g for c in ray), m, n)
+    ref = homs.AffineMap(A, b)
+    assert f.ray == ref.ray and hash(f) == hash(ref)
+    # a matrix without rows has no width: only from_ray makes R^m -> R^0, m > 0
+    assert (f == ref) == (n > 0 or m == 0)
+    assert f.matrix == A and f.offset == b and homs.flatten_map(f) == flat
+    x = tuple(data.draw(st.lists(rationals, min_size=m, max_size=m)))
+    assert f.evaluate(x) == tuple(sum((a * y for a, y in zip(row, x)), c)
+                                  for row, c in zip(A, b))
+    assert homs.map_rank(f) == linalg.rank(A)
+    assert jsonio.map_to_json(f) == {"A": [jsonio.vec_to_json(row) for row in A],
+                                     "b": jsonio.vec_to_json(b),
+                                     "rank": linalg.rank(A)}

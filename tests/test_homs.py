@@ -14,7 +14,6 @@ from hompoly.homs import (
     rank_histogram,
     restrict_to_subcrosspolytope,
     structured_row_order,
-    unflatten_map,
 )
 from hompoly.linalg import mat, vec, zero_vec
 from hompoly.polytope import (
@@ -65,10 +64,30 @@ def test_build_hom_rejects_lower_dimensional_source():
 
 def test_flatten_round_trip():
     f = AffineMap(((F(1), F(2)), (F(3), F(4)), (F(5), F(6))), (F(7), F(8), F(9)))
-    assert unflatten_map(flatten_map(f), 2, 3) == f
+    assert f.ray == (1, 7, 8, 9, 1, 2, 3, 4, 5, 6)
+    assert AffineMap.from_ray(f.ray, 2, 3) == f
     # convention: offset first, then matrix rows
     assert flatten_map(f)[:3] == (7, 8, 9)
     assert flatten_map(f)[3:5] == (1, 2)
+
+
+def test_affine_map_is_its_primitive_ray():
+    """t is the lcm of the denominators; the accessors give the Fractions
+    back, and ints and Fractions of equal value give one map."""
+    f = AffineMap(((F(1, 2), F(0)), (F(-2, 3), F(1))), (F(1, 4), F(-1)))
+    assert f.ray == (12, 3, -12, 6, 0, -8, 12)
+    assert f.parts == (12, (3, -12), ((6, 0), (-8, 12)))
+    assert f.matrix == ((F(1, 2), F(0)), (F(-2, 3), F(1)))
+    assert f.offset == (F(1, 4), F(-1))
+    assert all(type(x) is Fraction for x in flatten_map(f) + f.evaluate([1, 3]))
+    assert f.evaluate([1, 3]) == (F(3, 4), F(4, 3))
+    g = AffineMap(((1, 0), (0, 1)), (0, 0))
+    assert g == identity_map(2) and hash(g) == hash(identity_map(2))
+    assert g != f and g != AffineMap.from_ray(g.ray, 1, 2)
+    with pytest.raises(ValueError):
+        AffineMap(((F(1), F(2)), (F(3),)), (F(0), F(0)))
+    with pytest.raises(ValueError):
+        AffineMap(((F(1), F(2)),), (F(0), F(0)))
 
 
 def test_enumerate_cube2_simplex2_has_15_vertex_maps():
@@ -174,6 +193,16 @@ def test_restrict_identity_gives_axis_inclusion():
     assert g.offset == zero_vec(3)
     # the restriction embeds the smaller crosspolytope into the larger
     assert is_vertex_map(g, standard("crosspolytope", 2), standard("crosspolytope", 3))
+
+
+def test_restriction_is_a_primitive_ray():
+    """b = 0 and A = (1/2, 1) restricted to axis 1 is x -> x, ray (1, 0, 1),
+    not (2, 0, 2): equal restrictions must be equal maps."""
+    f = AffineMap.from_ray((2, 0, 1, 2), 2, 1)
+    g = restrict_to_subcrosspolytope(f, [1])
+    expected = AffineMap(((1,),), (0,))
+    assert g.ray == expected.ray == (1, 0, 1)
+    assert g == expected and hash(g) == hash(expected)
 
 
 def test_cube_simplex_realization_smallest():

@@ -41,7 +41,7 @@ def test_polytope_json_vertex_order_is_canonical():
     assert data["vertices"] == sorted(data["vertices"])
 
 
-def test_map_round_trip():
+def test_map_to_json():
     F = Fraction
     cases = [
         (((F(1, 2), F(0)),), (F(-1),), 1),
@@ -57,7 +57,6 @@ def test_map_round_trip():
         assert data == {"A": [[jsonio.rat_to_str(x) for x in row] for row in A],
                         "b": [jsonio.rat_to_str(x) for x in b],
                         "rank": rank}
-        assert jsonio.map_from_json(data) == f
 
 
 def test_hom_json_contents():
