@@ -14,11 +14,18 @@ A vertex map is one primitive integer ray (t, c) of this space, c / t
 being its coordinates, as the DD kernel returns it.  `AffineMap` holds
 it, and this module is the only one that reads the layout of c.
 
+The rows are kept as exact as the data allow: Q's facets are primitive
+integer rows, so each entry u_j v_i is an int wherever it is integral
+(every entry, for a source with integer vertices) and a Fraction only
+where a rational vertex makes it so.
+
 Vertexhood of an individual map is decided by the active-set rank
 certificate: f is a vertex iff its tight constraints span R^{nm+n}.
 This is the exact polyhedral form of the perturbation criterion (a
 point of a polytope admits a line segment through it inside the
-polytope iff its active constraints do not span).
+polytope iff its active constraints do not span).  `is_vertex_map`
+reads containment and tightness off the same pass over the rows, in
+the integers of the ray and of the rows.
 """
 
 from __future__ import annotations
@@ -108,10 +115,13 @@ class AffineMap:
                      for d, c in zip([dot(row, x) for row in rows], b))
 
 
-def map_rank(f: AffineMap) -> int:
+def map_rank(f: AffineMap, rows=None) -> int:
     """Rank of the linear part = dimension of the image of a full-dim
-    source: the rank of the integer rows of t A, which is that of A."""
-    return len(_echelon([list(row) for row in f.parts[2]])[0])
+    source: the rank of the integer rows of t A, which is that of A.
+    A caller that has read `f.parts` passes its rows of t A as `rows`."""
+    if rows is None:
+        rows = f.parts[2]
+    return len(_echelon([list(row) for row in rows])[0])
 
 
 def flatten_map(f: AffineMap) -> Vec:
@@ -126,12 +136,13 @@ class HomPolytope:
     One row per (source vertex, target facet) pair, in that nesting
     order; `pairs[k]` records the (vertex index, facet index) behind
     row k.  The feasible set lives in R^{nm+n} with the flattening
-    convention above.
+    convention above.  Offsets and integral entries are ints, the
+    other entries Fractions (see the module docstring).
     """
 
     source: Polytope
     target: Polytope
-    rows: tuple[tuple[Vec, Fraction], ...]
+    rows: tuple[tuple[tuple[int | Fraction, ...], int], ...]
     pairs: tuple[tuple[int, int], ...]
 
     @property
@@ -148,14 +159,17 @@ class HomPolytope:
         return n * m + n
 
 
-def _hom_row(v: Vec, u: Vec, c: Fraction, m: int, n: int) -> tuple[Vec, Fraction]:
-    normal = list(u) + [Fraction(0)] * (n * m)
+def _hom_row(v: Vec, u: tuple[int, ...], c: int, m: int, n: int):
+    """The row u . f(v) <= c: u at b, u_j v_i at A_{j,i}, each entry an
+    int where it is integral."""
+    normal = list(u) + [0] * (n * m)
     for j in range(n):
         uj = u[j]
         if uj:
             base = n + j * m
             for i in range(m):
-                normal[base + i] = uj * v[i]
+                x = uj * v[i]
+                normal[base + i] = x.numerator if x.denominator == 1 else x
     return tuple(normal), c
 
 
@@ -239,19 +253,30 @@ def enumerate_vertex_maps(H: HomPolytope) -> tuple[AffineMap, ...]:
     return tuple(AffineMap.from_ray(ray, m, n) for ray in dd._sorted_rays(rays))
 
 
-def maps_into(f: AffineMap, P: Polytope, Q: Polytope) -> bool:
-    return all(Q.contains(f.evaluate(v)) for v in P.vertices)
-
-
 def is_vertex_map(f: AffineMap, P: Polytope, Q: Polytope,
                   hom: HomPolytope | None = None) -> bool:
-    """Active-set rank certificate for vertexhood of f in Hom(P, Q)."""
+    """Active-set rank certificate for vertexhood of f in Hom(P, Q).
+
+    One pass over the rows of `hom` (built when not given) in the
+    integers of f's ray (t, c): row n . x <= e holds at c / t iff
+    s = n . c <= t e, and is tight iff s = t e.  The rows are the
+    conditions f(v) in Q, so a failing row raises ValueError; f is a
+    vertex iff its tight rows have full rank.
+    """
     if hom is None:
         hom = build_hom(P, Q)
-    if not maps_into(f, P, Q):
-        raise ValueError("map does not send the source into the target")
     t, x = f.ray[0], f.ray[1:]
-    return rank([n for n, c in hom.rows if dot(n, x) == t * c]) == hom.ambient_dim
+    if len(x) != hom.ambient_dim:
+        raise ValueError(f"map of {len(x)} coordinates, hom of {hom.ambient_dim}")
+    tight = []
+    for n, e in hom.rows:
+        s = sum([a * b for a, b in zip(n, x) if a])
+        te = t * e
+        if s > te:
+            raise ValueError("map does not send the source into the target")
+        if s == te:
+            tight.append(n)
+    return rank(tight) == hom.ambient_dim
 
 
 def rank_histogram(maps) -> dict[int, int]:

@@ -7,8 +7,10 @@ produce byte-identical JSON.
 
 A vertex map is written from the integers of its ray (t, t b, rows of
 t A; see `homs.AffineMap`): `map_to_json` builds each coordinate string
-of x = c / t from gcd(c, t) and takes the rank from `homs.map_rank`, so
-no Fraction is made on the way from the kernel to the file.
+of x = c / t from gcd(c, t) and hands the rows of t A it read to
+`homs.map_rank`, so no Fraction is made on the way from the kernel to
+the file and the ray is sliced once.  Facet and hom rows hold ints
+(see `polytope`), which `rat_to_str` writes without a Fraction.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ if TYPE_CHECKING:
 
 
 def rat_to_str(x) -> str:
+    if type(x) is int:  # the entries of integer facet and hom rows
+        return str(x)
     if type(x) is not Fraction:  # a Fraction is already in lowest terms
         x = Fraction(x)
     if x.denominator == 1:
@@ -134,11 +138,12 @@ def _ray_str(c: int, t: int) -> str:
 
 def map_to_json(f: AffineMap) -> dict:
     t, b, rows = f.parts
+    rank = map_rank(f, rows)
     if t == 1:
         return {"A": [list(map(str, row)) for row in rows], "b": list(map(str, b)),
-                "rank": map_rank(f)}
+                "rank": rank}
     return {"A": [[_ray_str(c, t) for c in row] for row in rows],
-            "b": [_ray_str(c, t) for c in b], "rank": map_rank(f)}
+            "b": [_ray_str(c, t) for c in b], "rank": rank}
 
 
 def hom_to_json(H: HomPolytope, source_desc: dict, target_desc: dict) -> dict:

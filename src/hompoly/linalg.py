@@ -4,6 +4,8 @@ Scalars are `fractions.Fraction`, which already maintains the canonical
 form (lowest terms, positive denominator, zero as 0/1).  Vectors are
 tuples of Fractions and matrices are tuples of row tuples, so every
 value is immutable and hashable and every operation is a pure function.
+A primitive row (`primitive`) is the exception: a tuple of coprime
+ints, the form facet and equation rows keep (see `polytope`).
 Nothing in the computation path touches floating point; approximate
 values exist only in CLI pretty-printing.
 
@@ -90,16 +92,13 @@ def neg(u: Vec) -> Vec:
     return tuple(-a for a in u)
 
 
-def is_zero(u: Vec) -> bool:
-    return all(a == 0 for a in u)
-
-
 def mat(rows) -> Mat:
     return tuple(vec(r) for r in rows)
 
 
-def primitive(v: Vec, orient: bool = False) -> Vec:
-    """Scale to coprime integer entries.
+def primitive(v, orient: bool = False) -> tuple[int, ...]:
+    """The primitive integer row of a rational row: coprime ints, as a
+    tuple of `int`s (a zero row stays zero).
 
     Only positive scalings are applied, so inequality directions are
     preserved.  With `orient` the sign is also fixed so the first
@@ -109,7 +108,7 @@ def primitive(v: Vec, orient: bool = False) -> Vec:
     ints = _int_row(v)
     if orient and next((a for a in ints if a), 0) < 0:
         ints = [-a for a in ints]
-    return tuple(Fraction(a) for a in ints)
+    return tuple(ints)
 
 
 def _int_row(row) -> list[int]:
@@ -259,10 +258,11 @@ def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
 @dataclass(frozen=True)
 class AffineHull:
     """Affine hull of a point set: its dimension and (normal, offset)
-    pairs with normal . x = offset cutting it out."""
+    pairs with normal . x = offset cutting it out, each normal a
+    primitive integer row."""
 
     dim: int
-    equations: tuple[tuple[Vec, Fraction], ...]
+    equations: tuple[tuple[tuple[int, ...], Fraction], ...]
 
 
 def affine_hull(points) -> AffineHull:

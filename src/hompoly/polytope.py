@@ -18,7 +18,11 @@ matters:
 - inequality rows are scaled to coprime integers (positive scaling
   only), reduced modulo the equation rows, and sorted;
 - equation rows are the primitive reduced row echelon form of the
-  affine hull's equation system.
+  affine hull's equation system;
+- both are held as those integers: a row (normal, offset) is a tuple
+  of ints and an int, so checks against it (`homs.is_vertex_map`) and
+  the DD kernel read it without Fraction arithmetic.  The empty system
+  is the single row 0 . x <= -1.
 
 Both conversions run in one coordinate frame: the columns that lead no
 canonical equation.  Each leading column is zero in every other
@@ -62,7 +66,6 @@ from .linalg import (
     add,
     affine_hull,
     dot,
-    is_zero,
     neg as vneg,
     primitive,
     rank,
@@ -72,14 +75,15 @@ from .linalg import (
     zero_vec,
 )
 
-IneqRow = tuple[Vec, Fraction]
+IneqRow = tuple[tuple[int, ...], int]
 
 COMBINATORIAL_GUARD = 200  # vertices, in `combinatorially_equal`
 
 
 @dataclass(frozen=True)
 class HRep:
-    """Facet inequalities (normal . x <= offset) plus affine-hull equations."""
+    """Facet inequalities (normal . x <= offset) plus affine-hull
+    equations (normal . x = offset), each row primitive integers."""
 
     inequalities: tuple[IneqRow, ...]
     equations: tuple[IneqRow, ...]
@@ -87,39 +91,39 @@ class HRep:
 
 def _canonical_equations(eqs) -> tuple[tuple[IneqRow, ...], list[list[Fraction]], list[int]]:
     """Joint RREF of equation rows; also returns raw rows and pivots for reduction."""
-    rows = [list(normal) + [offset] for normal, offset in eqs]
-    rows = [r for r in rows if any(x != 0 for x in r)]
+    rows = [[*normal, offset] for normal, offset in eqs]
+    rows = [r for r in rows if any(r)]
     if not rows:
         return (), [], []
     red, pivots = rref(rows)
     canon = []
     for row in red:
-        p = primitive(tuple(row), orient=True)
+        p = primitive(row, orient=True)
         canon.append((p[:-1], p[-1]))
     return tuple(canon), red, pivots
 
 
-def _reduce_ineq(normal: Vec, offset: Fraction, eq_red, eq_pivots) -> IneqRow:
+def _reduce_ineq(normal, offset, eq_red, eq_pivots) -> IneqRow:
     """Subtract equation rows to zero the equation-pivot coordinates."""
-    row = list(normal) + [offset]
+    row = [*normal, offset]
     for erow, p in zip(eq_red, eq_pivots):
         f = row[p]
-        if f != 0:
+        if f:
             row = [x - f * y for x, y in zip(row, erow)]
-    p = primitive(tuple(row))
-    return (p[:-1], p[-1])
+    p = primitive(row)
+    return p[:-1], p[-1]
 
 
 def _canonical_hrep(ineqs, eqs) -> HRep:
     canon_eqs, eq_red, eq_pivots = _canonical_equations(eqs)
     if eq_pivots and eq_pivots[-1] == len(eq_red[0]) - 1:
         # an equation reduced to 0 = c with c != 0: the canonical empty system
-        return HRep(((zero_vec(eq_pivots[-1]), Fraction(-1)),), ())
+        return HRep((((0,) * eq_pivots[-1], -1),), ())
     seen = set()
     rows = []
     for normal, offset in ineqs:
-        n, c = _reduce_ineq(vec(normal), Fraction(offset), eq_red, eq_pivots)
-        if is_zero(n):
+        n, c = _reduce_ineq(normal, offset, eq_red, eq_pivots)
+        if not any(n):
             if c < 0:  # 0 <= c < 0: the canonical empty system
                 return HRep(((n, c),), ())
             continue
@@ -240,8 +244,7 @@ def _vertices_from_hrep(rays, equations, ambient: int) -> list[Vec]:
     the identity.
     """
     frame, lead = _frame(equations, ambient)
-    eqs = [([int(n[i]) for i in frame], int(e), p, int(n[p]))
-           for (n, e), p in zip(equations, lead)]
+    eqs = [([n[i] for i in frame], e, p, n[p]) for (n, e), p in zip(equations, lead)]
     L = lcm(*(n_p for *_, n_p in eqs))
     lifted = []
     for t, *c in rays:
@@ -260,7 +263,7 @@ def _hrep_from_vertices(points, ambient: int) -> tuple[HRep, tuple[Vec, ...]]:
     vertex iff the AND of the bitsets of the facets through it is {k}
     (the module docstring has the proof)."""
     if not points:
-        return HRep(((zero_vec(ambient), Fraction(-1)),), ()), ()
+        return HRep((((0,) * ambient, -1),), ()), ()
     eqs = _canonical_equations(affine_hull(points).equations)[0]
     frame, _ = _frame(eqs, ambient)
     if not frame:  # a single point: no facets
@@ -328,21 +331,18 @@ def standard(kind: str, n: int) -> Polytope:
     if kind == "simplex":
         verts = [zero_vec(n)] + [tuple(one if j == i else Fraction(0) for j in range(n))
                                  for i in range(n)]
-        ineqs = [(tuple(-one if j == i else Fraction(0) for j in range(n)), Fraction(0))
-                 for i in range(n)]
-        ineqs.append(((one,) * n, one))
+        ineqs = [(tuple(-1 if j == i else 0 for j in range(n)), 0) for i in range(n)]
+        ineqs.append(((1,) * n, 1))
     elif kind == "cube":
         verts = [tuple(Fraction(s) for s in signs) for signs in product((-1, 1), repeat=n)]
-        ineqs = []
-        for i in range(n):
-            for s in (-1, 1):
-                ineqs.append((tuple(Fraction(s) if j == i else Fraction(0) for j in range(n)), one))
+        ineqs = [(tuple(s if j == i else 0 for j in range(n)), 1)
+                 for i in range(n) for s in (-1, 1)]
     elif kind == "crosspolytope":
         verts = []
         for i in range(n):
             for s in (-1, 1):
                 verts.append(tuple(Fraction(s) if j == i else Fraction(0) for j in range(n)))
-        ineqs = [(tuple(Fraction(s) for s in signs), one) for signs in product((-1, 1), repeat=n)]
+        ineqs = [(signs, 1) for signs in product((-1, 1), repeat=n)]
     else:
         raise ValueError(f"unknown polytope kind {kind!r}")
     return Polytope(n, tuple(sorted(verts)), _canonical_hrep(ineqs, ()))
@@ -359,7 +359,8 @@ def polar_dual(P: Polytope) -> Polytope:
     h = P.hrep
     if any(c <= 0 for _, c in h.inequalities):
         raise ValueError("polar dual needs the origin in the interior")
-    verts = sorted(scale(n, 1 / c) for n, c in h.inequalities)
+    # c is an int: Fraction(1, c), not the float 1 / c
+    verts = sorted(scale(n, Fraction(1, c)) for n, c in h.inequalities)
     ineqs = [(v, Fraction(1)) for v in P.vertices]
     return Polytope(d, tuple(verts), _canonical_hrep(ineqs, ()))
 

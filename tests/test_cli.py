@@ -423,6 +423,46 @@ def test_polytope_file_with_infeasible_zero_normal_row_is_empty(tmp_path, capsys
     assert out == "" and "full-dimensional" in err
 
 
+# a quadrilateral with rational vertices; its facet offsets are 10, 7, 1
+# and 2, those of its polar dual 10, 7, 3 and 4
+RATIONAL_QUAD = {"ambient_dim": 2, "vertices": [
+    ["1/3", "0"], ["-1/2", "1/5"], ["0", "-2/7"], ["1/4", "1/4"]]}
+
+
+def test_dual_of_rational_quadrilateral_is_pinned(tmp_path, capsys):
+    """The dual's vertices are the normals over the (int) facet offsets;
+    1 / 10 and 1 / 7 taken as floats would give other vertices."""
+    poly_file = tmp_path / "quad.json"
+    poly_file.write_text(json.dumps(RATIONAL_QUAD))
+    code, out, _ = run_cli(capsys, "dual", f"file:{poly_file}", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "ambient_dim": 2, "equations": [],
+        "inequalities": [{"normal": ["-5", "2"], "offset": "10"},
+                         {"normal": ["0", "-2"], "offset": "7"},
+                         {"normal": ["1", "0"], "offset": "3"},
+                         {"normal": ["1", "1"], "offset": "4"}],
+        "vertices": [["-17/5", "-7/2"], ["-2/7", "30/7"], ["3", "-7/2"], ["3", "1"]]}
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8bd45e079d76bab7d61fe35f883684de50097c3de430aaed09b9c40d35ab2e1d")
+
+
+def test_construct_from_rational_quadrilateral_is_pinned(tmp_path, capsys, monkeypatch):
+    """Hom rows of a rational source: the entries that are not integral
+    stay Fractions, and the JSON is the one written when every entry
+    was a Fraction.  The file is named relative to the working directory
+    because the output records its path."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "quad.json").write_text(json.dumps(RATIONAL_QUAD))
+    code, out, _ = run_cli(capsys, "construct", "file:quad.json", "simplex:2", "--json")
+    assert code == 0
+    rows = json.loads(out)["inequalities"]
+    assert len(rows) == 12 and rows[0] == {"normal": ["-1", "0", "1/2", "-1/5", "0", "0"],
+                                           "offset": "0"}
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d7bc80863f32a8242fec98e82df50d72125fb4d15b7e41a025416f26f2264fc8")
+
+
 def test_polytope_file_with_contradictory_equation_is_empty(tmp_path, capsys):
     from hompoly import jsonio
     from hompoly.cli import parse_polytope_spec

@@ -23,7 +23,10 @@ n <= 4) with a barycentric solve, `linalg.cofactor_vector` and the masks
 built from it with `int_det` on cube faces, singular ones included, the
 id-based `groups.orbit_count` with a sweep over point tuples, the
 canonical H-rep of systems with zero-normal and dependent equations with
-exhaustive basis enumeration, and the crosspolytope flag of
+exhaustive basis enumeration (its rows ints), `homs.is_vertex_map` with
+the vertex-certificate oracle on small homs from integer and rational
+sources (vertex maps, points between two, drawn rays that often leave
+the target), the crosspolytope flag of
 `verify._cross_record` with the image's H-rep and isomorphism search,
 and the ray-held `homs.AffineMap` (its equality, hash, Fraction
 accessors, `map_rank` and `jsonio.map_to_json`) with the map built
@@ -52,6 +55,7 @@ from _oracles import (  # noqa: E402
     leibniz_det,
     oracle_rref,
     origin_inside_oracle,
+    vertex_certificate_ok,
 )
 from hompoly import counts, dd, groups, homs, jsonio, linalg, polytope, verify  # noqa: E402
 from hompoly.errors import UnboundedPolytopeError  # noqa: E402
@@ -674,6 +678,7 @@ def test_canonical_hrep_with_equations_matches_brute_force(system):
     assert polytope._vertices_from_hrep(*P._rays, dim) == expected
     assert list(P.vertices) == expected
     h = polytope._canonical_hrep(ineqs, eqs)
+    assert all(type(x) is int for u, c in h.inequalities + h.equations for x in (*u, c))
     _, pivots = oracle_rref([list(u) + [c] for u, c in eqs])
     if dim in pivots:  # the equations alone reduce to 0 = 1
         assert h == polytope.empty_polytope(dim).hrep
@@ -725,6 +730,56 @@ def test_cross_record_matches_image_oracle(f):
     image = homs.image_polytope(f, P)
     assert verify._cross_record(f) == (homs.map_rank(f),
                                        polytope.combinatorially_equal(image, model))
+
+
+@st.composite
+def small_homs_with_maps(draw):
+    """Hom(P, Q) for a full-dimensional P in R^1 or R^2 with integer or
+    rational vertices and a standard Q in R^1 or R^2, with a map: one of
+    its vertex maps, a point between two of them, or a drawn ray, which
+    often sends P outside Q."""
+    m = draw(st.sampled_from([1, 2]))
+    coord = st.integers(-3, 3)
+    if draw(st.booleans()):
+        coord = st.one_of(coord, st.fractions(min_value=-3, max_value=3, max_denominator=5))
+    points = draw(st.lists(st.tuples(*[coord] * m), min_size=m + 1, max_size=5))
+    P = polytope.from_points(points, m)
+    assume(P.dim == m)
+    Q = polytope.standard(draw(st.sampled_from(["simplex", "cube", "crosspolytope"])),
+                          draw(st.sampled_from([1, 2])))
+    H = homs.build_hom(P, Q)
+    n = Q.ambient_dim
+    kind = draw(st.sampled_from(["vertex", "between", "ray"]))
+    if kind == "ray":
+        t = draw(st.integers(1, 4))
+        c = draw(st.lists(st.integers(-6, 6), min_size=H.ambient_dim, max_size=H.ambient_dim))
+        g = gcd(t, *c)
+        return H, homs.AffineMap.from_ray(tuple(a // g for a in (t, *c)), m, n)
+    maps = homs.enumerate_vertex_maps(H)
+    f = draw(st.sampled_from(maps))
+    if kind == "vertex":
+        return H, f
+    # (k f + l g) / (k + l) in the integers of the two rays
+    g, k, l = draw(st.sampled_from(maps)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    (s, *x), (u, *y) = f.ray, g.ray
+    ray = [(k + l) * s * u, *(k * u * a + l * s * b for a, b in zip(x, y))]
+    d = gcd(*ray)
+    return H, homs.AffineMap.from_ray(tuple(a // d for a in ray), m, n)
+
+
+@given(small_homs_with_maps())
+def test_is_vertex_map_matches_certificate_oracle(case):
+    """The one integer pass over the hom rows raises exactly when a row
+    fails at the map and otherwise agrees with the Fraction oracle."""
+    H, f = case
+    x = homs.flatten_map(f)
+    inside = all(sum((a * b for a, b in zip(u, x)), Fraction(0)) <= c for u, c in H.rows)
+    if not inside:
+        with pytest.raises(ValueError):
+            homs.is_vertex_map(f, H.source, H.target, hom=H)
+        return
+    assert homs.is_vertex_map(f, H.source, H.target, hom=H) == \
+        vertex_certificate_ok([x], H.rows, ())
 
 
 # integers up to 2^70 in size, with small values and 0 drawn often

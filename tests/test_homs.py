@@ -24,7 +24,7 @@ from hompoly.polytope import (
     standard,
 )
 
-from _oracles import brute_force_vertices, oracle_rref
+from _oracles import brute_force_vertices, oracle_rref, vertex_certificate_ok
 
 F = Fraction
 
@@ -54,6 +54,32 @@ def test_build_hom_crosspolytope3_simplex3():
     H = build_hom(standard("crosspolytope", 3), standard("simplex", 3))
     assert len(H.rows) == 24
     assert H.ambient_dim == 12
+
+
+def _is_int_row(normal, offset):
+    return type(normal) is tuple and all(type(x) is int for x in (*normal, offset))
+
+
+@pytest.mark.parametrize("source", ["simplex", "cube", "crosspolytope"])
+@pytest.mark.parametrize("target", ["simplex", "cube", "crosspolytope"])
+def test_hom_rows_of_standard_polytopes_are_int_tuples(source, target):
+    """Facet rows and the hom rows built from them hold ints, so
+    `is_vertex_map` and the DD kernel read them without Fractions."""
+    for m, n in [(1, 2), (2, 2), (3, 2)]:
+        P, Q = standard(source, m), standard(target, n)
+        for h in (P.hrep, Q.hrep):
+            assert all(_is_int_row(u, c) for u, c in h.inequalities + h.equations)
+        H = build_hom(P, Q)
+        assert all(_is_int_row(u, c) for u, c in H.rows)
+
+
+def test_hom_rows_of_a_rational_source_keep_fractions_where_not_integral():
+    P = from_points([(F(1, 3), 0), (F(-1, 2), F(1, 5)), (0, F(-2, 7)), (F(1, 4), F(1, 4))])
+    H = build_hom(P, standard("simplex", 2))
+    entries = [x for u, c in H.rows for x in (*u, c)]
+    assert all(type(x) is int or x.denominator > 1 for x in entries)
+    assert {type(x) for x in entries} == {int, Fraction}
+    assert all(type(c) is int for _, c in H.rows)
 
 
 def test_build_hom_rejects_lower_dimensional_source():
@@ -136,10 +162,41 @@ def test_barycenter_constant_is_not_a_vertex_map():
     assert not is_vertex_map(f, P, Q)
 
 
+def _row_excess(H, f):
+    """u . f(v) - c on each hom row, in Fractions."""
+    x = flatten_map(f)
+    return [sum((a * b for a, b in zip(u, x)), F(0)) - c for u, c in H.rows]
+
+
 def test_is_vertex_map_rejects_outside_maps():
     P, Q = standard("cube", 2), standard("simplex", 2)
     with pytest.raises(ValueError):
         is_vertex_map(constant_map([5, 5], 2), P, Q)
+    # Rays with t = 3 that break exactly one hom row by 1/3, next to rays
+    # that meet that row with equality.  [0, 3] -> [0, 1]: x -> (x - 1) / 3
+    # breaks -f(0) <= 0, and x -> x / 3 is a vertex map.  The square into
+    # the triangle: f(x) = (0, (1 - x_1 - x_2) / 3) breaks -f_2(1, 1) <= 0,
+    # and f(x) = (0, (1 - x_2) / 3), tight there, is not a vertex map.
+    seg = from_points([(0,), (3,)])
+    cases = [(seg, standard("simplex", 1), (3, -1, 1), (3, 0, 1), True),
+             (P, Q, (3, 0, 1, 0, 0, -1, -1), (3, 0, 1, 0, 0, 0, -1), False)]
+    for source, target, out_ray, on_ray, verdict in cases:
+        H = build_hom(source, target)
+        m, n = source.ambient_dim, target.ambient_dim
+        outside = AffineMap.from_ray(out_ray, m, n)
+        on = AffineMap.from_ray(on_ray, m, n)
+        excess = _row_excess(H, outside)
+        broken = [k for k, e in enumerate(excess) if e > 0]
+        assert len(broken) == 1 and excess[broken[0]] == F(1, 3)
+        assert _row_excess(H, on)[broken[0]] == 0
+        assert max(_row_excess(H, on)) == 0
+        for hom in (None, H):
+            with pytest.raises(ValueError, match="does not send"):
+                is_vertex_map(outside, source, target, hom=hom)
+            assert is_vertex_map(on, source, target, hom=hom) is verdict
+        assert vertex_certificate_ok([flatten_map(on)], H.rows, ()) is verdict
+    with pytest.raises(ValueError, match="coordinates"):  # a map R^1 -> R^1
+        is_vertex_map(AffineMap.from_ray((1, 0, 0), 1, 1), P, Q)
 
 
 def test_map_rank():
