@@ -16,6 +16,7 @@ the file and the ray is sliced once.  Facet and hom rows hold ints
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING
@@ -39,10 +40,26 @@ def rat_to_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+# an optional minus, then digits and an optional "/digits", each part at
+# most 4,300 digits (CPython's default cap on int strings, which not every
+# 3.10 build enforces)
+_RATIONAL = re.compile(r"-?[0-9]{1,4300}(/[0-9]{1,4300})?")
+
+
 def str_to_rat(s: str) -> Fraction:
-    if isinstance(s, bool) or not isinstance(s, (str, int)):
+    """The rational of an int (not a bool) or of a string "p" or "p/q".
+
+    Anything else raises ValueError: exponents, decimals, underscores,
+    spaces, a sign on the denominator, a zero denominator.
+    """
+    if isinstance(s, int) and not isinstance(s, bool):
+        return Fraction(s)
+    if not (isinstance(s, str) and _RATIONAL.fullmatch(s)):
         raise ValueError(f"expected a rational string, got {s!r}")
-    return Fraction(s)
+    num, _, den = s.partition("/")
+    if den and not int(den):
+        raise ValueError(f"zero denominator in {s!r}")
+    return Fraction(int(num), int(den or 1))
 
 
 def vec_to_json(v: Vec) -> list[str]:

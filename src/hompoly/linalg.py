@@ -22,9 +22,11 @@ divided exactly by the previous pivot, which keeps entries as small as
 the minors of the input.  The forward sweep gives rank, determinants and
 the greedy choice of independent rows, each in one sweep over all the
 rows; the reduced sweep, which also clears the rows above each pivot,
-gives the reduced row echelon form (rows divided by their pivots only
-on return), the equations `affine_hull` reads off it, cofactor vectors
-and the DD kernel's inverse of its initial basis.
+leaves every pivot entry equal to the last pivot d, so its integer rows
+are d times the reduced row echelon form.  Those rows are the result:
+the canonical equations of `polytope`, the integer nullspace that
+`affine_hull` and `cofactor_vector` read off them, and the DD kernel's
+inverse of its initial basis; no elimination hands back Fraction rows.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def vec(values) -> Vec:
@@ -79,10 +80,6 @@ def add(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def sub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def scale(u: Vec, c) -> Vec:
     c = Fraction(c)
     return tuple(c * a for a in u)
@@ -90,10 +87,6 @@ def scale(u: Vec, c) -> Vec:
 
 def neg(u: Vec) -> Vec:
     return tuple(-a for a in u)
-
-
-def mat(rows) -> Mat:
-    return tuple(vec(r) for r in rows)
 
 
 def primitive(v, orient: bool = False) -> tuple[int, ...]:
@@ -238,56 +231,42 @@ def rank(M) -> int:
     return len(_echelon([r for r in map(_int_row, M) if any(r)])[0])
 
 
-def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals.
-
-    Returns the nonzero rows and the pivot column indices.  Elimination
-    runs on integer-cleared rows (`_echelon` with `reduced`); entries
-    become Fractions only in the returned rows, each row divided by its
-    pivot entry.
-    """
-    rows = [_int_row(row) for row in rows]
-    pivots, _ = _echelon(rows, reduced=True)
-    out = []
-    for row, c in zip(rows, pivots):
-        p = row[c]
-        out.append([Fraction(a, p) if a else ZERO for a in row])
-    return out, pivots
-
-
 @dataclass(frozen=True)
 class AffineHull:
-    """Affine hull of a point set: its dimension and (normal, offset)
-    pairs with normal . x = offset cutting it out, each normal a
-    primitive integer row."""
+    """Affine hull of a point set: its dimension and the rows
+    (normal, offset) with normal . x = offset cutting it out, each a
+    primitive int row whose normal leads with a positive entry."""
 
     dim: int
-    equations: tuple[tuple[tuple[int, ...], Fraction], ...]
+    equations: tuple[tuple[tuple[int, ...], int], ...]
 
 
 def affine_hull(points) -> AffineHull:
     """Affine hull of a nonempty list of points of common dimension.
 
-    One equation per non-pivot column f of the reduced differences
-    p - p0: its normal is 1 at f and minus column f of the reduced rows
-    at the pivots, scaled to a primitive integer row.
+    The equations are the integer nullspace of the homogeneous rows
+    (1, p), found in one reduced `_echelon` sweep.  Column 0 is a pivot,
+    and the dimension is the number of the others.  With d the last
+    pivot, each non-pivot column f gives the nullspace vector v with d
+    at f and minus column f of the reduced rows at the pivots, that is
+    the equation v[1:] . x = -v[0], scaled to a primitive int row.
     """
-    pts = [vec(p) for p in points]
-    if not pts:
+    rows = [_int_row([1, *p]) for p in points]
+    if not rows:
         raise ValueError("affine hull of an empty point set")
-    n = len(pts[0])
-    if any(len(p) != n for p in pts):
+    n = len(rows[0])
+    if any(len(row) != n for row in rows):
         raise ValueError("points of mixed dimension")
-    p0 = pts[0]
-    red, pivots = rref(sub(p, p0) for p in pts[1:])
+    pivots, _ = _echelon(rows, reduced=True)
+    d = rows[0][0]  # every pivot entry equals the last pivot
     equations = []
-    for f in range(n):
+    for f in range(1, n):
         if f in pivots:
             continue
-        raw = [ZERO] * n
-        raw[f] = ONE
-        for row, c in zip(red, pivots):
-            raw[c] = -row[f]
-        normal = primitive(raw, orient=True)
-        equations.append((normal, dot(normal, p0)))
-    return AffineHull(len(pivots), tuple(equations))
+        v = [0] * n
+        v[f] = d
+        for row, c in zip(rows, pivots):
+            v[c] = -row[f]
+        eq = primitive([*v[1:], -v[0]], orient=True)
+        equations.append((eq[:-1], eq[-1]))
+    return AffineHull(len(pivots) - 1, tuple(equations))

@@ -62,6 +62,7 @@ from . import dd
 from .errors import SizeGuardError
 from .linalg import (
     Vec,
+    _echelon,
     _int_row,
     add,
     affine_hull,
@@ -69,7 +70,6 @@ from .linalg import (
     neg as vneg,
     primitive,
     rank,
-    rref,
     scale,
     vec,
     zero_vec,
@@ -89,40 +89,45 @@ class HRep:
     equations: tuple[IneqRow, ...]
 
 
-def _canonical_equations(eqs) -> tuple[tuple[IneqRow, ...], list[list[Fraction]], list[int]]:
-    """Joint RREF of equation rows; also returns raw rows and pivots for reduction."""
-    rows = [[*normal, offset] for normal, offset in eqs]
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return (), [], []
-    red, pivots = rref(rows)
+def _canonical_equations(eqs) -> tuple[IneqRow, ...]:
+    """The canonical equation rows of a system: its reduced row echelon
+    form, each row primitive with a positive leading entry.  The rows
+    are cleared to ints first (input rows may hold Fractions) and swept
+    once; a system that reduces to 0 = c ends in the row (0, c), c > 0."""
+    rows = [_int_row([*normal, offset]) for normal, offset in eqs]
+    pivots, _ = _echelon(rows, reduced=True)
     canon = []
-    for row in red:
+    for row in rows[:len(pivots)]:
         p = primitive(row, orient=True)
         canon.append((p[:-1], p[-1]))
-    return tuple(canon), red, pivots
+    return tuple(canon)
 
 
-def _reduce_ineq(normal, offset, eq_red, eq_pivots) -> IneqRow:
-    """Subtract equation rows to zero the equation-pivot coordinates."""
+def _reduce_ineq(normal, offset, eqs, lead) -> IneqRow:
+    """Zero the leading column p of each canonical equation (n, e) in an
+    inequality row: row <- n_p row - row_p (n, e).  The multiplier n_p
+    is > 0, so the inequality keeps its direction.  The steps are exact
+    on Fraction entries too; `primitive` clears the result."""
     row = [*normal, offset]
-    for erow, p in zip(eq_red, eq_pivots):
+    for (n, e), p in zip(eqs, lead):
         f = row[p]
         if f:
-            row = [x - f * y for x, y in zip(row, erow)]
+            n_p = n[p]
+            row = [n_p * x - f * y for x, y in zip(row, (*n, e))]
     p = primitive(row)
     return p[:-1], p[-1]
 
 
 def _canonical_hrep(ineqs, eqs) -> HRep:
-    canon_eqs, eq_red, eq_pivots = _canonical_equations(eqs)
-    if eq_pivots and eq_pivots[-1] == len(eq_red[0]) - 1:
+    canon_eqs = _canonical_equations(eqs)
+    if canon_eqs and not any(canon_eqs[-1][0]):
         # an equation reduced to 0 = c with c != 0: the canonical empty system
-        return HRep((((0,) * eq_pivots[-1], -1),), ())
+        return HRep(((canon_eqs[-1][0], -1),), ())
+    lead = [next(i for i, x in enumerate(n) if x) for n, _ in canon_eqs]
     seen = set()
     rows = []
     for normal, offset in ineqs:
-        n, c = _reduce_ineq(normal, offset, eq_red, eq_pivots)
+        n, c = _reduce_ineq(normal, offset, canon_eqs, lead)
         if not any(n):
             if c < 0:  # 0 <= c < 0: the canonical empty system
                 return HRep(((n, c),), ())
@@ -264,7 +269,7 @@ def _hrep_from_vertices(points, ambient: int) -> tuple[HRep, tuple[Vec, ...]]:
     (the module docstring has the proof)."""
     if not points:
         return HRep((((0,) * ambient, -1),), ()), ()
-    eqs = _canonical_equations(affine_hull(points).equations)[0]
+    eqs = _canonical_equations(affine_hull(points).equations)
     frame, _ = _frame(eqs, ambient)
     if not frame:  # a single point: no facets
         return HRep((), eqs), tuple(points)

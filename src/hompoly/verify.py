@@ -49,11 +49,12 @@ from .homs import (
     restrict_to_subcrosspolytope,
 )
 from .linalg import (
-    affine_hull,
+    _echelon,
+    _int_row,
     dot,
     int_det,
+    primitive,
     rank,
-    rref,
     zero_vec,
 )
 from .polytope import (
@@ -154,8 +155,9 @@ def _claim_dim_formula(source: str, m: int, target: str, n: int):
     if H.ambient_dim != expected:
         return False, {"ambient": H.ambient_dim, "expected": expected}
     # build_hom certified an interior point, so the system is full-dimensional;
-    # cross-check through the enumerated vertex set
-    got = affine_hull([flatten_map(f) for f in maps]).dim
+    # cross-check through the enumerated vertex set: the rays (t, c) are
+    # homogeneous, so their rank minus one is the dimension of its hull
+    got = rank([f.ray for f in maps]) - 1
     if got != expected:
         return False, {"hull_dim": got, "expected": expected}
     return True, None
@@ -374,11 +376,13 @@ def _full_rank_diamond_witness(n: int) -> AffineMap:
     src = list(sandwich.vertices)
     dst = list(target.vertices)
     # affine map determined by where the n+1 simplex vertices go: the
-    # reduced rows (s, 1 | d) read (I | X) with (s, 1) X = d
-    red, _ = rref([list(s) + [1] + list(d) for s, d in zip(src, dst)])
-    matrix = tuple(tuple(red[i][n + 1 + j] for i in range(n)) for j in range(n))
-    offset = tuple(red[n][n + 1 + j] for j in range(n))
-    return AffineMap(matrix, offset)
+    # reduced integer rows (s, 1 | d) read (D I | D X) with (s, 1) X = d and
+    # D the last pivot; the map's ray is D (b, A) with b = X[n], A = X[:n]^T
+    rows = [_int_row([*s, 1, *d]) for s, d in zip(src, dst)]
+    _echelon(rows, reduced=True)
+    ray = primitive([rows[n][n], *rows[n][n + 1:],
+                     *(rows[i][n + 1 + j] for j in range(n) for i in range(n))], orient=True)
+    return AffineMap.from_ray(ray, n, n)
 
 
 def _claim_diamond_image_shape_witness(m: int, n: int):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -361,6 +362,20 @@ def test_malformed_polytope_file_is_usage_error(tmp_path, capsys, payload):
     code, _, err = run_cli(capsys, "construct", f"file:{poly_file}", "cube:1")
     assert code == 2
     assert "polytope JSON" in err
+
+
+@pytest.mark.parametrize("number", [
+    "1e10000000",   # Fraction would build a 33 M-bit integer from it
+    "0.5", "1_000", " 1/2 ", "1/0", "1/-2", "--1",
+])
+def test_malformed_number_in_polytope_file_is_usage_error(tmp_path, capsys, number):
+    poly_file = tmp_path / "poly.json"
+    poly_file.write_text(json.dumps({"ambient_dim": 1, "vertices": [["0"], [number]]}))
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "construct", f"file:{poly_file}", "cube:1")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert repr(number) in err
 
 
 def test_polytope_file_interior_point_is_not_a_vertex(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Differential tests: the exact kernels against the brute-force oracles.
 
 `linalg.dot` is compared with the naive Fraction sum and `linalg.vec`
-checked to be idempotent, `linalg.rref` and the greedy
+checked to be idempotent, the integer rows of the reduced `linalg._echelon`
+sweep, `linalg.affine_hull` on rational points and the greedy
 `linalg._independent_rows` with the oracle's textbook Fraction
 elimination (and its choice on each prefix of hom rows and
 rank-deficient rows with its choice on all of them), `linalg.int_det`
@@ -23,7 +24,8 @@ n <= 4) with a barycentric solve, `linalg.cofactor_vector` and the masks
 built from it with `int_det` on cube faces, singular ones included, the
 id-based `groups.orbit_count` with a sweep over point tuples, the
 canonical H-rep of systems with zero-normal and dependent equations with
-exhaustive basis enumeration (its rows ints), `homs.is_vertex_map` with
+exhaustive basis enumeration (its rows ints, its equations the oracle's
+RREF rows made primitive), `homs.is_vertex_map` with
 the vertex-certificate oracle on small homs from integer and rational
 sources (vertex maps, points between two, drawn rays that often leave
 the target), the crosspolytope flag of
@@ -40,7 +42,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -118,11 +120,43 @@ def matrices(draw):
 
 
 @given(matrices())
-def test_rref_matches_oracle(M):
-    red, pivots = linalg.rref(M)
-    assert (red, pivots) == oracle_rref(M)
-    assert all(type(x) is Fraction for r in red for x in r)
+def test_reduced_echelon_matches_oracle(M):
+    """The reduced sweep's integer rows are the RREF times their pivots."""
+    rows = [linalg._int_row(r) for r in M]
+    pivots, _ = linalg._echelon(rows, reduced=True)
+    red, expected = oracle_rref(M)
+    assert pivots == expected
+    assert all(type(x) is int for r in rows for x in r)
+    assert [[Fraction(x, r[c]) for x in r] for r, c in zip(rows, pivots)] == red
+    assert not any(x for r in rows[len(pivots):] for x in r)
     assert linalg.rank(M) == len(pivots)
+
+
+@st.composite
+def hull_point_sets(draw):
+    """Nonempty rational point sets in R^1 to R^5: random points with
+    entries over 2^20 denominators (as the simplex experiments draw
+    them), often with affine combinations of earlier points added, so
+    the hull is often lower-dimensional."""
+    ambient = draw(st.integers(1, 5))
+    point = st.lists(rationals, min_size=ambient, max_size=ambient)
+    pts = draw(st.lists(point, min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
+        s = draw(rationals)
+        pts.append([x + s * (y - x) for x, y in zip(a, b)])
+    return draw(st.permutations(pts)), ambient
+
+
+@given(hull_point_sets())
+def test_affine_hull_matches_oracle(case):
+    pts, ambient = case
+    hull = linalg.affine_hull(pts)
+    assert hull.dim == len(oracle_rref([[a - b for a, b in zip(p, pts[0])] for p in pts])[1])
+    assert len(hull.equations) == ambient - hull.dim
+    assert all(type(x) is int for u, e in hull.equations for x in (*u, e))
+    assert all(sum(a * x for a, x in zip(u, p)) == e for u, e in hull.equations for p in pts)
+    assert len(oracle_rref([u for u, _ in hull.equations])[1]) == len(hull.equations)
 
 
 @given(matrices(), st.integers(1, 7))
@@ -642,18 +676,20 @@ def test_polytope_vertices_zero_normal_rows(system, offset):
 @st.composite
 def systems_with_equations(draw):
     """A bounded system plus equations: zero-normal rows 0 = c, rows
-    through a lattice point, copies, rational combinations of earlier
-    equations and shifted copies, which contradict the row they copy."""
+    through a lattice point (some with rational entries), copies,
+    rational combinations of earlier equations and shifted copies, which
+    contradict the row they copy."""
     ineqs, dim = draw(bounded_systems())
     coeff = st.integers(-3, 3)
     point = draw(st.lists(coeff, min_size=dim, max_size=dim))
     eqs = []
-    kinds = ["zero", "through", "copy", "combo", "shifted"]
+    kinds = ["zero", "through", "rational", "copy", "combo", "shifted"]
     for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4)):
         if kind == "zero":
             eqs.append(((0,) * dim, draw(st.integers(-2, 2))))
-        elif kind == "through" or not eqs:
-            normal = tuple(draw(st.lists(coeff, min_size=dim, max_size=dim)))
+        elif kind in ("through", "rational") or not eqs:
+            entry = rationals if kind == "rational" else coeff
+            normal = tuple(draw(st.lists(entry, min_size=dim, max_size=dim)))
             eqs.append((normal, sum(a * b for a, b in zip(normal, point))))
         elif kind == "copy":
             eqs.append(draw(st.sampled_from(eqs)))
@@ -679,11 +715,21 @@ def test_canonical_hrep_with_equations_matches_brute_force(system):
     assert list(P.vertices) == expected
     h = polytope._canonical_hrep(ineqs, eqs)
     assert all(type(x) is int for u, c in h.inequalities + h.equations for x in (*u, c))
-    _, pivots = oracle_rref([list(u) + [c] for u, c in eqs])
+    red, pivots = oracle_rref([list(u) + [c] for u, c in eqs])
     if dim in pivots:  # the equations alone reduce to 0 = 1
         assert h == polytope.empty_polytope(dim).hrep
     else:
         assert all(any(u) for u, _ in h.equations)
+        # the oracle's RREF rows lead with 1, so clearing their
+        # denominators leaves them primitive and sign-oriented
+        canon = []
+        for row in red:
+            m = lcm(*(x.denominator for x in row))
+            ints = [int(x * m) for x in row]
+            canon.append((tuple(ints[:-1]), ints[-1]))
+        assert polytope._canonical_hrep([], eqs).equations == tuple(canon)
+        if h != polytope.empty_polytope(dim).hrep:  # no row reduced to 0 <= c < 0
+            assert h.equations == tuple(canon)
 
 
 @st.composite

@@ -15,7 +15,7 @@ from hompoly.homs import (
     restrict_to_subcrosspolytope,
     structured_row_order,
 )
-from hompoly.linalg import mat, vec, zero_vec
+from hompoly.linalg import vec, zero_vec
 from hompoly.polytope import (
     Polytope,
     combinatorially_equal,
@@ -35,7 +35,7 @@ def constant_map(point, m):
 
 
 def identity_map(n):
-    return AffineMap(mat([[int(i == j) for j in range(n)] for i in range(n)]), zero_vec(n))
+    return AffineMap([[int(i == j) for j in range(n)] for i in range(n)], zero_vec(n))
 
 
 def test_build_hom_cube2_simplex2():

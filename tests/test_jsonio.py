@@ -27,6 +27,20 @@ def test_rat_to_str_on_int_fraction_and_string_inputs(x, text):
     assert jsonio.str_to_rat(text) == Fraction(x)
 
 
+def test_str_to_rat_caps_each_part_at_4300_digits():
+    big = "9" * 4300
+    assert jsonio.str_to_rat(f"-{big}/{big}") == -1
+    for text in ("9" * 4301, f"1/{big}9"):
+        with pytest.raises(ValueError, match="expected a rational string"):
+            jsonio.str_to_rat(text)
+
+
+@pytest.mark.parametrize("value", [True, None, 1.5, ["1"], "1e3", "+1", "1/2/3", "", "\u0661"])
+def test_str_to_rat_rejects_values_outside_the_grammar(value):
+    with pytest.raises(ValueError):
+        jsonio.str_to_rat(value)
+
+
 def test_polytope_round_trip():
     P = standard("crosspolytope", 3)
     data = json.loads(jsonio.dumps_canonical(jsonio.polytope_to_json(P)))
