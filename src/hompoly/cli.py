@@ -7,7 +7,10 @@ command lines produce byte-identical JSON.  Exit codes: 0 success (all
 verifications passed), 1 verification failure, 2 usage or input error.
 
 Heavy enumerations are gated: vertices and count --enumerate need
---allow-large when the inequality system exceeds the guard.  beta runs
+--allow-large when the inequality system exceeds the guard, and
+construct, dual and intersect need it for a standard polytope spec of
+more than SPEC_SIZE_GUARD vertices or facets (cube:40 has 2^40
+vertices), refused before anything is built.  beta runs
 up to n = 5 (about a tenth of a second) without a flag and refuses
 larger n (exit 2); --allow-large is accepted there and has no effect.
 --threads (or HOMPOLY_THREADS) controls worker processes for suite
@@ -35,14 +38,24 @@ LARGE_ROWS_GUARD = 96
 
 STANDARD_KINDS = ("simplex", "cube", "crosspolytope")
 
+# vertices or facets of a standard polytope named by a spec: cube:8 and
+# crosspolytope:8 (256 of either) are the largest built without --allow-large
+SPEC_SIZE_GUARD = 256
+
 # (vertices, facets) of the standard n-polytope of each kind
 STANDARD_SIZES = {"simplex": lambda n: (n + 1, n + 1),
                   "cube": lambda n: (2 ** n, 2 * n),
                   "crosspolytope": lambda n: (2 * n, 2 ** n)}
 
 
-def parse_polytope_spec(spec: str) -> tuple[dict, Polytope]:
-    """Parse "simplex:3", "cube:2", "crosspolytope:4", or "file:PATH"."""
+def parse_polytope_spec(spec: str, allow_large: bool = False) -> tuple[dict, Polytope]:
+    """Parse "simplex:3", "cube:2", "crosspolytope:4", or "file:PATH".
+
+    A standard polytope with more than SPEC_SIZE_GUARD vertices or
+    facets raises SizeGuardError before anything is built, unless
+    `allow_large`.  Every such polytope has n >= SPEC_SIZE_GUARD or
+    sizes over it, so 2^n is computed only for n below the guard.
+    """
     kind, sep, arg = spec.partition(":")
     if not sep:
         raise ValueError(f"bad polytope spec {spec!r}; expected kind:arg")
@@ -51,6 +64,11 @@ def parse_polytope_spec(spec: str) -> tuple[dict, Polytope]:
             n = int(arg)
         except ValueError:
             raise ValueError(f"bad dimension in spec {spec!r}") from None
+        if not allow_large and (n >= SPEC_SIZE_GUARD
+                                or max(STANDARD_SIZES[kind](n)) > SPEC_SIZE_GUARD):
+            raise SizeGuardError(
+                f"polytope {spec!r} has more than {SPEC_SIZE_GUARD} vertices or "
+                f"facets; pass --allow-large to build it")
         return {"kind": kind, "n": n}, standard(kind, n)
     if kind == "file":
         with open(arg) as fh:
@@ -80,8 +98,8 @@ def _emit_built(args, payload, summary, text_lines):
 
 
 def cmd_construct(args) -> int:
-    src_desc, P = parse_polytope_spec(args.source)
-    tgt_desc, Q = parse_polytope_spec(args.target)
+    src_desc, P = parse_polytope_spec(args.source, args.allow_large)
+    tgt_desc, Q = parse_polytope_spec(args.target, args.allow_large)
     H = build_hom(P, Q)
     _emit_built(args, jsonio.hom_to_json(H, src_desc, tgt_desc),
                 {"ambient_dim": H.ambient_dim, "inequalities": len(H.rows)},
@@ -204,7 +222,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    _, P = parse_polytope_spec(args.polytope)
+    _, P = parse_polytope_spec(args.polytope, args.allow_large)
     D = polar_dual(P)
     _emit_built(args, jsonio.polytope_to_json(D),
                 {"vertices": D.n_vertices, "facets": D.n_facets},
@@ -213,13 +231,16 @@ def cmd_dual(args) -> int:
 
 
 def cmd_intersect(args) -> int:
-    _, P = parse_polytope_spec(args.first)
-    _, Q = parse_polytope_spec(args.second)
+    _, P = parse_polytope_spec(args.first, args.allow_large)
+    _, Q = parse_polytope_spec(args.second, args.allow_large)
     K = intersect(P, Q)
     _emit_built(args, jsonio.polytope_to_json(K, include_hrep=not K.is_empty),
                 {"vertices": K.n_vertices, "dim": K.dim},
                 [f"intersection: {K.n_vertices} vertices, dim {K.dim}"])
     return 0
+
+
+_SPEC_GUARD_HELP = f"build standard polytopes of more than {SPEC_SIZE_GUARD} vertices or facets"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,6 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source")
     p.add_argument("target")
     p.add_argument("--out", help="write hom JSON here")
+    p.add_argument("--allow-large", action="store_true", help=_SPEC_GUARD_HELP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_construct)
 
@@ -297,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dual", help="polar dual of a polytope")
     p.add_argument("polytope")
     p.add_argument("--out")
+    p.add_argument("--allow-large", action="store_true", help=_SPEC_GUARD_HELP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_dual)
 
@@ -304,6 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("--out")
+    p.add_argument("--allow-large", action="store_true", help=_SPEC_GUARD_HELP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_intersect)
 

@@ -12,7 +12,10 @@ A_{1,1} .. A_{1,m}, A_{2,1} .. A_{n,m}.
 
 A vertex map is one primitive integer ray (t, c) of this space, c / t
 being its coordinates, as the DD kernel returns it.  `AffineMap` holds
-it, and this module is the only one that reads the layout of c.
+it, and this module is the only one that reads the layout of c.  The
+images of a source's vertices are read off the same integers
+(`_int_images`), and `image_polytope` hulls them as integer points
+over their denominator.
 
 The rows are kept as exact as the data allow: Q's facets are primitive
 integer rows, so each entry u_j v_i is an int wherever it is integral
@@ -33,12 +36,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import dd
-from .linalg import (Mat, Vec, _echelon, _independent_rows, _int_row, add, dot, rank, vec,
-                     zero_vec)
-from .polytope import Polytope, from_points
+from .linalg import Mat, Vec, _echelon, _independent_rows, _int_row, dot, rank, vec
+from .polytope import Polytope, _from_int_points
 
 __all__ = [
     "AffineMap",
@@ -285,9 +287,46 @@ def rank_histogram(maps) -> dict[int, int]:
     return dict(sorted(hist.items()))
 
 
+def _vertex_terms(P: Polytope) -> tuple[int, list[list[tuple[int, int]]]]:
+    """The lcm V of the denominators of P's vertices, and each vertex
+    V v as the (coordinate, entry) pairs of its nonzero entries."""
+    verts = P.vertices
+    V = lcm(*(x.denominator for v in verts for x in v))
+    return V, [[(k, x.numerator * (V // x.denominator)) for k, x in enumerate(v) if x]
+               for v in verts]
+
+
+def _int_images(f: AffineMap, V: int, terms) -> tuple[frozenset, int]:
+    """The images of the vertices v of P, given as `_vertex_terms(P)`,
+    in integers: the set of points y and the int D > 0 with f(v) = y / D.
+
+    From the ray, V t f(v) = V (t b) + sum_k (V v_k)(t a_k), summed
+    column by column.  D = V t and the points are then divided by the
+    gcd of D and all their entries, so D is the least common
+    denominator and two maps with the same image set give equal results.
+    """
+    t, b, rows = f.parts
+    cols = list(zip(*rows))
+    base = [V * x for x in b]
+    images = set()
+    for vt in terms:
+        img = base
+        for k, c in vt:
+            img = [a + c * e for a, e in zip(img, cols[k])]
+        images.add(tuple(img))
+    D = V * t
+    g = gcd(D, *(x for y in images for x in y))
+    if g > 1:
+        D //= g
+        images = {tuple([x // g for x in y]) for y in images}
+    return frozenset(images), D
+
+
 def image_polytope(f: AffineMap, P: Polytope) -> Polytope:
-    """conv(f(vert P)), carried with canonical representations."""
-    return from_points([f.evaluate(v) for v in P.vertices], f.target_dim)
+    """conv(f(vert P)), carried with canonical representations, hulled
+    from the integer images (`_int_images`): no Fraction is built until
+    its vertices are read."""
+    return _from_int_points(*_int_images(f, *_vertex_terms(P)), f.target_dim)
 
 
 def restrict_to_subcrosspolytope(f: AffineMap, indices) -> AffineMap:
@@ -321,30 +360,25 @@ def cube_simplex_realization(m: int, n: int) -> tuple[Vec, ...]:
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1")
     d = n + n * m
-    zero = zero_vec(d)
 
-    def e(pos):
-        return tuple(Fraction(1) if t == pos else Fraction(0) for t in range(d))
+    def point(*terms):
+        """The point sum of c e_pos over the (pos, c) terms."""
+        p = [Fraction(0)] * d
+        for pos, c in terms:
+            p[pos] += c
+        return tuple(p)
 
-    def eik(i, k):
-        return e(n + i * m + k)
-
-    pts = {zero}
+    pts = {point()}
     for i in range(n):
-        pts.add(add(e(i), e(i)))
+        pts.add(point((i, 2)))
         for k in range(m):
-            pts.add(add(e(i), eik(i, k)))
-            pts.add(tuple(a - b for a, b in zip(e(i), eik(i, k))))
+            pts.add(point((i, 1), (n + i * m + k, 1)))
+            pts.add(point((i, 1), (n + i * m + k, -1)))
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
             for k in range(m):
-                p = [Fraction(0)] * d
-                p[i] += 1
-                p[j] += 1
-                p[n + i * m + k] += 1
-                p[n + j * m + k] -= 1
-                pts.add(tuple(p))
+                pts.add(point((i, 1), (j, 1), (n + i * m + k, 1), (n + j * m + k, -1)))
     assert len(pts) == (n + 1) * (m * n + 1)
     return tuple(sorted(pts))

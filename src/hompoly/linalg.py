@@ -76,19 +76,6 @@ def dot(u: Vec, v: Vec) -> Fraction:
     return Fraction(num, den)
 
 
-def add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def scale(u: Vec, c) -> Vec:
-    c = Fraction(c)
-    return tuple(c * a for a in u)
-
-
-def neg(u: Vec) -> Vec:
-    return tuple(-a for a in u)
-
-
 def primitive(v, orient: bool = False) -> tuple[int, ...]:
     """The primitive integer row of a rational row: coprime ints, as a
     tuple of `int`s (a zero row stays zero).
@@ -107,8 +94,13 @@ def primitive(v, orient: bool = False) -> tuple[int, ...]:
 def _int_row(row) -> list[int]:
     """Primitive integer row spanning the same line as a rational row.
 
-    Only positive scalings are applied; a zero row stays zero.
+    Only positive scalings are applied; a zero row stays zero.  A row of
+    `int`s (facet rows, hom rows, the tight rows of `homs.is_vertex_map`)
+    needs no denominators cleared, only its gcd divided out.
     """
+    if all(type(x) is int for x in row):
+        g = gcd(*row)
+        return [a // g for a in row] if g > 1 else list(row)
     row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
     m = lcm(*[x.denominator for x in row])
     if m == 1:

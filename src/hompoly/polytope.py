@@ -56,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 from . import dd
 from .errors import SizeGuardError
@@ -64,13 +64,10 @@ from .linalg import (
     Vec,
     _echelon,
     _int_row,
-    add,
     affine_hull,
     dot,
-    neg as vneg,
     primitive,
     rank,
-    scale,
     vec,
     zero_vec,
 )
@@ -145,8 +142,9 @@ class Polytope:
 
     A polytope made by `from_inequalities` holds, in place of vertices,
     `rays`: the DD's integer rays in the frame of the canonical equations
-    and those equations.  `vertices` converts them on first read (see
-    `_vertices_from_hrep`) and caches the result; `n_vertices`,
+    and those equations (`_from_int_points` passes its rays in all
+    coordinates, with no equations).  `vertices` converts them on first
+    read (see `_vertices_from_hrep`) and caches the result; `n_vertices`,
     `is_empty` and `repr` count the rays, and `dim` is their rank less
     one.  A constructor below that passes `hrep` or `dim` vouches for
     them."""
@@ -328,6 +326,33 @@ def from_points(points, ambient_dim: int | None = None) -> Polytope:
     return Polytope(ambient, verts, hrep)
 
 
+def _from_int_points(points, D: int, ambient: int) -> Polytope:
+    """conv(y / D) over a set of integer points y, for an int D > 0,
+    with no Fraction until its vertices are read.
+
+    The hull is taken of the integer points themselves.  Scaling by D
+    keeps each equation's leading column and the lexicographic order of
+    the points, so the canonical rows of conv(y / D) are those of
+    conv(y) with the offsets over D: the row (n, c) becomes (D n, c)
+    divided by gcd(D, c), which is its content as (n, c) is primitive.
+    That division can reorder the inequalities, so they are sorted again.
+    The vertices are kept as the rays (D, y) in all coordinates.
+    """
+    if not points:
+        return empty_polytope(ambient)
+    hrep, verts = _hrep_from_vertices(sorted(points), ambient)
+
+    def over_d(rows):
+        out = []
+        for n, c in rows:
+            g = gcd(D, c)
+            out.append((tuple([D // g * a for a in n]), c // g))
+        return out
+
+    hrep = HRep(tuple(sorted(over_d(hrep.inequalities))), tuple(over_d(hrep.equations)))
+    return Polytope(ambient, None, hrep, rays=([(D, *v) for v in verts], ()))
+
+
 def standard(kind: str, n: int) -> Polytope:
     """The standard n-simplex, n-cube [-1,1]^n, or n-crosspolytope conv(+-e_i)."""
     if n < 1:
@@ -364,8 +389,8 @@ def polar_dual(P: Polytope) -> Polytope:
     h = P.hrep
     if any(c <= 0 for _, c in h.inequalities):
         raise ValueError("polar dual needs the origin in the interior")
-    # c is an int: Fraction(1, c), not the float 1 / c
-    verts = sorted(scale(n, Fraction(1, c)) for n, c in h.inequalities)
+    # n and c are ints: Fraction(a, c), not the float a / c
+    verts = sorted(tuple(Fraction(a, c) for a in n) for n, c in h.inequalities)
     ineqs = [(v, Fraction(1)) for v in P.vertices]
     return Polytope(d, tuple(verts), _canonical_hrep(ineqs, ()))
 
@@ -383,13 +408,14 @@ def translate(P: Polytope, t) -> Polytope:
     t = vec(t)
     if len(t) != P.ambient_dim:
         raise ValueError("translation vector of wrong dimension")
-    return Polytope(P.ambient_dim, tuple(sorted(add(v, t) for v in P.vertices)),
+    return Polytope(P.ambient_dim,
+                    tuple(sorted(tuple(a + b for a, b in zip(v, t)) for v in P.vertices)),
                     _map_rows(P, lambda n, c: (n, c + dot(n, t))), P._dim)
 
 
 def negate(P: Polytope) -> Polytope:
-    return Polytope(P.ambient_dim, tuple(sorted(vneg(v) for v in P.vertices)),
-                    _map_rows(P, lambda n, c: (vneg(n), c)), P._dim)
+    return Polytope(P.ambient_dim, tuple(sorted(tuple(-a for a in v) for v in P.vertices)),
+                    _map_rows(P, lambda n, c: (tuple(-a for a in n), c)), P._dim)
 
 
 def intersect(P: Polytope, Q: Polytope) -> Polytope:
@@ -426,6 +452,18 @@ def contains_interior(P: Polytope, x) -> bool:
     h = P.hrep
     return (all(dot(n, x) == c for n, c in h.equations)
             and all(dot(n, x) < c for n, c in h.inequalities))
+
+
+def _contains_interior_ray(P: Polytope, ray) -> bool:
+    """`contains_interior(P, x / t)` for an integer ray (t, x), t > 0, in
+    integers: n . x = c t on each canonical equation of P and n . x < c t
+    on each facet row."""
+    if P.is_empty:
+        return False
+    t, *x = ray
+    h = P.hrep
+    return (all(sum([a * b for a, b in zip(n, x) if a]) == c * t for n, c in h.equations)
+            and all(sum([a * b for a, b in zip(n, x) if a]) < c * t for n, c in h.inequalities))
 
 
 def _incidence_masks(P: Polytope) -> list[int]:

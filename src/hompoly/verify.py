@@ -23,6 +23,15 @@ sub-crosspolytope test (`diamond-subcross`).  Maps with the same value
 get the same verdict, so this is exact; the memo is a dict local to the
 call, and the maps are still visited in order, so a failure names the
 same first map as a check of every map would.
+
+The per-map checks read the integers of each map's ray (t, t b, rows of
+t A) against the integer facet rows of Q, with no Fraction built per
+map: `diamond-center` tests t b against the rows of Q and the columns
+of t A against Q's vertices, `_cross_record` eliminates the rows of
+t A, and the hit sets are the integer images over their least common
+denominator, hulled as they are (`homs.image_polytope`).  Fractions
+appear only in failure witnesses and in the polytopes a claim builds
+once per distinct value (such as K above).
 """
 
 from __future__ import annotations
@@ -39,6 +48,8 @@ from math import lcm
 from .counts import COUNT_FAMILIES, beta, bound_box_diamond, rank_k_sandwich, sigma
 from .homs import (
     AffineMap,
+    _int_images,
+    _vertex_terms,
     build_hom,
     cube_simplex_realization,
     enumerate_vertex_maps,
@@ -51,8 +62,6 @@ from .homs import (
 from .linalg import (
     _echelon,
     _int_row,
-    dot,
-    int_det,
     primitive,
     rank,
     zero_vec,
@@ -60,9 +69,9 @@ from .linalg import (
 from .polytope import (
     Polytope,
     _canonical_hrep,
+    _contains_interior_ray,
     bipyramid,
     combinatorially_equal,
-    contains_interior,
     from_inequalities,
     from_points,
     intersect,
@@ -115,24 +124,28 @@ def _cross_record(f: AffineMap) -> tuple[int, bool]:
     set of columns behind the v_k.  Conversely such an S makes the image
     b + a_S(crosspolytope_n).  Below rank n, is_cross is False.
 
-    The test runs on the integer columns of t A (it is homogeneous), by
-    Cramer's rule: with D = det(a_S) and D_k(j) the same determinant
-    with column k replaced by a_j, it requires sum_k |D_k(j)| <= |D|.
+    The test runs on the integer rows of t A (it is homogeneous).  The
+    rank is one forward `_echelon` of those rows.  For each n-subset S,
+    one reduced `_echelon` of the rows of [a_S | a_rest] has pivots
+    0 .. n-1 iff det(a_S) != 0, and then leaves d I on the left, with
+    |d| = |det(a_S)|, and d a_S^-1 a_rest on the right: by Cramer's rule
+    entry (k, j) there is +-D_k(j), the determinant of a_S with column k
+    replaced by a_j, all with one sign (Bareiss 1968).  The test is
+    sum_k |D_k(j)| <= |d| for each column j of the right block.
     """
     n, m = f.target_dim, f.source_dim
     rows = f.parts[2]
-    cols = [[row[i] for row in rows] for i in range(m)]
-    r = rank(cols)
+    r = map_rank(f, rows)
     if r < n:
         return r, False
+    left = list(range(n))
     for S in combinations(range(m), n):
-        basis = [cols[s] for s in S]
-        bound = abs(int_det(basis))
-        if bound == 0:
-            continue
-        if all(sum(abs(int_det(basis[:k] + [cols[j]] + basis[k + 1:]))
-                   for k in range(n)) <= bound
-               for j in range(m) if j not in S):
+        rest = [j for j in range(m) if j not in S]
+        work = [[row[s] for s in S] + [row[j] for j in rest] for row in rows]
+        if _echelon(work, reduced=True)[0] != left:
+            continue  # det(a_S) = 0
+        bound = abs(work[-1][n - 1])
+        if all(sum(abs(row[c]) for row in work) <= bound for c in range(n, m)):
             return r, True
     return r, False
 
@@ -270,20 +283,26 @@ def _claim_hom_into_cube(source: str, m: int, n: int):
 
 
 def _claim_diamond_center(m: int, n: int):
+    """The vertex maps with f(0) = b interior to Q are the 2^m n^m maps
+    with b = 0 that send each axis e_i to a vertex of Q (and so -e_i to
+    its antipode).  Read off the ray (t, t b, columns t a_i): b is
+    interior iff `_contains_interior_ray` holds for (t, t b), and
+    f(e_i) = a_i (b being 0) is a vertex w iff V (t a_i) = t (V w), with
+    V the lcm of the denominators of Q's vertices."""
     P, Q, H, maps = _hom("crosspolytope", m, "crosspolytope", n)
-    origin = zero_vec(n)
-    vertex_set = set(Q.vertices)
+    V = lcm(*(x.denominator for w in Q.vertices for x in w))
+    vertex_set = {tuple(x.numerator * (V // x.denominator) for x in w) for w in Q.vertices}
     interior_count = 0
     for f in maps:
-        if not contains_interior(Q, f.offset):
+        if not _contains_interior_ray(Q, f.ray[:n + 1]):
             continue
         interior_count += 1
-        if f.offset != origin:
+        t, b, rows = f.parts
+        if any(b):
             return False, {"offset": [str(x) for x in f.offset]}
         for i in range(m):
-            e = tuple(Fraction(int(j == i)) for j in range(m))
-            plus, minus = f.evaluate(e), f.evaluate(tuple(-x for x in e))
-            if plus not in vertex_set or minus != tuple(-x for x in plus):
+            plus = [V * row[i] for row in rows]
+            if any(x % t for x in plus) or tuple(x // t for x in plus) not in vertex_set:
                 return False, {"axis": i, "map": [str(x) for x in flatten_map(f)]}
     expected_interior = 2**m * n**m
     if interior_count != expected_interior:
@@ -420,39 +439,15 @@ def _claim_diamond_image_shape_witness(m: int, n: int):
 
 
 def _hit_sets(maps, P: Polytope):
-    """(f, f(vert P)) for each map f, in order.  The image conv(f(vert P))
-    depends on f only through the hit set, so a check that reads only
-    the image has one verdict per hit set.
-
-    Integer arithmetic: P's vertices are scaled once by the lcm V of
-    their denominators and kept as their nonzero (coordinate, entry)
-    pairs, and each map gives L = t, L b and the columns L a_k of its
-    ray (`AffineMap.parts`), so V L f(v) = V (L b) + sum_k (V v_k)(L a_k)
-    is summed column by column.  The hit set of Fraction points is built
-    once per distinct set of integer images and denominator L V, and
-    equals frozenset(f.evaluate(v) for v in P.vertices).
+    """(f, hit) for each map f, in order, where hit = `_int_images(f, P)`:
+    the vertex images f(v) as a frozenset of integer points y over their
+    least common denominator D, which is one value per set f(vert P).
+    The image conv(f(vert P)) depends on f only through that set, so a
+    check that reads only the image has one verdict per hit.
     """
-    verts = P.vertices
-    V = lcm(*(x.denominator for v in verts for x in v))
-    terms = [[(k, x.numerator * (V // x.denominator)) for k, x in enumerate(v) if x]
-             for v in verts]
-    memo = {}  # (integer images, denominator) -> hit set
+    V, terms = _vertex_terms(P)
     for f in maps:
-        L, b, rows = f.parts
-        base = [V * x for x in b]
-        cols = list(zip(*rows))
-        images = set()
-        for vt in terms:
-            img = base
-            for k, c in vt:
-                img = [a + c * b for a, b in zip(img, cols[k])]
-            images.add(tuple(img))
-        D = L * V
-        key = (frozenset(images), D)
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = frozenset(tuple(Fraction(a, D) for a in img) for img in images)
-        yield f, hit
+        yield f, _int_images(f, V, terms)
 
 
 def _claim_vertex_image_law(m: int, target: str, n: int):
@@ -461,35 +456,44 @@ def _claim_vertex_image_law(m: int, target: str, n: int):
 
     The first check depends only on the hit set and K only on the
     offset b, so each distinct hit set's image and each distinct
-    offset's K are built once.
+    offset's K are built once.  Both checks compare integer forms: the
+    image's vertex count with the number of distinct images, and the
+    images y / D with K's vertices as primitive rays (D, y), the one
+    integer form of a rational point.
     """
     P, Q, H, maps = _hom("crosspolytope", m, target, n)
-    image_ok = {}  # hit set -> its hull has exactly these vertices
-    k_vertices = {}  # offset b -> vertices of K
+    image_ok = {}  # hit -> its hull has exactly these vertices
+    k_vertices = {}  # offset ray (t, t b), primitive -> vertices of K as rays
     for f, hit in _hit_sets(maps, P):
+        points, D = hit
         ok = image_ok.get(hit)
         if ok is None:
-            ok = image_ok[hit] = set(image_polytope(f, P).vertices) == hit
+            ok = image_ok[hit] = image_polytope(f, P).n_vertices == len(points)
         if not ok:
             return False, {"map": [str(x) for x in flatten_map(f)],
                            "reason": "image vertices differ from vertex images"}
-        b = f.offset
-        K = k_vertices.get(b)
+        offset = tuple(_int_row(f.ray[:n + 1]))
+        K = k_vertices.get(offset)
         if K is None:
-            K = k_vertices[b] = frozenset(
-                intersect(Q, translate(negate(Q), [2 * x for x in b])).vertices)
-        if not hit <= K:
+            t, *b = offset
+            reflected = translate(negate(Q), [Fraction(2 * x, t) for x in b])
+            K = k_vertices[offset] = frozenset(
+                tuple(_int_row([1, *v])) for v in intersect(Q, reflected).vertices)
+        if not all(tuple(_int_row([D, *y])) in K for y in points):
             return False, {"map": [str(x) for x in flatten_map(f)],
                            "reason": "vertex image outside symmetric intersection"}
     return True, None
 
 
-def _face_law_failure(img: Polytope, facet_rows, n: int):
-    """None if the smallest face G of the simplex containing img has the
-    dimension of img and each facet of G cuts img in a facet of img;
-    else the failure payload."""
+def _face_law_failure(img: Polytope, hit, facet_rows, n: int):
+    """None if the smallest face G of the simplex containing img, the
+    hull of the points y / D of hit = (points, D), has the dimension of
+    img and each facet of G cuts img in a facet of img; else the failure
+    payload.  A facet row u . x <= c is active on img iff u . y = c D at
+    every point."""
+    points, D = hit
     active = [(u, c) for u, c in facet_rows
-              if all(dot(u, v) == c for v in img.vertices)]
+              if all(sum([a * b for a, b in zip(u, y) if a]) == c * D for y in points)]
     G = from_inequalities(facet_rows, active, n)
     g_dim = G.dim
     if g_dim != img.dim:
@@ -513,10 +517,10 @@ def _claim_face_law(source: str, m: int, n: int):
     """
     P, Q, H, maps = _hom(source, m, "simplex", n)
     facet_rows = Q.hrep.inequalities
-    failures = {}  # hit set -> failure payload, or None if it passes
+    failures = {}  # hit -> failure payload, or None if it passes
     for f, hit in _hit_sets(maps, P):
         if hit not in failures:
-            failures[hit] = _face_law_failure(image_polytope(f, P), facet_rows, n)
+            failures[hit] = _face_law_failure(image_polytope(f, P), hit, facet_rows, n)
         failure = failures[hit]
         if failure is not None:
             return False, {"map": [str(x) for x in flatten_map(f)], **failure}

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import hompoly
-from hompoly import dd, homs, linalg
+from hompoly import cli, dd, homs, linalg
 from hompoly.cli import main, parse_polytope_spec
 from hompoly.homs import build_hom, enumerate_vertex_maps, map_rank
 from hompoly.jsonio import dumps_canonical, rat_to_str
@@ -376,6 +376,57 @@ def test_malformed_number_in_polytope_file_is_usage_error(tmp_path, capsys, numb
     assert time.perf_counter() - start < 1
     assert code == 2
     assert repr(number) in err
+
+
+class _Built(ValueError):
+    """Raised by the stand-in for `standard`: the spec passed the guard."""
+
+
+def _refuse_to_build(monkeypatch):
+    def built(kind, n):
+        raise _Built(f"built {kind}:{n}")
+
+    monkeypatch.setattr(cli, "standard", built)
+
+
+@pytest.mark.parametrize("command, first, second", [
+    ("construct", "cube:40", "simplex:1"),
+    ("construct", "file:{segment}", "crosspolytope:9"),
+    ("dual", "crosspolytope:40", None),
+    ("dual", "cube:9", None),
+    ("intersect", "simplex:256", "simplex:2"),
+    ("intersect", "file:{segment}", "cube:40"),
+    ("construct", f"cube:{10 ** 30}", "simplex:1"),
+])
+def test_oversized_spec_is_refused_before_it_is_built(tmp_path, monkeypatch, capsys,
+                                                      command, first, second):
+    """Over SPEC_SIZE_GUARD vertices or facets a spec exits 2 without a
+    call to `standard`; with --allow-large it reaches `standard`.  The
+    stand-in raises, so a broken guard allocates nothing."""
+    segment = tmp_path / "segment.json"
+    segment.write_text(json.dumps({"ambient_dim": 1, "vertices": [["0"], ["1"]]}))
+    first = first.format(segment=segment)
+    big = second if first.startswith("file:") else first
+    argv = [command, first] + [second] * (second is not None)
+    _refuse_to_build(monkeypatch)
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert f"polytope {big!r} has more than 256" in err and "--allow-large" in err
+    code, _, err = run_cli(capsys, *argv, "--allow-large")
+    assert code == 2
+    assert f"error: built {big}" in err
+
+
+@pytest.mark.parametrize("spec", ["cube:8", "crosspolytope:8", "simplex:255"])
+def test_spec_at_the_size_guard_is_built(monkeypatch, capsys, spec):
+    _refuse_to_build(monkeypatch)
+    for argv in (["construct", spec, "simplex:1"], ["dual", spec],
+                 ["intersect", spec, "simplex:1"]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert f"error: built {spec}" in err
 
 
 def test_polytope_file_interior_point_is_not_a_vertex(tmp_path, capsys):

@@ -28,9 +28,15 @@ exhaustive basis enumeration (its rows ints, its equations the oracle's
 RREF rows made primitive), `homs.is_vertex_map` with
 the vertex-certificate oracle on small homs from integer and rational
 sources (vertex maps, points between two, drawn rays that often leave
-the target), the crosspolytope flag of
-`verify._cross_record` with the image's H-rep and isomorphism search,
-and the ray-held `homs.AffineMap` (its equality, hash, Fraction
+the target), the rank and crosspolytope flag of
+`verify._cross_record` with the Fraction rank of A and the hull of the
+Fraction images, its isomorphism search and vertex count (m up to 5),
+`homs.image_polytope` (a hull of integer images over their denominator)
+with `from_points` of the Fraction images,
+`polytope._contains_interior_ray` with `contains_interior` at vertices,
+midpoints, centroids and points outside or off the affine hull,
+`linalg._int_row` on int rows with the same rows as Fractions, and the
+ray-held `homs.AffineMap` (its equality, hash, Fraction
 accessors, `map_rank` and `jsonio.map_to_json`) with the map built
 from the Fractions c / t, `linalg.rank` and `rat_to_str` (entries up
 to 2^70, non-primitive rays, rank-deficient A), on generated inputs
@@ -733,16 +739,16 @@ def test_canonical_hrep_with_equations_matches_brute_force(system):
 
 
 @st.composite
-def crosspolytope_maps(draw):
-    """Affine maps from the m-crosspolytope to R^n, n <= 3, n - 1 <= m <= 4,
-    not necessarily vertex maps.  The columns start from a basis or not;
-    the others are random, zero, repeats, opposites, sums and midpoints
-    of earlier columns, so the rank is often below n and columns fall
-    inside, on and outside the hull of the others."""
+def crosspolytope_maps(draw, max_m=4):
+    """Affine maps from the m-crosspolytope to R^n, n <= 3,
+    n - 1 <= m <= max_m, not necessarily vertex maps.  The columns start
+    from a basis or not; the others are random, zero, repeats, opposites,
+    sums, differences and midpoints of earlier columns, so the rank is often below n
+    and columns fall inside, on and outside the hull of the others."""
     n = draw(st.sampled_from([3, 2, 1]))
-    m = draw(st.sampled_from([k for k in (4, 3, 2, 1) if k >= n - 1]))
+    m = draw(st.sampled_from([k for k in range(max_m, 0, -1) if k >= n - 1]))
     vectors = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
-    kinds = ["random", "zero", "repeat", "opposite", "sum", "midpoint"]
+    kinds = ["random", "zero", "repeat", "opposite", "sum", "difference", "midpoint"]
     cols = []
     if draw(st.booleans()):
         # start from a basis: a triangular matrix with a nonzero diagonal
@@ -762,20 +768,29 @@ def crosspolytope_maps(draw):
             cols.append(tuple(-x for x in draw(st.sampled_from(cols))))
         else:
             a, b = draw(st.permutations(cols))[:2] if len(cols) > 1 else cols * 2
-            scale = 1 if kind == "sum" else Fraction(1, 2)
+            if kind == "difference":
+                b = tuple(-y for y in b)
+            scale = Fraction(1, 2) if kind == "midpoint" else 1
             cols.append(tuple(scale * (x + y) for x, y in zip(a, b)))
     cols = draw(st.permutations(cols))
     matrix = tuple(tuple(col[j] for col in cols) for j in range(n))
     return homs.AffineMap(matrix, linalg.vec(draw(vectors)))
 
 
-@given(crosspolytope_maps())
+@given(crosspolytope_maps(max_m=5))
 def test_cross_record_matches_image_oracle(f):
+    """The record's rank is the Fraction rank of A, and its flag says
+    that the hull of the Fraction images f(+-e_i) is combinatorially the
+    n-crosspolytope, which for rank n is having 2n vertices (m up to 5,
+    rank-deficient and non-vertex maps)."""
     P = polytope.standard("crosspolytope", f.source_dim)
-    model = polytope.standard("crosspolytope", f.target_dim)
-    image = homs.image_polytope(f, P)
-    assert verify._cross_record(f) == (homs.map_rank(f),
-                                       polytope.combinatorially_equal(image, model))
+    n = f.target_dim
+    model = polytope.standard("crosspolytope", n)
+    image = polytope.from_points([f.evaluate(v) for v in P.vertices], n)
+    r = linalg.rank(f.matrix)
+    cross = polytope.combinatorially_equal(image, model)
+    assert cross == (r == n and image.n_vertices == 2 * n)
+    assert verify._cross_record(f) == (r, cross)
 
 
 @st.composite
@@ -828,8 +843,82 @@ def test_is_vertex_map_matches_certificate_oracle(case):
         vertex_certificate_ok([x], H.rows, ())
 
 
+@given(st.one_of(
+    small_homs_with_maps().map(lambda case: (case[0].source, case[1])),
+    crosspolytope_maps().map(lambda f: (polytope.standard("crosspolytope", f.source_dim), f))))
+def test_image_polytope_matches_fraction_hull(case):
+    """The hull of the integer images over D is the hull of the Fraction
+    images f(v): the same vertices and canonical H-rep (sources with
+    integer and rational vertices, maps in and out of the target)."""
+    P, f = case
+    image = homs.image_polytope(f, P)
+    hull = polytope.from_points([f.evaluate(v) for v in P.vertices], f.target_dim)
+    assert image.n_vertices == hull.n_vertices and image.dim == hull.dim
+    assert image.hrep == hull.hrep
+    assert image.vertices == hull.vertices
+
+
+@st.composite
+def polytopes_with_rays(draw):
+    """A polytope, full-dimensional or a triangle in R^3, and the integer
+    ray (t, x) of a point x / t that is a vertex, a midpoint of two
+    vertices (on an edge, on a facet or inside), the centroid, a vertex
+    pushed out from the centroid, the centroid moved off the triangle's
+    plane along the leading column of its equation (which no facet row
+    reads), or drawn (often off the affine hull), times k so that the
+    ray is often not primitive."""
+    kind = draw(st.sampled_from(["simplex", "cube", "crosspolytope", "flat"]))
+    if kind == "flat":
+        P = polytope.from_points([(0, 0, 0), (2, 1, 0), (1, 3, 1)])
+    else:
+        P = polytope.standard(kind, draw(st.integers(1, 3)))
+    verts = P.vertices
+    d = P.ambient_dim
+    centroid = tuple(sum(c) / len(verts) for c in zip(*verts))
+    places = ["vertex", "midpoint", "centroid", "outside", "drawn"]
+    where = draw(st.sampled_from(places + ["off_hull"] * (kind == "flat")))
+    if where == "off_hull":
+        normal, _ = P.hrep.equations[0]
+        lead = next(i for i, a in enumerate(normal) if a)
+        s = draw(st.fractions(-2, 2, max_denominator=3).filter(bool))
+        point = tuple(c + s * (i == lead) for i, c in enumerate(centroid))
+    elif where == "vertex":
+        point = draw(st.sampled_from(verts))
+    elif where == "midpoint":
+        u, v = draw(st.sampled_from(verts)), draw(st.sampled_from(verts))
+        point = tuple((a + b) / 2 for a, b in zip(u, v))
+    elif where == "centroid":
+        point = centroid
+    elif where == "outside":
+        v, s = draw(st.sampled_from(verts)), draw(st.fractions(1, 3, max_denominator=4))
+        point = tuple(c + (1 + s) * (a - c) for a, c in zip(v, centroid))
+    else:
+        point = tuple(draw(st.lists(rationals, min_size=d, max_size=d)))
+    t = lcm(*(Fraction(x).denominator for x in point))
+    k = draw(st.sampled_from([1, 2, 6]))
+    return P, point, (k * t, *(int(k * t * x) for x in point))
+
+
+@given(polytopes_with_rays())
+def test_interior_ray_matches_contains_interior(case):
+    P, point, ray = case
+    assert polytope._contains_interior_ray(P, ray) == polytope.contains_interior(P, point)
+
+
 # integers up to 2^70 in size, with small values and 0 drawn often
 big_ints = st.one_of(st.just(0), st.integers(-12, 12), st.integers(-2 ** 70, 2 ** 70))
+
+
+@given(st.lists(big_ints, max_size=8), st.sampled_from([1, 2, 6, 2 ** 35]),
+       st.sampled_from([list, tuple]))
+def test_int_row_of_ints_matches_fraction_row(row, k, kind):
+    """An int row, scaled by k so its gcd is often above 1, clears to
+    the primitive row the Fraction path gives, as a new list of ints."""
+    row = kind(k * x for x in row)
+    got = linalg._int_row(row)
+    assert got == linalg._int_row([Fraction(x) for x in row])
+    assert type(got) is list and got is not row
+    assert all(type(x) is int for x in got)
 
 
 @given(big_ints, st.one_of(st.integers(1, 12), st.integers(1, 2 ** 70)),

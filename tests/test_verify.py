@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -353,9 +354,11 @@ def _passing_and_failing_maps():
 
 
 def test_hit_sets_equal_the_evaluated_vertex_images():
-    """`_hit_sets` in integers equals frozenset(f.evaluate(v)) and hashes
-    like it, on enumerated homs of each source kind and on random maps of
-    a polytope with fractional vertices."""
+    """`_hit_sets` gives frozenset(f.evaluate(v)) in integers, as points y
+    over their least common denominator D, so equal sets of images give
+    equal hits and different sets different ones; on enumerated homs of
+    each source kind and on random maps of a polytope with fractional
+    vertices."""
     rng = random.Random(0)
     cases = []
     for key in [("crosspolytope", 3, "simplex", 3), ("cube", 2, "simplex", 2),
@@ -372,9 +375,12 @@ def test_hit_sets_equal_the_evaluated_vertex_images():
     for P, maps in cases:
         hits = [hit for _, hit in verify._hit_sets(maps, P)]
         expected = [_hit(f, P) for f in maps]
-        assert hits == expected
-        assert [hash(h) for h in hits] == [hash(h) for h in expected]
-        assert all(type(x) is Fraction for h in hits for point in h for x in point)
+        assert [frozenset(tuple(Fraction(x, D) for x in y) for y in points)
+                for points, D in hits] == expected
+        assert [D for _, D in hits] == [lcm(*(x.denominator for y in h for x in y))
+                                        for h in expected]
+        assert all(type(x) is int for points, D in hits for y in points for x in (D, *y))
+        assert len(set(hits)) == len(set(expected))
     assert [f for f, _ in verify._hit_sets(maps, P)] == maps
 
 
