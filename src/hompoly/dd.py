@@ -44,7 +44,8 @@ Representation choices, all in service of exactness and speed:
   `_sorted_rays` puts them in the lexicographic order of their points
   c / t without building those points.  A vertex map is such a ray
   (`homs.AffineMap.from_ray`, for `enumerate_vertex_maps` and `hompoly
-  vertices` alike), so Fractions appear only in the input rows and,
+  vertices` alike), and so is a vertex of a `polytope.Polytope`
+  (sorted by `_sorted_rays`), so Fractions appear only in the input rows and,
   for `polytope_vertices` and `Polytope.vertices`, in the output
   points.
 - After the initial basis, functionals are inserted in exactly the
@@ -345,12 +346,12 @@ def _sorted_rays(rays) -> list[tuple[int, ...]]:
 
 
 def _ray_points(rays) -> list[Vec]:
-    """The points c / t of integer rays (t, c) with t > 0, sorted
-    lexicographically.  The rays need not be primitive."""
-    return [tuple(Fraction(c, ray[0]) for c in ray[1:]) for ray in _sorted_rays(rays)]
+    """The points c / t of integer rays (t, c) with t > 0, in the given
+    order.  The rays need not be primitive."""
+    return [tuple(Fraction(c, ray[0]) for c in ray[1:]) for ray in rays]
 
 
 def polytope_vertices(ineqs, dim: int) -> list[Vec]:
     """The vertices of `polytope_rays(ineqs, dim)` as rational points,
     sorted lexicographically."""
-    return _ray_points(polytope_rays(ineqs, dim))
+    return _ray_points(_sorted_rays(polytope_rays(ineqs, dim)))

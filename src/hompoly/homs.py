@@ -13,9 +13,9 @@ A_{1,1} .. A_{1,m}, A_{2,1} .. A_{n,m}.
 A vertex map is one primitive integer ray (t, c) of this space, c / t
 being its coordinates, as the DD kernel returns it.  `AffineMap` holds
 it, and this module is the only one that reads the layout of c.  The
-images of a source's vertices are read off the same integers
-(`_int_images`), and `image_polytope` hulls them as integer points
-over their denominator.
+images of a source's vertex rays are read off the same integers as
+point rays (`_int_images`), and `image_polytope` hulls those rays
+(`polytope._from_rays`).
 
 The rows are kept as exact as the data allow: Q's facets are primitive
 integer rows, so each entry u_j v_i is an int wherever it is integral
@@ -36,11 +36,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from . import dd
 from .linalg import Mat, Vec, _echelon, _independent_rows, _int_row, dot, rank, vec
-from .polytope import Polytope, _from_int_points
+from .polytope import Polytope, _from_rays
 
 __all__ = [
     "AffineMap",
@@ -241,7 +241,7 @@ def structured_row_order(H: HomPolytope) -> list[int]:
     """
     if H.target.n_facets <= H.source.n_vertices:
         return sorted(range(len(H.rows)), key=lambda k: (H.pairs[k][1], H.pairs[k][0]))
-    lifted = [_int_row(v + (1,)) for v in H.source.vertices]
+    lifted = [(*x, t) for t, *x in H.source._vertex_rays()]  # (v, 1), times t
     chosen = set(_independent_rows(lifted, H.source_dim + 1))
     return sorted(range(len(H.rows)),
                   key=lambda k: (H.pairs[k][0] not in chosen, H.pairs[k]))
@@ -287,46 +287,33 @@ def rank_histogram(maps) -> dict[int, int]:
     return dict(sorted(hist.items()))
 
 
-def _vertex_terms(P: Polytope) -> tuple[int, list[list[tuple[int, int]]]]:
-    """The lcm V of the denominators of P's vertices, and each vertex
-    V v as the (coordinate, entry) pairs of its nonzero entries."""
-    verts = P.vertices
-    V = lcm(*(x.denominator for v in verts for x in v))
-    return V, [[(k, x.numerator * (V // x.denominator)) for k, x in enumerate(v) if x]
-               for v in verts]
+def _vertex_terms(P: Polytope) -> list[tuple[int, list[tuple[int, int]]]]:
+    """Each vertex ray (s, x) of P as s and the (coordinate, entry)
+    pairs of the nonzero entries of x."""
+    return [(s, [(k, a) for k, a in enumerate(x) if a]) for s, *x in P._vertex_rays()]
 
 
-def _int_images(f: AffineMap, V: int, terms) -> tuple[frozenset, int]:
-    """The images of the vertices v of P, given as `_vertex_terms(P)`,
-    in integers: the set of points y and the int D > 0 with f(v) = y / D.
-
-    From the ray, V t f(v) = V (t b) + sum_k (V v_k)(t a_k), summed
-    column by column.  D = V t and the points are then divided by the
-    gcd of D and all their entries, so D is the least common
-    denominator and two maps with the same image set give equal results.
-    """
+def _int_images(f: AffineMap, terms) -> list[tuple[int, ...]]:
+    """The images f(v) of the vertices v = x / s of P, given as
+    `_vertex_terms(P)`, in P's vertex order, as primitive point rays:
+    s t f(v) = s (t b) + sum_k x_k (t a_k), summed column by column, so
+    f(v) is the ray (s t, s t f(v)) divided by its gcd."""
     t, b, rows = f.parts
     cols = list(zip(*rows))
-    base = [V * x for x in b]
-    images = set()
-    for vt in terms:
-        img = base
+    images = []
+    for s, vt in terms:
+        img = [s * x for x in b]
         for k, c in vt:
             img = [a + c * e for a, e in zip(img, cols[k])]
-        images.add(tuple(img))
-    D = V * t
-    g = gcd(D, *(x for y in images for x in y))
-    if g > 1:
-        D //= g
-        images = {tuple([x // g for x in y]) for y in images}
-    return frozenset(images), D
+        images.append(tuple(_int_row([s * t, *img])))
+    return images
 
 
 def image_polytope(f: AffineMap, P: Polytope) -> Polytope:
     """conv(f(vert P)), carried with canonical representations, hulled
     from the integer images (`_int_images`): no Fraction is built until
     its vertices are read."""
-    return _from_int_points(*_int_images(f, *_vertex_terms(P)), f.target_dim)
+    return _from_rays(_int_images(f, _vertex_terms(P)), f.target_dim)
 
 
 def restrict_to_subcrosspolytope(f: AffineMap, indices) -> AffineMap:

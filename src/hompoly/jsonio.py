@@ -139,7 +139,7 @@ def polytope_from_json(data: dict) -> Polytope:
                           _rows_from_json(data.get("equations", []), ambient), ambient)
     if not has_v:
         return Q
-    if Q.vertices != P.vertices:
+    if Q != P:
         raise ValueError("polytope JSON: 'vertices' and the inequalities describe "
                          "different polytopes")
     return P

@@ -25,7 +25,8 @@ rows; the reduced sweep, which also clears the rows above each pivot,
 leaves every pivot entry equal to the last pivot d, so its integer rows
 are d times the reduced row echelon form.  Those rows are the result:
 the canonical equations of `polytope`, the integer nullspace that
-`affine_hull` and `cofactor_vector` read off them, and the DD kernel's
+`affine_hull` (of the rays (t, x) of points x / t, the vertex form of
+`polytope`) and `cofactor_vector` read off them, and the DD kernel's
 inverse of its initial basis; no elimination hands back Fraction rows.
 """
 
@@ -233,17 +234,19 @@ class AffineHull:
     equations: tuple[tuple[tuple[int, ...], int], ...]
 
 
-def affine_hull(points) -> AffineHull:
-    """Affine hull of a nonempty list of points of common dimension.
+def affine_hull(rays) -> AffineHull:
+    """Affine hull of the points x / t of a nonempty list of integer rays
+    (t, x), t > 0, of common length.
 
-    The equations are the integer nullspace of the homogeneous rows
-    (1, p), found in one reduced `_echelon` sweep.  Column 0 is a pivot,
-    and the dimension is the number of the others.  With d the last
-    pivot, each non-pivot column f gives the nullspace vector v with d
-    at f and minus column f of the reduced rows at the pivots, that is
-    the equation v[1:] . x = -v[0], scaled to a primitive int row.
+    The equations are the integer nullspace of the rays themselves, the
+    homogeneous rows (t, x), found in one reduced `_echelon` sweep of
+    copies of them.  Column 0 is a pivot, and the dimension is the
+    number of the others.  With d the last pivot, each non-pivot column f
+    gives the nullspace vector v with d at f and minus column f of the
+    reduced rows at the pivots, that is the equation v[1:] . x = -v[0],
+    scaled to a primitive int row.
     """
-    rows = [_int_row([1, *p]) for p in points]
+    rows = [list(ray) for ray in rays]
     if not rows:
         raise ValueError("affine hull of an empty point set")
     n = len(rows[0])

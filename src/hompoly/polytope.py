@@ -1,20 +1,22 @@
 """Polytopes as vertex sets with their facet systems.
 
-A Polytope is its canonical vertex tuple plus one inequality
-representation, the canonical irredundant one: every inequality a
-facet, the equations the affine hull.  Constructors fix the vertices
-(`from_inequalities` converts its rows by double description at once,
-so an unbounded system raises there); the facet system is derived from
-them on first use and cached.  `from_inequalities` keeps the DD's
-primitive integer rays until the vertices are first read, and only
-then builds the sorted Fraction tuples, so a caller that reads only
-`n_vertices` never makes a Fraction.  Each cache fill-in is idempotent,
-so concurrent readers are safe; values are otherwise immutable.
+A Polytope is its vertices plus one inequality representation, the
+canonical irredundant one: every inequality a facet, the equations the
+affine hull.  A vertex is held as its primitive integer ray (t, x),
+t > 0, the point x / t: the form the DD kernel returns and the one form
+in which this module takes and compares vertices; the Fraction tuple
+`vertices` is built only when it is read.  Constructors fix the
+vertices (`from_inequalities` converts its rows by double description
+at once, so an unbounded system raises there); the facet system is
+derived from them on first use and cached.  Each cache fill-in is
+idempotent, so concurrent readers are safe; values are otherwise
+immutable.
 
 Canonical forms, used everywhere set comparison or reproducible output
 matters:
 
-- vertices are sorted lexicographically under the rational total order;
+- vertex rays are primitive and sorted by their points, which sorts
+  the vertices lexicographically under the rational total order;
 - inequality rows are scaled to coprime integers (positive scaling
   only), reduced modulo the equation rows, and sorted;
 - equation rows are the primitive reduced row echelon form of the
@@ -31,22 +33,23 @@ hull is its frame coordinates plus one solved entry per equation.
 
 - H -> V restricts the inequalities to the frame and enumerates the
   vertices there as integer rays (t, c), the point c / t.  On first
-  read each is lifted, still in integers, with x_p = (e - n . x) / n_p
+  use each is lifted, still in integers, with x_p = (e - n . x) / n_p
   for each equation n . x = e with leading column p.
-- V -> H is one cone call on the points: by homogenization the facets
-  of conv(V) are the extreme rays (c, a) of the cone
-  {(c, a) : c + a . v[frame] >= 0 for all v in V}, each the facet
-  -a . x[frame] <= c (Fukuda & Prodon 1996).  The same integer rows
-  decide which points are vertices: point v is one iff no other point
-  lies on every facet through v.  A vertex is the only point of the
-  face those facets cut out.  Any other point lies in the relative
-  interior of a face of dimension >= 1 (the whole hull, for a point on
-  no facet), whose vertices are among the points and lie on every
-  facet through v.
+- V -> H is one cone call on the rays (`_hrep_from_rays`): by
+  homogenization the facets of conv(V) are the extreme rays (c, a) of
+  the cone {(c, a) : c t + a . x[frame] >= 0 for all rays (t, x) of V},
+  each the facet -a . x[frame] <= c (Fukuda & Prodon 1996).  When the
+  frame is all columns the rays are the cone's rows as they are.  The
+  same integer rows decide which points are vertices: point v is one
+  iff no other point lies on every facet through v.  A vertex is the
+  only point of the face those facets cut out.  Any other point lies in
+  the relative interior of a face of dimension >= 1 (the whole hull,
+  for a point on no facet), whose vertices are among the points and
+  lie on every facet through v.
 
 The DD kernel inserts rows in the order it is given them, so every
 conversion inserts in canonical sorted order: H -> V the sorted
-inequality rows, V -> H one row (1, v[frame]) per point, points sorted.
+inequality rows, V -> H one row per point, rays sorted by their points.
 The empty polytope is a first-class value: no vertices, contradictory
 inequality system.
 """
@@ -56,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import lcm
 
 from . import dd
 from .errors import SizeGuardError
@@ -69,7 +72,6 @@ from .linalg import (
     primitive,
     rank,
     vec,
-    zero_vec,
 )
 
 IneqRow = tuple[tuple[int, ...], int]
@@ -136,42 +138,57 @@ def _canonical_hrep(ineqs, eqs) -> HRep:
     return HRep(tuple(rows), canon_eqs)
 
 
+Ray = tuple[int, ...]
+
+
 class Polytope:
-    """Bounded convex polytope in Q^ambient_dim: its sorted vertices and
-    `hrep`, its canonical facet system, derived from them on first use.
+    """Bounded convex polytope in Q^ambient_dim: its vertices and `hrep`,
+    its canonical facet system, derived from them on first use.
 
-    A polytope made by `from_inequalities` holds, in place of vertices,
-    `rays`: the DD's integer rays in the frame of the canonical equations
-    and those equations (`_from_int_points` passes its rays in all
-    coordinates, with no equations).  `vertices` converts them on first
-    read (see `_vertices_from_hrep`) and caches the result; `n_vertices`,
-    `is_empty` and `repr` count the rays, and `dim` is their rank less
-    one.  A constructor below that passes `hrep` or `dim` vouches for
-    them."""
+    `_vertex_rays()` gives the vertices as rays sorted by their points,
+    the form `hrep`, `dim`, equality and `combinatorially_equal` read.
+    `from_inequalities` passes `frame_rays`, the DD's rays in the frame
+    of the canonical equations and those equations, lifted on first need
+    (`_vertices_from_hrep`); the other constructors pass `rays`, or
+    sorted Fraction `vertices`, which are cleared to rays.  `vertices`
+    makes the Fraction points on first read (`dd._ray_points`).  A
+    constructor that passes `hrep` or `dim` vouches for them."""
 
-    __slots__ = ("ambient_dim", "_vertices", "_rays", "_hrep", "_dim")
+    __slots__ = ("ambient_dim", "_vertices", "_rays", "_frame_rays", "_hrep", "_dim")
 
-    def __init__(self, ambient_dim: int, vertices: tuple[Vec, ...] | None,
+    def __init__(self, ambient_dim: int, vertices: tuple[Vec, ...] | None = None,
                  hrep: HRep | None = None, dim: int | None = None,
-                 rays: tuple[list[tuple[int, ...]], tuple[IneqRow, ...]] | None = None):
+                 rays: tuple[Ray, ...] | None = None,
+                 frame_rays: tuple[list[Ray], tuple[IneqRow, ...]] | None = None):
         self.ambient_dim = ambient_dim
         self._vertices = vertices
         self._rays = rays
+        self._frame_rays = frame_rays
         self._hrep = hrep
         self._dim = dim
 
     # -- representations -------------------------------------------------
 
+    def _vertex_rays(self) -> tuple[Ray, ...]:
+        """The vertices as primitive integer rays (t, x), t > 0, sorted
+        by their points x / t."""
+        if self._rays is None:
+            if self._vertices is not None:
+                self._rays = tuple(tuple(_int_row([1, *v])) for v in self._vertices)
+            else:
+                self._rays = _vertices_from_hrep(*self._frame_rays, self.ambient_dim)
+        return self._rays
+
     @property
     def vertices(self) -> tuple[Vec, ...]:
         if self._vertices is None:
-            self._vertices = tuple(_vertices_from_hrep(*self._rays, self.ambient_dim))
+            self._vertices = tuple(dd._ray_points(self._vertex_rays()))
         return self._vertices
 
     @property
     def hrep(self) -> HRep:
         if self._hrep is None:
-            self._hrep = _hrep_from_vertices(self.vertices, self.ambient_dim)[0]
+            self._hrep = _hrep_from_rays(self._vertex_rays(), self.ambient_dim)[0]
         return self._hrep
 
     @property
@@ -185,19 +202,18 @@ class Polytope:
                 self._dim = -1
             elif self._hrep is not None:  # its equations are the affine hull's
                 self._dim = self.ambient_dim - len(self._hrep.equations)
-            elif self._rays is not None:
-                # the rays (t, c) are homogeneous and the lift out of the
-                # frame is affine and injective
-                self._dim = rank(self._rays[0]) - 1
-            else:
-                self._dim = affine_hull(self.vertices).dim
+            elif self._rays is None and self._frame_rays is not None:
+                # the DD's rays: the lift out of the frame is linear and injective
+                self._dim = rank(self._frame_rays[0]) - 1
+            else:  # the rays (t, x) are homogeneous
+                self._dim = rank(self._vertex_rays()) - 1
         return self._dim
 
     @property
     def n_vertices(self) -> int:
-        if self._vertices is None:
-            return len(self._rays[0])
-        return len(self._vertices)
+        if self._frame_rays is not None:
+            return len(self._frame_rays[0])
+        return len(self._rays if self._rays is not None else self._vertices)
 
     @property
     def n_facets(self) -> int:
@@ -206,7 +222,8 @@ class Polytope:
     def __eq__(self, other):
         if not isinstance(other, Polytope):
             return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.vertices == other.vertices
+        return (self.ambient_dim == other.ambient_dim
+                and self._vertex_rays() == other._vertex_rays())
 
     def __repr__(self):
         facets = "" if self._hrep is None else f", {len(self._hrep.inequalities)} facets"
@@ -220,7 +237,7 @@ class Polytope:
 
 
 def empty_polytope(ambient_dim: int) -> Polytope:
-    return Polytope(ambient_dim, ())
+    return Polytope(ambient_dim, rays=())
 
 
 # -- conversions ---------------------------------------------------------
@@ -233,9 +250,10 @@ def _frame(equations, ambient: int) -> tuple[list[int], list[int]]:
     return [i for i in range(ambient) if i not in lead], lead
 
 
-def _vertices_from_hrep(rays, equations, ambient: int) -> list[Vec]:
-    """The sorted vertices of a canonical H-rep with these `equations`,
-    from the integer rays (t, c) that `dd.polytope_rays` gives for its
+def _vertices_from_hrep(rays, equations, ambient: int) -> tuple[Ray, ...]:
+    """The vertices of a canonical H-rep with these `equations`, as
+    primitive rays in all coordinates sorted by their points, from the
+    integer rays (t, c) that `dd.polytope_rays` gives for its
     inequalities restricted to the frame.
 
     The lift stays in integers: with L the lcm of the leading
@@ -244,8 +262,10 @@ def _vertices_from_hrep(rays, equations, ambient: int) -> list[Vec]:
     X_p = (L / n_p) (e t - n . c) for the equation n . x = e.  Each
     leading column is zero in every other equation, so the entries
     already solved do not enter n . c.  Without equations the lift is
-    the identity.
+    the identity, and the DD's rays are already primitive.
     """
+    if not equations:
+        return tuple(dd._sorted_rays(rays))
     frame, lead = _frame(equations, ambient)
     eqs = [([n[i] for i in frame], e, p, n[p]) for (n, e), p in zip(equations, lead)]
     L = lcm(*(n_p for *_, n_p in eqs))
@@ -256,22 +276,25 @@ def _vertices_from_hrep(rays, equations, ambient: int) -> list[Vec]:
             x[i] = ci * L
         for n, e, p, n_p in eqs:
             x[p] = L // n_p * (e * t - sum(a * b for a, b in zip(n, c)))
-        lifted.append((t * L, *x))
-    return dd._ray_points(lifted)
+        lifted.append(tuple(_int_row([t * L, *x])))
+    return tuple(dd._sorted_rays(lifted))
 
 
-def _hrep_from_vertices(points, ambient: int) -> tuple[HRep, tuple[Vec, ...]]:
-    """The facet system of conv(points), and the points that are its
-    vertices, in the given order; `points` are distinct.  Point k is a
+def _hrep_from_rays(rays, ambient: int) -> tuple[HRep, tuple[Ray, ...]]:
+    """The facet system of the hull of the points x / t of `rays`, and
+    the rays that are its vertices, in the given order.  The rays are
+    distinct primitive integer rays (t, x), t > 0, best sorted by their
+    points (the DD inserts one row per ray in that order).  Ray k is a
     vertex iff the AND of the bitsets of the facets through it is {k}
     (the module docstring has the proof)."""
-    if not points:
+    if not rays:
         return HRep((((0,) * ambient, -1),), ()), ()
-    eqs = _canonical_equations(affine_hull(points).equations)
+    eqs = _canonical_equations(affine_hull(rays).equations)
     frame, _ = _frame(eqs, ambient)
     if not frame:  # a single point: no facets
-        return HRep((), eqs), tuple(points)
-    rows = [tuple(_int_row([1] + [v[i] for i in frame])) for v in points]
+        return HRep((), eqs), tuple(rays)
+    rows = rays if len(frame) == ambient else [
+        tuple(_int_row([r[0], *(r[i + 1] for i in frame)])) for r in rays]
     ineqs = []
     on = []  # per facet, the bitset of the points on it
     for ray in dd.cone_extreme_rays(rows):
@@ -283,15 +306,20 @@ def _hrep_from_vertices(points, ambient: int) -> tuple[HRep, tuple[Vec, ...]]:
         on.append(sum(1 << k for k, row in enumerate(rows)
                       if sum(x * y for x, y in zip(ray, row)) == 0))
     verts = []
-    for k, v in enumerate(points):
+    for k, r in enumerate(rays):
         bit = 1 << k
-        common = (1 << len(points)) - 1
+        common = (1 << len(rays)) - 1
         for m in on:
             if m & bit:
                 common &= m
         if common == bit:
-            verts.append(v)
+            verts.append(r)
     return _canonical_hrep(ineqs, eqs), tuple(verts)
+
+
+# `bench/tracer.py` traces the conversion behind `Polytope.hrep` under
+# this name
+_hrep_from_vertices = _hrep_from_rays
 
 
 # -- constructors ----------------------------------------------------------
@@ -302,97 +330,75 @@ def from_inequalities(ineqs, eqs, ambient_dim: int) -> Polytope:
 
     The rows may be redundant: they are canonicalised and converted by
     double description at once, the vertices kept as the DD's integer
-    rays until first read, and `hrep` is then derived from the vertices.
-    Raises UnboundedPolytopeError if the rows cut out an unbounded set.
+    rays until first needed, and `hrep` is then derived from the
+    vertices.  Raises UnboundedPolytopeError if the rows cut out an
+    unbounded set.
     """
     hrep = _canonical_hrep(ineqs, eqs)
     frame, _ = _frame(hrep.equations, ambient_dim)
     rays = dd.polytope_rays([(tuple(n[i] for i in frame), c) for n, c in hrep.inequalities],
                             len(frame))
-    return Polytope(ambient_dim, None, rays=(rays, hrep.equations))
+    return Polytope(ambient_dim, frame_rays=(rays, hrep.equations))
+
+
+def _from_rays(rays, ambient: int) -> Polytope:
+    """conv of the points x / t of primitive integer rays (t, x), t > 0
+    (duplicates and points that are not vertices allowed), with its
+    facet system and its vertices kept as rays."""
+    hrep, verts = _hrep_from_rays(dd._sorted_rays(set(rays)), ambient)
+    return Polytope(ambient, hrep=hrep, rays=verts)
 
 
 def from_points(points, ambient_dim: int | None = None) -> Polytope:
-    """Convex hull of a point list (duplicates and interior points allowed)."""
-    pts = sorted({vec(p) for p in points})
-    if not pts:
-        if ambient_dim is None:
-            raise ValueError("empty point set with unknown ambient dimension")
-        return empty_polytope(ambient_dim)
-    ambient = len(pts[0]) if ambient_dim is None else ambient_dim
-    if any(len(p) != ambient for p in pts):
+    """Convex hull of a point list (duplicates and interior points allowed).
+
+    Each point p is cleared once, to the primitive ray of (1, p)."""
+    rays = [tuple(_int_row([1, *p])) for p in points]
+    if not rays and ambient_dim is None:
+        raise ValueError("empty point set with unknown ambient dimension")
+    ambient = len(rays[0]) - 1 if ambient_dim is None else ambient_dim
+    if any(len(r) != ambient + 1 for r in rays):
         raise ValueError("points of mixed dimension")
-    hrep, verts = _hrep_from_vertices(pts, ambient)
-    return Polytope(ambient, verts, hrep)
-
-
-def _from_int_points(points, D: int, ambient: int) -> Polytope:
-    """conv(y / D) over a set of integer points y, for an int D > 0,
-    with no Fraction until its vertices are read.
-
-    The hull is taken of the integer points themselves.  Scaling by D
-    keeps each equation's leading column and the lexicographic order of
-    the points, so the canonical rows of conv(y / D) are those of
-    conv(y) with the offsets over D: the row (n, c) becomes (D n, c)
-    divided by gcd(D, c), which is its content as (n, c) is primitive.
-    That division can reorder the inequalities, so they are sorted again.
-    The vertices are kept as the rays (D, y) in all coordinates.
-    """
-    if not points:
-        return empty_polytope(ambient)
-    hrep, verts = _hrep_from_vertices(sorted(points), ambient)
-
-    def over_d(rows):
-        out = []
-        for n, c in rows:
-            g = gcd(D, c)
-            out.append((tuple([D // g * a for a in n]), c // g))
-        return out
-
-    hrep = HRep(tuple(sorted(over_d(hrep.inequalities))), tuple(over_d(hrep.equations)))
-    return Polytope(ambient, None, hrep, rays=([(D, *v) for v in verts], ()))
+    return _from_rays(rays, ambient)
 
 
 def standard(kind: str, n: int) -> Polytope:
     """The standard n-simplex, n-cube [-1,1]^n, or n-crosspolytope conv(+-e_i)."""
     if n < 1:
         raise ValueError(f"standard polytope needs n >= 1, got {n}")
-    one = Fraction(1)
     if kind == "simplex":
-        verts = [zero_vec(n)] + [tuple(one if j == i else Fraction(0) for j in range(n))
-                                 for i in range(n)]
-        ineqs = [(tuple(-1 if j == i else 0 for j in range(n)), 0) for i in range(n)]
-        ineqs.append(((1,) * n, 1))
+        rays = [(1, *(int(j == i) for j in range(n))) for i in range(-1, n)]
+        ineqs = [(tuple(-(j == i) for j in range(n)), 0) for i in range(n)] + [((1,) * n, 1)]
     elif kind == "cube":
-        verts = [tuple(Fraction(s) for s in signs) for signs in product((-1, 1), repeat=n)]
-        ineqs = [(tuple(s if j == i else 0 for j in range(n)), 1)
-                 for i in range(n) for s in (-1, 1)]
+        rays = [(1, *signs) for signs in product((-1, 1), repeat=n)]
+        ineqs = [(tuple(s * (j == i) for j in range(n)), 1) for i in range(n) for s in (-1, 1)]
     elif kind == "crosspolytope":
-        verts = []
-        for i in range(n):
-            for s in (-1, 1):
-                verts.append(tuple(Fraction(s) if j == i else Fraction(0) for j in range(n)))
+        rays = [(1, *(s * (j == i) for j in range(n))) for i in range(n) for s in (-1, 1)]
         ineqs = [(signs, 1) for signs in product((-1, 1), repeat=n)]
     else:
         raise ValueError(f"unknown polytope kind {kind!r}")
-    return Polytope(n, tuple(sorted(verts)), _canonical_hrep(ineqs, ()))
+    rays = tuple(dd._sorted_rays(rays))
+    # with t = 1 each vertex is its ray's entries
+    return Polytope(n, tuple(tuple(map(Fraction, r[1:])) for r in rays),
+                    _canonical_hrep(ineqs, ()), rays=rays)
 
 
 # -- operations ------------------------------------------------------------
 
 
 def polar_dual(P: Polytope) -> Polytope:
-    """Dual polytope {y : y . x <= 1 for all x in P} (0 must be interior)."""
+    """Dual polytope {y : y . x <= 1 for all x in P} (0 must be interior):
+    P's facet n . x <= c is the vertex ray (c, n), its vertex ray (t, x)
+    the facet x . y <= t."""
     d = P.ambient_dim
     if P.dim != d:
         raise ValueError("polar dual needs a full-dimensional polytope")
     h = P.hrep
     if any(c <= 0 for _, c in h.inequalities):
         raise ValueError("polar dual needs the origin in the interior")
-    # n and c are ints: Fraction(a, c), not the float a / c
-    verts = sorted(tuple(Fraction(a, c) for a in n) for n, c in h.inequalities)
-    ineqs = [(v, Fraction(1)) for v in P.vertices]
-    return Polytope(d, tuple(verts), _canonical_hrep(ineqs, ()))
+    rays = tuple(dd._sorted_rays([(c, *n) for n, c in h.inequalities]))
+    ineqs = [(x, t) for t, *x in P._vertex_rays()]
+    return Polytope(d, hrep=_canonical_hrep(ineqs, ()), rays=rays)
 
 
 def _map_rows(P: Polytope, row):
@@ -434,14 +440,11 @@ def bipyramid(P: Polytope) -> Polytope:
     interior; any other P raises ValueError.
     """
     d = P.ambient_dim
-    if not contains_interior(P, zero_vec(d)):
+    if not _contains_interior_ray(P, (1,) + (0,) * d):
         raise ValueError("bipyramid needs the origin in the relative interior of P")
-    zero = Fraction(0)
-    one = Fraction(1)
-    verts = [v + (zero,) for v in P.vertices]
-    verts.append(zero_vec(d) + (-one,))
-    verts.append(zero_vec(d) + (one,))
-    return Polytope(d + 1, tuple(sorted(verts)))
+    apexes = [(1,) + (0,) * d + (s,) for s in (-1, 1)]
+    return Polytope(d + 1, rays=tuple(dd._sorted_rays([r + (0,) for r in P._vertex_rays()]
+                                                      + apexes)))
 
 
 def contains_interior(P: Polytope, x) -> bool:
@@ -467,12 +470,13 @@ def _contains_interior_ray(P: Polytope, ray) -> bool:
 
 
 def _incidence_masks(P: Polytope) -> list[int]:
+    """Per vertex ray (t, x), the bitset of the facets n . x = c t on it."""
     ineqs = P.hrep.inequalities
     masks = []
-    for v in P.vertices:
+    for t, *x in P._vertex_rays():
         m = 0
         for j, (n, c) in enumerate(ineqs):
-            if dot(n, v) == c:
+            if sum([a * b for a, b in zip(n, x) if a]) == c * t:
                 m |= 1 << j
         masks.append(m)
     return masks

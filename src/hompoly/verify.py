@@ -25,13 +25,14 @@ call, and the maps are still visited in order, so a failure names the
 same first map as a check of every map would.
 
 The per-map checks read the integers of each map's ray (t, t b, rows of
-t A) against the integer facet rows of Q, with no Fraction built per
-map: `diamond-center` tests t b against the rows of Q and the columns
-of t A against Q's vertices, `_cross_record` eliminates the rows of
-t A, and the hit sets are the integer images over their least common
-denominator, hulled as they are (`homs.image_polytope`).  Fractions
-appear only in failure witnesses and in the polytopes a claim builds
-once per distinct value (such as K above).
+t A) against Q's integer facet rows and vertex rays, with no Fraction
+per map: `diamond-center` tests t b and the columns of t A,
+`_cross_record` eliminates the rows of t A, hit sets and
+`rank1-factorization`'s images are point rays (`homs._int_images`), K
+above is cut out by integer rows (`_symmetric_core`), and the hulls of a
+hom's maps take their rays (`polytope._from_rays`).  Fractions appear
+only in failure witnesses (`_map_witness`) and in the standard
+polytopes' given vertices.
 """
 
 from __future__ import annotations
@@ -40,10 +41,8 @@ import inspect
 import logging
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
 
 from .counts import COUNT_FAMILIES, beta, bound_box_diamond, rank_k_sandwich, sigma
 from .homs import (
@@ -64,21 +63,18 @@ from .linalg import (
     _int_row,
     primitive,
     rank,
-    zero_vec,
 )
 from .polytope import (
     Polytope,
     _canonical_hrep,
     _contains_interior_ray,
+    _from_rays,
     bipyramid,
     combinatorially_equal,
     from_inequalities,
     from_points,
-    intersect,
-    negate,
     polar_dual,
     standard,
-    translate,
 )
 
 log = logging.getLogger(__name__)
@@ -158,6 +154,22 @@ def _diamond_records(m: int, n: int) -> tuple[tuple[int, bool], ...]:
     return tuple(_cross_record(f) for f in maps)
 
 
+def _map_witness(f: AffineMap) -> list[str]:
+    """A map in a failure witness: its flattened coordinates as strings."""
+    return [str(x) for x in flatten_map(f)]
+
+
+def _symmetric_core(Q: Polytope, ray) -> Polytope:
+    """K = Q & (2b - Q) for a full-dimensional Q and the point b = y / t
+    of an integer ray (t, y), t > 0, cut out in integers: Q's facets
+    n . x <= c and, times t, their reflections n . (2b - x) <= c."""
+    t, *y = ray
+    rows = Q.hrep.inequalities
+    return from_inequalities(rows + tuple(
+        (tuple(-t * a for a in n), t * c - 2 * sum(a * b for a, b in zip(n, y)))
+        for n, c in rows), (), Q.ambient_dim)
+
+
 # -- claim implementations ---------------------------------------------------
 # each returns (ok, witness)
 
@@ -178,10 +190,9 @@ def _claim_dim_formula(source: str, m: int, target: str, n: int):
 
 def _claim_constant_maps(source: str, m: int, target: str, n: int):
     P, Q, H, maps = _hom(source, m, target, n)
-    flat = {flatten_map(f) for f in maps}
+    rays = {f.ray for f in maps}
     for w in Q.vertices:
-        const = w + zero_vec(n * m)
-        if const not in flat:
+        if tuple(_int_row([1, *w, *[0] * (n * m)])) not in rays:
             return False, {"missing_constant_map_onto": [str(x) for x in w]}
     return True, None
 
@@ -190,7 +201,7 @@ def _claim_facet_form(source: str, m: int, target: str, n: int):
     """Every facet of the mapping polytope is one of the (vertex, facet)
     rows; also logs how many rows are facet-defining."""
     P, Q, H, maps = _hom(source, m, target, n)
-    poly = from_points([flatten_map(f) for f in maps], H.ambient_dim)
+    poly = _from_rays([f.ray for f in maps], H.ambient_dim)
     facets = set(poly.hrep.inequalities)
     rows = set(_canonical_hrep(H.rows, ()).inequalities)
     extra = facets - rows
@@ -206,38 +217,39 @@ def _claim_box_simplex_rank(m: int, n: int):
     expected = (n + 1) * (m * n + 1)
     if len(maps) != expected:
         return False, {"count": len(maps), "expected": expected}
-    bad = [flatten_map(f) for f in maps if map_rank(f) > 1]
+    bad = [f for f in maps if map_rank(f) > 1]
     if bad:
-        return False, {"rank_ge_2_maps": len(bad), "first": [str(x) for x in bad[0]]}
+        return False, {"rank_ge_2_maps": len(bad), "first": _map_witness(bad[0])}
     return True, None
 
 
 def _claim_rank1_factorization(m: int, n: int):
     """Rank-1 vertex maps hit exactly two points, both vertices of the
-    target or endpoints of a diagonal, with fibers split by a facet pair."""
+    target or endpoints of a diagonal, with fibers split by a facet pair.
+    Images are point rays (`homs._int_images`), compared with Q's."""
     P, Q, H, maps = _hom("cube", m, "simplex", n)
-    vertex_set = set(Q.vertices)
+    vertex_set = set(Q._vertex_rays())
+    terms = _vertex_terms(P)
     for f in maps:
         if map_rank(f) != 1:
             continue
-        images = {f.evaluate(v) for v in P.vertices}
+        hits = _int_images(f, terms)
+        images = set(hits)
         if len(images) != 2:
-            return False, {"map": [str(x) for x in flatten_map(f)],
-                           "image_points": len(images)}
+            return False, {"map": _map_witness(f), "image_points": len(images)}
         if not images <= vertex_set:
             # endpoints of a diagonal are still vertices for the simplex,
             # so anything else is a failure here
-            return False, {"map": [str(x) for x in flatten_map(f)]}
-        a, b = sorted(images)
-        fibers = {a: [], b: []}
-        for v in P.vertices:
-            fibers[f.evaluate(v)].append(v)
+            return False, {"map": _map_witness(f)}
+        fibers = {y: [] for y in images}
+        for v, y in zip(P._vertex_rays(), hits):
+            fibers[y].append(v)
         # each fiber must be a facet of the cube: all vertices sharing one
-        # fixed coordinate value
+        # fixed coordinate value (entry i + 1 of the ray (1, v))
         for pts in fibers.values():
             if len(pts) != 2 ** (m - 1):
                 return False, {"fiber_size": len(pts)}
-            fixed = [i for i in range(m)
+            fixed = [i for i in range(1, m + 1)
                      if len({p[i] for p in pts}) == 1]
             if not fixed:
                 return False, {"fiber_not_a_facet": True}
@@ -255,7 +267,7 @@ def _claim_cube_simplex_realization(m: int, n: int, compare: bool = False):
         return False, {"extreme_points": hull.n_vertices}
     if compare:
         _, _, H, maps = _hom("cube", m, "simplex", n)
-        poly = from_points([flatten_map(f) for f in maps], H.ambient_dim)
+        poly = _from_rays([f.ray for f in maps], H.ambient_dim)
         if not combinatorially_equal(hull, poly):
             return False, {"combinatorially_equal": False}
     return True, None
@@ -276,7 +288,7 @@ def _claim_hom_into_cube(source: str, m: int, n: int):
     if len(maps) != expected:
         return False, {"count": len(maps), "expected": expected}
     if n == 1 and model.n_vertices <= 12:
-        poly = from_points([flatten_map(f) for f in maps], H.ambient_dim)
+        poly = _from_rays([f.ray for f in maps], H.ambient_dim)
         if not combinatorially_equal(poly, model):
             return False, {"combinatorially_equal": False}
     return True, None
@@ -287,11 +299,10 @@ def _claim_diamond_center(m: int, n: int):
     with b = 0 that send each axis e_i to a vertex of Q (and so -e_i to
     its antipode).  Read off the ray (t, t b, columns t a_i): b is
     interior iff `_contains_interior_ray` holds for (t, t b), and
-    f(e_i) = a_i (b being 0) is a vertex w iff V (t a_i) = t (V w), with
-    V the lcm of the denominators of Q's vertices."""
+    f(e_i) = a_i (b being 0) is a vertex of Q iff the primitive ray of
+    (t, t a_i) is one of Q's vertex rays."""
     P, Q, H, maps = _hom("crosspolytope", m, "crosspolytope", n)
-    V = lcm(*(x.denominator for w in Q.vertices for x in w))
-    vertex_set = {tuple(x.numerator * (V // x.denominator) for x in w) for w in Q.vertices}
+    vertex_set = set(Q._vertex_rays())
     interior_count = 0
     for f in maps:
         if not _contains_interior_ray(Q, f.ray[:n + 1]):
@@ -301,9 +312,8 @@ def _claim_diamond_center(m: int, n: int):
         if any(b):
             return False, {"offset": [str(x) for x in f.offset]}
         for i in range(m):
-            plus = [V * row[i] for row in rows]
-            if any(x % t for x in plus) or tuple(x // t for x in plus) not in vertex_set:
-                return False, {"axis": i, "map": [str(x) for x in flatten_map(f)]}
+            if tuple(_int_row([t, *(row[i] for row in rows)])) not in vertex_set:
+                return False, {"axis": i, "map": _map_witness(f)}
     expected_interior = 2**m * n**m
     if interior_count != expected_interior:
         return False, {"interior_center_maps": interior_count,
@@ -343,7 +353,7 @@ def _claim_diamond_subcross(m: int, n: int):
             if ok:
                 break
         else:
-            return False, {"map": [str(x) for x in flatten_map(f)]}
+            return False, {"map": _map_witness(f)}
     return True, None
 
 
@@ -373,7 +383,7 @@ def _claim_diamond_image_shape(m: int, n: int):
     P, Q, H, maps = _hom("crosspolytope", m, "simplex", n)
     for f, (r, cross) in zip(maps, _diamond_records(m, n)):
         if r == n and not cross:
-            return False, {"map": [str(x) for x in flatten_map(f)],
+            return False, {"map": _map_witness(f),
                            "image_vertices": image_polytope(f, P).n_vertices}
     return True, None
 
@@ -386,9 +396,7 @@ def _full_rank_diamond_witness(n: int) -> AffineMap:
     crosspolytope, and any affine isomorphism onto the standard simplex
     restricts to the wanted map.
     """
-    one = Fraction(1)
-    tup = [(-one,) * n] + [tuple(one - 2 * int(j == i) for j in range(n))
-                           for i in range(n)]
+    tup = [(-1,) * n] + [tuple(1 - 2 * (j == i) for j in range(n)) for i in range(n)]
     inscribed = from_points(tup)
     sandwich = polar_dual(inscribed)
     target = standard("simplex", n)
@@ -416,7 +424,7 @@ def _claim_diamond_image_shape_witness(m: int, n: int):
         return False, {"base_map_not_vertex": True}
     b = f.offset
     img = image_polytope(f, source_small)
-    K = intersect(target, translate(negate(target), [2 * x for x in b]))
+    K = _symmetric_core(target, f.ray[:n + 1])
     spare = [v for v in K.vertices if v not in set(img.vertices)]
     if not spare:
         return False, {"no_spare_intersection_vertex": True}
@@ -439,15 +447,15 @@ def _claim_diamond_image_shape_witness(m: int, n: int):
 
 
 def _hit_sets(maps, P: Polytope):
-    """(f, hit) for each map f, in order, where hit = `_int_images(f, P)`:
-    the vertex images f(v) as a frozenset of integer points y over their
-    least common denominator D, which is one value per set f(vert P).
-    The image conv(f(vert P)) depends on f only through that set, so a
-    check that reads only the image has one verdict per hit.
+    """(f, hit) for each map f, in order, where hit is the frozenset of
+    the vertex images f(v) as primitive point rays (`homs._int_images`),
+    one value per set f(vert P).  The image conv(f(vert P)) depends on f
+    only through that set, so a check that reads only the image has one
+    verdict per hit.
     """
-    V, terms = _vertex_terms(P)
+    terms = _vertex_terms(P)
     for f in maps:
-        yield f, _int_images(f, V, terms)
+        yield f, frozenset(_int_images(f, terms))
 
 
 def _claim_vertex_image_law(m: int, target: str, n: int):
@@ -456,44 +464,39 @@ def _claim_vertex_image_law(m: int, target: str, n: int):
 
     The first check depends only on the hit set and K only on the
     offset b, so each distinct hit set's image and each distinct
-    offset's K are built once.  Both checks compare integer forms: the
-    image's vertex count with the number of distinct images, and the
-    images y / D with K's vertices as primitive rays (D, y), the one
-    integer form of a rational point.
+    offset's K are built once.  Both checks compare rays: the image's
+    vertex count with the number of distinct image rays, and those rays
+    with K's vertex rays; K is cut out by rows in integers
+    (`_symmetric_core`).
     """
     P, Q, H, maps = _hom("crosspolytope", m, target, n)
     image_ok = {}  # hit -> its hull has exactly these vertices
-    k_vertices = {}  # offset ray (t, t b), primitive -> vertices of K as rays
+    k_vertices = {}  # offset ray (t, t b), primitive -> vertex rays of K
     for f, hit in _hit_sets(maps, P):
-        points, D = hit
         ok = image_ok.get(hit)
         if ok is None:
-            ok = image_ok[hit] = image_polytope(f, P).n_vertices == len(points)
+            ok = image_ok[hit] = image_polytope(f, P).n_vertices == len(hit)
         if not ok:
-            return False, {"map": [str(x) for x in flatten_map(f)],
+            return False, {"map": _map_witness(f),
                            "reason": "image vertices differ from vertex images"}
         offset = tuple(_int_row(f.ray[:n + 1]))
         K = k_vertices.get(offset)
         if K is None:
-            t, *b = offset
-            reflected = translate(negate(Q), [Fraction(2 * x, t) for x in b])
-            K = k_vertices[offset] = frozenset(
-                tuple(_int_row([1, *v])) for v in intersect(Q, reflected).vertices)
-        if not all(tuple(_int_row([D, *y])) in K for y in points):
-            return False, {"map": [str(x) for x in flatten_map(f)],
+            K = k_vertices[offset] = set(_symmetric_core(Q, offset)._vertex_rays())
+        if not hit <= K:
+            return False, {"map": _map_witness(f),
                            "reason": "vertex image outside symmetric intersection"}
     return True, None
 
 
 def _face_law_failure(img: Polytope, hit, facet_rows, n: int):
     """None if the smallest face G of the simplex containing img, the
-    hull of the points y / D of hit = (points, D), has the dimension of
-    img and each facet of G cuts img in a facet of img; else the failure
-    payload.  A facet row u . x <= c is active on img iff u . y = c D at
-    every point."""
-    points, D = hit
+    hull of the point rays `hit`, has the dimension of img and each
+    facet of G cuts img in a facet of img; else the failure payload.  A
+    facet row u . x <= c is active on img iff u . y = c t at every ray
+    (t, y) of hit."""
     active = [(u, c) for u, c in facet_rows
-              if all(sum([a * b for a, b in zip(u, y) if a]) == c * D for y in points)]
+              if all(sum([a * b for a, b in zip(u, y) if a]) == c * t for t, *y in hit)]
     G = from_inequalities(facet_rows, active, n)
     g_dim = G.dim
     if g_dim != img.dim:
@@ -523,7 +526,7 @@ def _claim_face_law(source: str, m: int, n: int):
             failures[hit] = _face_law_failure(image_polytope(f, P), hit, facet_rows, n)
         failure = failures[hit]
         if failure is not None:
-            return False, {"map": [str(x) for x in flatten_map(f)], **failure}
+            return False, {"map": _map_witness(f), **failure}
     return True, None
 
 

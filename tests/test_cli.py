@@ -657,6 +657,26 @@ def test_beta_json_is_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of the --json stdout, recorded while the V -> H conversion still
+# took Fraction points: hulls, duals and intersections are byte-identical
+BUILT_SHA256 = {
+    ("dual", "cube:4"): "1271411fb1e0cd36e9b122ff98f75982337465576c9f1dba7b11ebdf0197f24c",
+    ("intersect", "cube:3", "crosspolytope:3"):
+        "9e6ec4b98a8145627f33031ecdd328d7e72979ea7b49250a10e7fe4e897df50d",
+    ("intersect", "simplex:3", "crosspolytope:3"):
+        "c0de7e34208a56ee403e3d11af53e927760636b57bc80a54f2a4faaf5ef2339a",
+    ("table", "3", "8", "--seed", "1"):
+        "ed8200d0590221241d983f4dfdedc7fbe2188311bcf4c55290294f53648932bc",
+}
+
+
+@pytest.mark.parametrize("argv", list(BUILT_SHA256), ids=" ".join)
+def test_dual_intersect_and_table_json_are_pinned(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BUILT_SHA256[argv]
+
+
 def test_count_enumerate_is_size_guarded(capsys, monkeypatch):
     from hompoly import verify
 

@@ -2,7 +2,7 @@
 
 `linalg.dot` is compared with the naive Fraction sum and `linalg.vec`
 checked to be idempotent, the integer rows of the reduced `linalg._echelon`
-sweep, `linalg.affine_hull` on rational points and the greedy
+sweep, `linalg.affine_hull` on the rays of rational points and the greedy
 `linalg._independent_rows` with the oracle's textbook Fraction
 elimination (and its choice on each prefix of hom rows and
 rank-deficient rows with its choice on all of them), `linalg.int_det`
@@ -31,7 +31,7 @@ sources (vertex maps, points between two, drawn rays that often leave
 the target), the rank and crosspolytope flag of
 `verify._cross_record` with the Fraction rank of A and the hull of the
 Fraction images, its isomorphism search and vertex count (m up to 5),
-`homs.image_polytope` (a hull of integer images over their denominator)
+`homs.image_polytope` (a hull of the images' primitive point rays)
 with `from_points` of the Fraction images,
 `polytope._contains_interior_ray` with `contains_interior` at vertices,
 midpoints, centroids and points outside or off the affine hull,
@@ -157,7 +157,7 @@ def hull_point_sets(draw):
 @given(hull_point_sets())
 def test_affine_hull_matches_oracle(case):
     pts, ambient = case
-    hull = linalg.affine_hull(pts)
+    hull = linalg.affine_hull([linalg.primitive([1, *p]) for p in pts])
     assert hull.dim == len(oracle_rref([[a - b for a, b in zip(p, pts[0])] for p in pts])[1])
     assert len(hull.equations) == ambient - hull.dim
     assert all(type(x) is int for u, e in hull.equations for x in (*u, e))
@@ -717,7 +717,7 @@ def test_canonical_hrep_with_equations_matches_brute_force(system):
     P = polytope.from_inequalities(ineqs, eqs, dim)
     expected = brute_force_vertices(ineqs, eqs, dim)
     assert P.n_vertices == len(expected)
-    assert polytope._vertices_from_hrep(*P._rays, dim) == expected
+    assert dd._ray_points(polytope._vertices_from_hrep(*P._frame_rays, dim)) == expected
     assert list(P.vertices) == expected
     h = polytope._canonical_hrep(ineqs, eqs)
     assert all(type(x) is int for u, c in h.inequalities + h.equations for x in (*u, c))
@@ -847,7 +847,7 @@ def test_is_vertex_map_matches_certificate_oracle(case):
     small_homs_with_maps().map(lambda case: (case[0].source, case[1])),
     crosspolytope_maps().map(lambda f: (polytope.standard("crosspolytope", f.source_dim), f))))
 def test_image_polytope_matches_fraction_hull(case):
-    """The hull of the integer images over D is the hull of the Fraction
+    """The hull of the images' point rays is the hull of the Fraction
     images f(v): the same vertices and canonical H-rep (sources with
     integer and rational vertices, maps in and out of the target)."""
     P, f = case

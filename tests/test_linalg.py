@@ -46,13 +46,14 @@ def test_rank_matches_rref_pivot_count():
 
 
 def test_affine_hull_segment():
-    hull = affine_hull([vec([0, 0]), vec([1, 0])])
+    # the rays (1, p) of the points p
+    hull = affine_hull([(1, 0, 0), (1, 1, 0)])
     assert hull.dim == 1
     assert hull.equations == (((0, 1), 0),)
 
 
 def test_affine_hull_single_point():
-    hull = affine_hull([vec([3, 4])])
+    hull = affine_hull([(1, 3, 4)])
     assert hull.dim == 0
     assert len(hull.equations) == 2
     for normal, offset in hull.equations:
@@ -60,7 +61,7 @@ def test_affine_hull_single_point():
 
 
 def test_affine_hull_full_dimensional_triangle():
-    hull = affine_hull([vec([0, 0]), vec([1, 0]), vec([0, 1])])
+    hull = affine_hull([(1, 0, 0), (1, 1, 0), (1, 0, 1)])
     assert hull.dim == 2
     assert hull.equations == ()
 
@@ -69,8 +70,8 @@ def test_affine_hull_generic_points_have_expected_dimension():
     rng = random.Random(19)
     for k in range(1, 5):
         # k+1 generic points in R^5 span a k-flat
-        pts = [vec([rng.randrange(-50, 50) for _ in range(5)]) for _ in range(k + 1)]
-        hull = affine_hull(pts)
+        pts = [[rng.randrange(-50, 50) for _ in range(5)] for _ in range(k + 1)]
+        hull = affine_hull([(1, *p) for p in pts])
         assert hull.dim == k
         for p in pts:
             for normal, offset in hull.equations:
@@ -78,7 +79,7 @@ def test_affine_hull_generic_points_have_expected_dimension():
 
 
 def test_affine_hull_is_instance():
-    assert isinstance(affine_hull([vec([0])]), AffineHull)
+    assert isinstance(affine_hull([(1, 0)]), AffineHull)
 
 
 def test_primitive_scaling():
@@ -88,8 +89,9 @@ def test_primitive_scaling():
 
 
 def test_affine_hull_of_rational_points_has_int_equations():
-    # x = 1/2 is held as the primitive int row 2x = 1
-    hull = affine_hull([vec([Fraction(1, 2), 0]), vec([Fraction(1, 2), 1])])
+    # x = 1/2 is held as the primitive int row 2x = 1; the rays (2, 1, 0)
+    # and (2, 1, 2) are the points (1/2, 0) and (1/2, 1)
+    hull = affine_hull([(2, 1, 0), (2, 1, 2)])
     assert hull.dim == 1
     assert hull.equations == (((2, 0), 1),)
     assert all(type(x) is int for x in hull.equations[0][0] + hull.equations[0][1:])

@@ -402,17 +402,37 @@ def test_implicit_equality_in_inequality_system():
 
 
 def test_from_points_matches_extreme_point_oracle():
+    """The vertices of the hull are the extreme points of the set: integer
+    points, rational points over mixed denominators (2^20 among them),
+    sets with duplicates, and collinear sets."""
     import random as _random
 
     from _oracles import brute_force_extreme_points
 
     rng = _random.Random(23)
+
+    def coord(rational):
+        if rational:
+            return F(rng.randrange(-6, 7), rng.choice((1, 2, 3, 5, 7, 2 ** 20)))
+        return F(rng.randrange(-3, 4))
+
     for d in (2, 3):
-        for _ in range(8):
-            pts = [tuple(F(rng.randrange(-3, 4)) for _ in range(d))
-                   for _ in range(rng.randrange(3, 8))]
+        for rational in (False, True):
+            for _ in range(8):
+                pts = [tuple(coord(rational) for _ in range(d))
+                       for _ in range(rng.randrange(3, 8))]
+                pts += rng.sample(pts, rng.randrange(0, 3))  # duplicates
+                hull = from_points(pts, d)
+                assert list(hull.vertices) == brute_force_extreme_points(set(pts))
+        for _ in range(4):
+            # five points a + s u on a line, some of them equal
+            a = [coord(True) for _ in range(d)]
+            u = [coord(True) for _ in range(d)]
+            steps = [F(rng.randrange(-4, 5), rng.choice((1, 3, 4))) for _ in range(5)]
+            pts = [tuple(x + s * y for x, y in zip(a, u)) for s in steps]
             hull = from_points(pts, d)
-            assert list(hull.vertices) == brute_force_extreme_points(pts)
+            assert list(hull.vertices) == brute_force_extreme_points(set(pts))
+            assert hull.dim == min(len(set(pts)), 2) - 1
 
 
 def test_intersect_matches_brute_force_on_random_shifted_diamonds():
@@ -435,13 +455,13 @@ def test_hull_of_diamond_hom_vertices_keeps_few_rays(caplog):
     import logging
     import re
 
-    from hompoly.homs import flatten_map
+    from hompoly.polytope import _from_rays
     from hompoly.verify import _hom
 
     _, _, H, maps = _hom("crosspolytope", 3, "crosspolytope", 3)
     assert len(maps) == 318
     with caplog.at_level(logging.DEBUG, logger="hompoly.dd"):
-        hull = from_points([flatten_map(f) for f in maps], H.ambient_dim)
+        hull = _from_rays([f.ray for f in maps], H.ambient_dim)
     assert (hull.n_vertices, hull.n_facets) == (318, 48)
     rays = [int(re.search(r": rays (\d+),", r.getMessage()).group(1))
             for r in caplog.records if r.name == "hompoly.dd"]

@@ -1,13 +1,14 @@
 import logging
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
+from math import gcd
 
 import pytest
 
-from hompoly import verify
+from hompoly import dd, homs, verify
 from hompoly.counts import beta, sigma
 from hompoly.homs import (
     AffineMap,
@@ -164,6 +165,38 @@ def test_suite_results_do_not_depend_on_thread_count(monkeypatch):
     assert outcome(2) == serial
 
 
+def test_claims_make_no_fraction_maps_or_points(monkeypatch):
+    """The hulls, images and vertex comparisons of these claims read
+    integer rays: with a cold hom cache, none of them flattens a map to
+    Fractions, reads a map's Fraction accessors or converts rays to
+    Fraction points, and every core-suite case of them passes."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a claim went through Fraction maps or points")
+
+    # every binding, as `from .homs import flatten_map` makes one per module
+    for original in (homs.flatten_map, dd._ray_points):
+        for name, mod in list(sys.modules.items()):
+            if name == "hompoly" or name.startswith("hompoly."):
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, refuse)
+    for accessor in ("matrix", "offset"):
+        monkeypatch.setattr(AffineMap, accessor, property(refuse))
+    monkeypatch.setattr(AffineMap, "evaluate", refuse)
+    for cached in ("_hom", "_diamond_records"):
+        monkeypatch.setattr(verify, cached,
+                            lru_cache(maxsize=64)(getattr(verify, cached).__wrapped__))
+    claims = {"facet-form", "hom-into-cube", "cube-simplex-realization", "constant-maps",
+              "rank1-factorization", "vertex-image-law", "face-law", "diamond-center"}
+    plan = [(c, p) for c, p in CORE_SUITE if c in claims]
+    assert {c for c, _ in plan} == claims
+    assert ("cube-simplex-realization", {"m": 2, "n": 2, "compare": True}) in plan
+    for claim_id, params in plan:
+        result = run_claim(claim_id, params)
+        assert (result.status, result.witness) == ("pass", None), (claim_id, params)
+
+
 def test_vertex_image_law_single():
     assert run_claim("vertex-image-law",
                      {"m": 2, "target": "simplex", "n": 2}).passed
@@ -248,7 +281,8 @@ def test_diamond_image_claims_fail_with_the_generic_witness(monkeypatch):
 # -- one check per distinct hit set, offset and restriction -------------------
 # Reference oracles: the three claims as loops that check every map.  They
 # look the checks up on `verify`, so a test that records those calls sees
-# the oracle's calls too.
+# the oracle's calls too; the vertex-image-law oracle builds K on Fraction
+# rows itself and lists the offsets it builds K for.
 
 
 def _oracle_diamond_subcross(P, Q, maps, n):
@@ -271,7 +305,9 @@ def _oracle_diamond_subcross(P, Q, maps, n):
     return True, None
 
 
-def _oracle_vertex_image_law(P, Q, maps):
+def _oracle_vertex_image_law(P, Q, maps, cuts):
+    """The claim on Fraction points; each offset b whose K it builds is
+    appended to `cuts`."""
     for f in maps:
         hit = {f.evaluate(v) for v in P.vertices}
         img = verify.image_polytope(f, P)
@@ -279,7 +315,8 @@ def _oracle_vertex_image_law(P, Q, maps):
             return False, {"map": [str(x) for x in flatten_map(f)],
                            "reason": "image vertices differ from vertex images"}
         b = f.offset
-        K = verify.intersect(Q, translate(negate(Q), [2 * x for x in b]))
+        cuts.append(b)
+        K = intersect(Q, translate(negate(Q), [2 * x for x in b]))
         if not hit <= set(K.vertices):
             return False, {"map": [str(x) for x in flatten_map(f)],
                            "reason": "vertex image outside symmetric intersection"}
@@ -354,11 +391,11 @@ def _passing_and_failing_maps():
 
 
 def test_hit_sets_equal_the_evaluated_vertex_images():
-    """`_hit_sets` gives frozenset(f.evaluate(v)) in integers, as points y
-    over their least common denominator D, so equal sets of images give
-    equal hits and different sets different ones; on enumerated homs of
-    each source kind and on random maps of a polytope with fractional
-    vertices."""
+    """`_hit_sets` gives frozenset(f.evaluate(v)) in integers, as the
+    primitive rays (t, y), t > 0, of the points y / t, so equal sets of
+    images give equal hits and different sets different ones; on
+    enumerated homs of each source kind and on random maps of a polytope
+    with fractional vertices."""
     rng = random.Random(0)
     cases = []
     for key in [("crosspolytope", 3, "simplex", 3), ("cube", 2, "simplex", 2),
@@ -375,11 +412,10 @@ def test_hit_sets_equal_the_evaluated_vertex_images():
     for P, maps in cases:
         hits = [hit for _, hit in verify._hit_sets(maps, P)]
         expected = [_hit(f, P) for f in maps]
-        assert [frozenset(tuple(Fraction(x, D) for x in y) for y in points)
-                for points, D in hits] == expected
-        assert [D for _, D in hits] == [lcm(*(x.denominator for y in h for x in y))
-                                        for h in expected]
-        assert all(type(x) is int for points, D in hits for y in points for x in (D, *y))
+        assert [frozenset(tuple(Fraction(x, t) for x in y) for t, *y in hit)
+                for hit in hits] == expected
+        assert all(type(x) is int for hit in hits for ray in hit for x in ray)
+        assert all(ray[0] > 0 and gcd(*ray) == 1 for hit in hits for ray in hit)
         assert len(set(hits)) == len(set(expected))
     assert [f for f, _ in verify._hit_sets(maps, P)] == maps
 
@@ -416,11 +452,13 @@ def test_vertex_image_law_checks_each_hit_set_and_offset_once(monkeypatch, faili
     maps = [p, p2] + [tail] * 2 * (tail is not None)
     _patched_hom(monkeypatch, P, Q, maps)
     images = _record(monkeypatch, "image_polytope", _hit)
-    cuts = _record(monkeypatch, "intersect", lambda Q, T: T.vertices)
+    claim_cuts = _record(monkeypatch, "_symmetric_core",
+                         lambda Q, ray: tuple(Fraction(y, ray[0]) for y in ray[1:]))
     result = run_claim("vertex-image-law", {"m": 4, "target": "simplex", "n": 3})
     claim_images, images[:] = images[:], []
-    claim_cuts, cuts[:] = cuts[:], []
-    assert (result.status, result.witness) == _outcome(_oracle_vertex_image_law(P, Q, maps))
+    cuts = []
+    assert (result.status, result.witness) == _outcome(
+        _oracle_vertex_image_law(P, Q, maps, cuts))
     assert claim_images == list(dict.fromkeys(images))
     assert claim_cuts == list(dict.fromkeys(cuts))
     assert len(claim_images) == 2 + (tail is not None)
@@ -455,7 +493,7 @@ def test_face_law_checks_each_hit_set_once(monkeypatch, failing):
     ("diamond-subcross", {"m": 4, "n": 3}, "is_vertex_map", 48),
     ("face-law", {"source": "crosspolytope", "m": 3, "n": 3}, "image_polytope", 11),
     ("vertex-image-law", {"m": 3, "target": "simplex", "n": 3}, "image_polytope", 11),
-    ("vertex-image-law", {"m": 3, "target": "simplex", "n": 3}, "intersect", 11),
+    ("vertex-image-law", {"m": 3, "target": "simplex", "n": 3}, "_symmetric_core", 11),
 ])
 def test_checks_run_once_per_distinct_key_on_the_core_suite(
         monkeypatch, claim_id, params, name, calls):
