@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from .counts import intersection_bound
 from .errors import SizeGuardError
-from .linalg import vec
-from .polytope import contains_interior, from_points, intersect, negate, standard, translate
+from .linalg import _int_row, vec
+from .polytope import _contains_ray, _symmetric_core, from_points, intersect, standard
 
 log = logging.getLogger(__name__)
 
@@ -61,7 +61,8 @@ def perturbed_barycenter_count(n: int, seed: int, eps=Fraction(1, 1000)) -> int:
 
     K is full-dimensional iff z is strictly inside S, which is what is
     tested: K is symmetric about z, so a nonempty K contains z, and if z
-    lies on a facet u . x = c of S then every x in K has u . x = c.
+    lies on a facet u . x = c of S then every x in K has u . x = c.  Both
+    the test and K (`polytope._symmetric_core`) read the integer ray of z.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -73,13 +74,12 @@ def perturbed_barycenter_count(n: int, seed: int, eps=Fraction(1, 1000)) -> int:
     gen = SeededGenerator(seed)
     for attempt in range(MAX_RETRIES):
         d = gen.draw_point(n)
-        z = tuple(b + eps * di for b, di in zip(bary, d))
-        if contains_interior(simplex, z):
+        z = tuple(_int_row([1, *(b + eps * di for b, di in zip(bary, d))]))
+        if _contains_ray(simplex, z, strict=True):
             if attempt:
                 log.info("perturbed intersection needed %d redraws (n=%d seed=%d)",
                          attempt, n, seed)
-            reflected = translate(negate(simplex), [2 * zi for zi in z])
-            return intersect(simplex, reflected).n_vertices
+            return _symmetric_core(simplex, z).n_vertices
         log.info("degenerate perturbation, redrawing (n=%d seed=%d attempt=%d)",
                  n, seed, attempt)
     raise ValueError(f"no full-dimensional perturbation within {MAX_RETRIES} draws")

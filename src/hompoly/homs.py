@@ -17,10 +17,11 @@ images of a source's vertex rays are read off the same integers as
 point rays (`_int_images`), and `image_polytope` hulls those rays
 (`polytope._from_rays`).
 
-The rows are kept as exact as the data allow: Q's facets are primitive
-integer rows, so each entry u_j v_i is an int wherever it is integral
-(every entry, for a source with integer vertices) and a Fraction only
-where a rational vertex makes it so.
+The rows are built from P's vertex rays (s, x) and Q's facet rows, all
+integers, and are kept as exact as the data allow: each entry
+u_j v_i = u_j x_i / s is an int wherever it is integral (every entry,
+for a source with integer vertices) and a Fraction only where a
+rational vertex makes it so.
 
 Vertexhood of an individual map is decided by the active-set rank
 certificate: f is a vertex iff its tight constraints span R^{nm+n}.
@@ -36,11 +37,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import dd
-from .linalg import Mat, Vec, _echelon, _independent_rows, _int_row, dot, rank, vec
-from .polytope import Polytope, _from_rays
+from .linalg import Mat, Vec, _echelon, _independent_rows, _int_row, rank
+from .polytope import Polytope, _contains_ray, _from_rays
 
 __all__ = [
     "AffineMap",
@@ -111,10 +112,12 @@ class AffineMap:
         return tuple(Fraction(a, t) for a in b)
 
     def evaluate(self, x) -> Vec:
-        t, b, rows = self.parts
-        x = vec(x)
-        return tuple(Fraction(d.numerator + c * d.denominator, d.denominator * t)
-                     for d, c in zip([dot(row, x) for row in rows], b))
+        """f(x), read off the image ray of x's ray (`_int_images`)."""
+        if len(x) != self.source_dim:
+            raise ValueError(f"point of dimension {len(x)} for a map from R^{self.source_dim}")
+        s, *x = _int_row([1, *x])
+        u, *y = _int_images(self, [(s, [(k, a) for k, a in enumerate(x) if a])])[0]
+        return tuple(Fraction(a, u) for a in y)
 
 
 def map_rank(f: AffineMap, rows=None) -> int:
@@ -161,17 +164,19 @@ class HomPolytope:
         return n * m + n
 
 
-def _hom_row(v: Vec, u: tuple[int, ...], c: int, m: int, n: int):
-    """The row u . f(v) <= c: u at b, u_j v_i at A_{j,i}, each entry an
-    int where it is integral."""
+def _hom_row(ray: tuple[int, ...], u: tuple[int, ...], c: int, m: int, n: int):
+    """The row u . f(v) <= c for the vertex ray (s, x) of v = x / s: u at
+    b, u_j x_i / s at A_{j,i}, an int where s divides u_j x_i and a
+    Fraction only where it does not."""
+    s, *x = ray
     normal = list(u) + [0] * (n * m)
     for j in range(n):
         uj = u[j]
         if uj:
             base = n + j * m
             for i in range(m):
-                x = uj * v[i]
-                normal[base + i] = x.numerator if x.denominator == 1 else x
+                q, r = divmod(uj * x[i], s)
+                normal[base + i] = Fraction(uj * x[i], s) if r else q
     return tuple(normal), c
 
 
@@ -179,7 +184,9 @@ def build_hom(P: Polytope, Q: Polytope) -> HomPolytope:
     """Inequality system of Hom(P, Q) for full-dimensional P and Q.
 
     Feasible-set dimension nm+n is certified on the spot: the constant
-    map onto the vertex centroid of Q satisfies every row strictly.
+    map onto the vertex centroid of Q, the ray (N L, sum (L / t) y) for
+    Q's N vertex rays (t, y) and L the lcm of their t, satisfies every
+    row strictly.
     """
     m, n = P.ambient_dim, Q.ambient_dim
     if P.dim != m:
@@ -189,13 +196,14 @@ def build_hom(P: Polytope, Q: Polytope) -> HomPolytope:
     facets = Q.hrep.inequalities
     rows = []
     pairs = []
-    for vi, v in enumerate(P.vertices):
+    for vi, v in enumerate(P._vertex_rays()):
         for fi, (u, c) in enumerate(facets):
             rows.append(_hom_row(v, u, c, m, n))
             pairs.append((vi, fi))
-    centroid = tuple(
-        sum(v[j] for v in Q.vertices) / len(Q.vertices) for j in range(n))
-    if not all(dot(u, centroid) < c for u, c in facets):
+    q_rays = Q._vertex_rays()
+    L = lcm(*(t for t, *_ in q_rays))
+    centroid = (len(q_rays) * L, *(sum(L // t * y[j] for t, *y in q_rays) for j in range(n)))
+    if not _contains_ray(Q, centroid, strict=True):
         raise ValueError("target centroid not strictly interior; bad facet system")
     return HomPolytope(P, Q, tuple(rows), tuple(pairs))
 
@@ -299,7 +307,7 @@ def _int_images(f: AffineMap, terms) -> list[tuple[int, ...]]:
     s t f(v) = s (t b) + sum_k x_k (t a_k), summed column by column, so
     f(v) is the ray (s t, s t f(v)) divided by its gcd."""
     t, b, rows = f.parts
-    cols = list(zip(*rows))
+    cols = list(zip(*rows)) or [()] * f.source_dim  # no rows: target dimension 0
     images = []
     for s, vt in terms:
         img = [s * x for x in b]
@@ -335,9 +343,9 @@ def restrict_to_subcrosspolytope(f: AffineMap, indices) -> AffineMap:
     return AffineMap.from_ray(tuple(a // g for a in ray), len(idx), f.target_dim)
 
 
-def cube_simplex_realization(m: int, n: int) -> tuple[Vec, ...]:
+def cube_simplex_realization(m: int, n: int) -> tuple[tuple[int, ...], ...]:
     """Explicit vertex model of the cube-to-simplex mapping polytope, as
-    its sorted point tuple.
+    its sorted tuple of integer points.
 
     In R^{n+nm}, with e_i the simplex directions and e_{ik} the m extra
     directions attached to each of them, the points are 0, 2e_i,
@@ -350,7 +358,7 @@ def cube_simplex_realization(m: int, n: int) -> tuple[Vec, ...]:
 
     def point(*terms):
         """The point sum of c e_pos over the (pos, c) terms."""
-        p = [Fraction(0)] * d
+        p = [0] * d
         for pos, c in terms:
             p[pos] += c
         return tuple(p)

@@ -4,17 +4,12 @@ Scalars are `fractions.Fraction`, which already maintains the canonical
 form (lowest terms, positive denominator, zero as 0/1).  Vectors are
 tuples of Fractions and matrices are tuples of row tuples, so every
 value is immutable and hashable and every operation is a pure function.
-A primitive row (`primitive`) is the exception: a tuple of coprime
-ints, the form facet and equation rows keep (see `polytope`).
+They are the form of input and output.  A primitive row (`primitive`)
+is a tuple of coprime ints, the form facet and equation rows and
+vertex rays keep (see `polytope`), and the computation path works on
+those.
 Nothing in the computation path touches floating point; approximate
 values exist only in CLI pretty-printing.
-
-The hot primitives stay off Fraction arithmetic where they can.  `vec`
-passes entries that already are Fractions through unchanged.  `dot`
-skips every term with a zero factor (hom rows and crosspolytope
-vertices are mostly zeros) and sums the rest as one integer numerator
-over an integer denominator read from `.numerator` / `.denominator`,
-so integer data keeps denominator 1 and one Fraction is built per call.
 
 All integer elimination runs through one routine, `_echelon`:
 fraction-free (Bareiss) elimination on integer-cleared rows, each update
@@ -39,42 +34,10 @@ from math import gcd, lcm
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 
-ZERO = Fraction(0)
-
 
 def vec(values) -> Vec:
     """Tuple of Fractions; entries that already are Fractions pass through."""
     return tuple(x if type(x) is Fraction else Fraction(x) for x in values)
-
-
-def zero_vec(n: int) -> Vec:
-    return (ZERO,) * n
-
-
-def dot(u: Vec, v: Vec) -> Fraction:
-    """Exact inner product of two rational (or integer) vectors.
-
-    Entries may be Fractions or ints.  Terms with a zero factor are
-    skipped; the others accumulate into one integer numerator over the
-    lcm of the terms' denominators, and a single Fraction is built on
-    return.  Raises ValueError on vectors of different lengths.
-    """
-    if len(u) != len(v):
-        raise ValueError(f"dot of lengths {len(u)} and {len(v)}")
-    num, den = 0, 1
-    for a, b in zip(u, v):
-        an = a.numerator
-        if an:
-            bn = b.numerator
-            if bn:
-                d = a.denominator * b.denominator
-                if d == den:
-                    num += an * bn
-                else:
-                    g = gcd(den, d)
-                    num = num * (d // g) + an * bn * (den // g)
-                    den = den // g * d
-    return Fraction(num, den)
 
 
 def primitive(v, orient: bool = False) -> tuple[int, ...]:

@@ -4,13 +4,13 @@ A Polytope is its vertices plus one inequality representation, the
 canonical irredundant one: every inequality a facet, the equations the
 affine hull.  A vertex is held as its primitive integer ray (t, x),
 t > 0, the point x / t: the form the DD kernel returns and the one form
-in which this module takes and compares vertices; the Fraction tuple
-`vertices` is built only when it is read.  Constructors fix the
-vertices (`from_inequalities` converts its rows by double description
-at once, so an unbounded system raises there); the facet system is
-derived from them on first use and cached.  Each cache fill-in is
-idempotent, so concurrent readers are safe; values are otherwise
-immutable.
+in which this module takes, compares, moves and tests points; the
+Fraction tuple `vertices` is built only when it is read.  Constructors
+pass the vertices as `rays`, or as the DD's `frame_rays`
+(`from_inequalities` converts its rows at once, so an unbounded system
+raises there); the facet system is derived from them on first use and
+cached.  Each cache fill-in is idempotent, so concurrent readers are
+safe; values are otherwise immutable.
 
 Canonical forms, used everywhere set comparison or reproducible output
 matters:
@@ -57,9 +57,9 @@ inequality system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import lcm
+from operator import le, lt
 
 from . import dd
 from .errors import SizeGuardError
@@ -68,10 +68,8 @@ from .linalg import (
     _echelon,
     _int_row,
     affine_hull,
-    dot,
     primitive,
     rank,
-    vec,
 )
 
 IneqRow = tuple[tuple[int, ...], int]
@@ -146,22 +144,22 @@ class Polytope:
     its canonical facet system, derived from them on first use.
 
     `_vertex_rays()` gives the vertices as rays sorted by their points,
-    the form `hrep`, `dim`, equality and `combinatorially_equal` read.
-    `from_inequalities` passes `frame_rays`, the DD's rays in the frame
-    of the canonical equations and those equations, lifted on first need
-    (`_vertices_from_hrep`); the other constructors pass `rays`, or
-    sorted Fraction `vertices`, which are cleared to rays.  `vertices`
-    makes the Fraction points on first read (`dd._ray_points`).  A
-    constructor that passes `hrep` or `dim` vouches for them."""
+    the form `hrep`, `dim`, equality, containment and
+    `combinatorially_equal` read.  A constructor passes either `rays`,
+    primitive and sorted by their points, or (`from_inequalities`)
+    `frame_rays`, the DD's rays in the frame of the canonical equations
+    and those equations, lifted on first need (`_vertices_from_hrep`).
+    `vertices` makes the Fraction points on first read
+    (`dd._ray_points`).  A constructor that passes `hrep` or `dim`
+    vouches for them."""
 
     __slots__ = ("ambient_dim", "_vertices", "_rays", "_frame_rays", "_hrep", "_dim")
 
-    def __init__(self, ambient_dim: int, vertices: tuple[Vec, ...] | None = None,
-                 hrep: HRep | None = None, dim: int | None = None,
+    def __init__(self, ambient_dim: int, hrep: HRep | None = None, dim: int | None = None,
                  rays: tuple[Ray, ...] | None = None,
                  frame_rays: tuple[list[Ray], tuple[IneqRow, ...]] | None = None):
         self.ambient_dim = ambient_dim
-        self._vertices = vertices
+        self._vertices = None
         self._rays = rays
         self._frame_rays = frame_rays
         self._hrep = hrep
@@ -173,10 +171,7 @@ class Polytope:
         """The vertices as primitive integer rays (t, x), t > 0, sorted
         by their points x / t."""
         if self._rays is None:
-            if self._vertices is not None:
-                self._rays = tuple(tuple(_int_row([1, *v])) for v in self._vertices)
-            else:
-                self._rays = _vertices_from_hrep(*self._frame_rays, self.ambient_dim)
+            self._rays = _vertices_from_hrep(*self._frame_rays, self.ambient_dim)
         return self._rays
 
     @property
@@ -202,7 +197,7 @@ class Polytope:
                 self._dim = -1
             elif self._hrep is not None:  # its equations are the affine hull's
                 self._dim = self.ambient_dim - len(self._hrep.equations)
-            elif self._rays is None and self._frame_rays is not None:
+            elif self._rays is None:
                 # the DD's rays: the lift out of the frame is linear and injective
                 self._dim = rank(self._frame_rays[0]) - 1
             else:  # the rays (t, x) are homogeneous
@@ -211,9 +206,9 @@ class Polytope:
 
     @property
     def n_vertices(self) -> int:
-        if self._frame_rays is not None:
+        if self._rays is None:
             return len(self._frame_rays[0])
-        return len(self._rays if self._rays is not None else self._vertices)
+        return len(self._rays)
 
     @property
     def n_facets(self) -> int:
@@ -230,10 +225,7 @@ class Polytope:
         return f"Polytope(R^{self.ambient_dim}, {self.n_vertices} vertices{facets})"
 
     def contains(self, x: Vec) -> bool:
-        x = vec(x)
-        h = self.hrep
-        return (all(dot(n, x) == c for n, c in h.equations)
-                and all(dot(n, x) <= c for n, c in h.inequalities))
+        return _contains_ray(self, _point_ray(self, x))
 
 
 def empty_polytope(ambient_dim: int) -> Polytope:
@@ -377,10 +369,7 @@ def standard(kind: str, n: int) -> Polytope:
         ineqs = [(signs, 1) for signs in product((-1, 1), repeat=n)]
     else:
         raise ValueError(f"unknown polytope kind {kind!r}")
-    rays = tuple(dd._sorted_rays(rays))
-    # with t = 1 each vertex is its ray's entries
-    return Polytope(n, tuple(tuple(map(Fraction, r[1:])) for r in rays),
-                    _canonical_hrep(ineqs, ()), rays=rays)
+    return Polytope(n, _canonical_hrep(ineqs, ()), rays=tuple(dd._sorted_rays(rays)))
 
 
 # -- operations ------------------------------------------------------------
@@ -411,17 +400,24 @@ def _map_rows(P: Polytope, row):
 
 
 def translate(P: Polytope, t) -> Polytope:
-    t = vec(t)
+    """P + t.  With t = y / d, a vertex ray (s, x) goes to the primitive
+    ray of (d s, d x + s y) and a facet row (n, c) to (d n, d c + n . y);
+    the points keep their order."""
     if len(t) != P.ambient_dim:
         raise ValueError("translation vector of wrong dimension")
-    return Polytope(P.ambient_dim,
-                    tuple(sorted(tuple(a + b for a, b in zip(v, t)) for v in P.vertices)),
-                    _map_rows(P, lambda n, c: (n, c + dot(n, t))), P._dim)
+    d, *y = _int_row([1, *t])
+    rays = tuple(tuple(_int_row([d * s, *(d * a + s * b for a, b in zip(x, y))]))
+                 for s, *x in P._vertex_rays())
+    return Polytope(P.ambient_dim, _map_rows(
+        P, lambda n, c: ([d * a for a in n], d * c + sum(a * b for a, b in zip(n, y)))),
+        P._dim, rays=rays)
 
 
 def negate(P: Polytope) -> Polytope:
-    return Polytope(P.ambient_dim, tuple(sorted(tuple(-a for a in v) for v in P.vertices)),
-                    _map_rows(P, lambda n, c: (tuple(-a for a in n), c)), P._dim)
+    """-P: each vertex ray (s, x) goes to (s, -x), which reverses their
+    order, and each facet row (n, c) to (-n, c)."""
+    return Polytope(P.ambient_dim, _map_rows(P, lambda n, c: ([-a for a in n], c)), P._dim,
+                    rays=tuple((s, *(-a for a in x)) for s, *x in reversed(P._vertex_rays())))
 
 
 def intersect(P: Polytope, Q: Polytope) -> Polytope:
@@ -440,7 +436,7 @@ def bipyramid(P: Polytope) -> Polytope:
     interior; any other P raises ValueError.
     """
     d = P.ambient_dim
-    if not _contains_interior_ray(P, (1,) + (0,) * d):
+    if not _contains_ray(P, (1,) + (0,) * d, strict=True):
         raise ValueError("bipyramid needs the origin in the relative interior of P")
     apexes = [(1,) + (0,) * d + (s,) for s in (-1, 1)]
     return Polytope(d + 1, rays=tuple(dd._sorted_rays([r + (0,) for r in P._vertex_rays()]
@@ -449,24 +445,39 @@ def bipyramid(P: Polytope) -> Polytope:
 
 def contains_interior(P: Polytope, x) -> bool:
     """Is x in the interior of P relative to its affine hull?"""
-    x = vec(x)
-    if P.is_empty:
-        return False
-    h = P.hrep
-    return (all(dot(n, x) == c for n, c in h.equations)
-            and all(dot(n, x) < c for n, c in h.inequalities))
+    return _contains_ray(P, _point_ray(P, x), strict=True)
 
 
-def _contains_interior_ray(P: Polytope, ray) -> bool:
-    """`contains_interior(P, x / t)` for an integer ray (t, x), t > 0, in
-    integers: n . x = c t on each canonical equation of P and n . x < c t
-    on each facet row."""
-    if P.is_empty:
-        return False
+def _point_ray(P: Polytope, x) -> tuple[int, ...]:
+    """The primitive integer ray (t, t x) of a rational point x of P's space."""
+    if len(x) != P.ambient_dim:
+        raise ValueError(f"point of dimension {len(x)} in R^{P.ambient_dim}")
+    return tuple(_int_row([1, *x]))
+
+
+def _contains_ray(P: Polytope, ray, strict: bool = False) -> bool:
+    """Does P, or with `strict` its interior relative to its affine hull,
+    hold the point x / t of an integer ray (t, x), t > 0?  In integers:
+    n . x = c t on each canonical equation of P, and n . x <= c t (with
+    `strict`, n . x < c t) on each facet row.  The empty polytope's one
+    row 0 . x <= -1 holds nowhere."""
     t, *x = ray
     h = P.hrep
+    below = lt if strict else le
     return (all(sum([a * b for a, b in zip(n, x) if a]) == c * t for n, c in h.equations)
-            and all(sum([a * b for a, b in zip(n, x) if a]) < c * t for n, c in h.inequalities))
+            and all(below(sum([a * b for a, b in zip(n, x) if a]), c * t)
+                    for n, c in h.inequalities))
+
+
+def _symmetric_core(Q: Polytope, ray) -> Polytope:
+    """K = Q & (2b - Q) for a full-dimensional Q and the point b = y / t
+    of an integer ray (t, y), t > 0, cut out in integers: Q's facets
+    n . x <= c and, times t, their reflections n . (2b - x) <= c."""
+    t, *y = ray
+    rows = Q.hrep.inequalities
+    return from_inequalities(rows + tuple(
+        (tuple(-t * a for a in n), t * c - 2 * sum(a * b for a, b in zip(n, y)))
+        for n, c in rows), (), Q.ambient_dim)
 
 
 def _incidence_masks(P: Polytope) -> list[int]:

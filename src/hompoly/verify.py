@@ -31,8 +31,7 @@ per map: `diamond-center` tests t b and the columns of t A,
 `rank1-factorization`'s images are point rays (`homs._int_images`), K
 above is cut out by integer rows (`_symmetric_core`), and the hulls of a
 hom's maps take their rays (`polytope._from_rays`).  Fractions appear
-only in failure witnesses (`_map_witness`) and in the standard
-polytopes' given vertices.
+only in failure witnesses (`_map_witness`).
 """
 
 from __future__ import annotations
@@ -67,8 +66,9 @@ from .linalg import (
 from .polytope import (
     Polytope,
     _canonical_hrep,
-    _contains_interior_ray,
+    _contains_ray,
     _from_rays,
+    _symmetric_core,
     bipyramid,
     combinatorially_equal,
     from_inequalities,
@@ -159,17 +159,6 @@ def _map_witness(f: AffineMap) -> list[str]:
     return [str(x) for x in flatten_map(f)]
 
 
-def _symmetric_core(Q: Polytope, ray) -> Polytope:
-    """K = Q & (2b - Q) for a full-dimensional Q and the point b = y / t
-    of an integer ray (t, y), t > 0, cut out in integers: Q's facets
-    n . x <= c and, times t, their reflections n . (2b - x) <= c."""
-    t, *y = ray
-    rows = Q.hrep.inequalities
-    return from_inequalities(rows + tuple(
-        (tuple(-t * a for a in n), t * c - 2 * sum(a * b for a, b in zip(n, y)))
-        for n, c in rows), (), Q.ambient_dim)
-
-
 # -- claim implementations ---------------------------------------------------
 # each returns (ok, witness)
 
@@ -191,9 +180,9 @@ def _claim_dim_formula(source: str, m: int, target: str, n: int):
 def _claim_constant_maps(source: str, m: int, target: str, n: int):
     P, Q, H, maps = _hom(source, m, target, n)
     rays = {f.ray for f in maps}
-    for w in Q.vertices:
-        if tuple(_int_row([1, *w, *[0] * (n * m)])) not in rays:
-            return False, {"missing_constant_map_onto": [str(x) for x in w]}
+    for k, w in enumerate(Q._vertex_rays()):  # w primitive, so (*w, 0, ...) is too
+        if (*w, *[0] * (n * m)) not in rays:
+            return False, {"missing_constant_map_onto": [str(x) for x in Q.vertices[k]]}
     return True, None
 
 
@@ -298,14 +287,14 @@ def _claim_diamond_center(m: int, n: int):
     """The vertex maps with f(0) = b interior to Q are the 2^m n^m maps
     with b = 0 that send each axis e_i to a vertex of Q (and so -e_i to
     its antipode).  Read off the ray (t, t b, columns t a_i): b is
-    interior iff `_contains_interior_ray` holds for (t, t b), and
+    interior iff `_contains_ray` holds strictly for (t, t b), and
     f(e_i) = a_i (b being 0) is a vertex of Q iff the primitive ray of
     (t, t a_i) is one of Q's vertex rays."""
     P, Q, H, maps = _hom("crosspolytope", m, "crosspolytope", n)
     vertex_set = set(Q._vertex_rays())
     interior_count = 0
     for f in maps:
-        if not _contains_interior_ray(Q, f.ray[:n + 1]):
+        if not _contains_ray(Q, f.ray[:n + 1], strict=True):
             continue
         interior_count += 1
         t, b, rows = f.parts
@@ -400,12 +389,13 @@ def _full_rank_diamond_witness(n: int) -> AffineMap:
     inscribed = from_points(tup)
     sandwich = polar_dual(inscribed)
     target = standard("simplex", n)
-    src = list(sandwich.vertices)
-    dst = list(target.vertices)
     # affine map determined by where the n+1 simplex vertices go: the
     # reduced integer rows (s, 1 | d) read (D I | D X) with (s, 1) X = d and
-    # D the last pivot; the map's ray is D (b, A) with b = X[n], A = X[:n]^T
-    rows = [_int_row([*s, 1, *d]) for s, d in zip(src, dst)]
+    # D the last pivot; the map's ray is D (b, A) with b = X[n], A = X[:n]^T.
+    # Row k is t u (s, 1 | d) for the k-th vertex rays (t, t s) of the
+    # sandwich and (u, u d) of the simplex.
+    rows = [_int_row([*(u * a for a in x), u * t, *(t * a for a in y)])
+            for (t, *x), (u, *y) in zip(sandwich._vertex_rays(), target._vertex_rays())]
     _echelon(rows, reduced=True)
     ray = primitive([rows[n][n], *rows[n][n + 1:],
                      *(rows[i][n + 1 + j] for j in range(n) for i in range(n))], orient=True)
@@ -414,7 +404,10 @@ def _full_rank_diamond_witness(n: int) -> AffineMap:
 
 def _claim_diamond_image_shape_witness(m: int, n: int):
     """For m > n > 3 a full-rank vertex map with non-crosspolytope image
-    exists; construct and certify one."""
+    exists; construct and certify one.  g adds to f's columns m - n
+    copies of v - b, v = y / s a vertex of K = Q & (2b - Q) that no vertex
+    image hits: its ray is s (t, t b, rows of t A), each row followed by
+    m - n entries t y_j - s (t b_j)."""
     if not (m > n > 3):
         raise ValueError(f"diamond-image-shape-witness needs m > n > 3, got m={m}, n={n}")
     source_small = standard("crosspolytope", n)
@@ -422,19 +415,16 @@ def _claim_diamond_image_shape_witness(m: int, n: int):
     f = _full_rank_diamond_witness(n)
     if map_rank(f) != n or not is_vertex_map(f, source_small, target):
         return False, {"base_map_not_vertex": True}
-    b = f.offset
-    img = image_polytope(f, source_small)
-    K = _symmetric_core(target, f.ray[:n + 1])
-    spare = [v for v in K.vertices if v not in set(img.vertices)]
+    hit = set(image_polytope(f, source_small)._vertex_rays())
+    spare = [v for v in _symmetric_core(target, f.ray[:n + 1])._vertex_rays() if v not in hit]
     if not spare:
         return False, {"no_spare_intersection_vertex": True}
-    v = spare[0]
-    ext_cols = list(zip(*f.matrix))
-    new_col = tuple(vi - bi for vi, bi in zip(v, b))
-    for _ in range(m - n):
-        ext_cols.append(new_col)
-    matrix = tuple(tuple(col[j] for col in ext_cols) for j in range(n))
-    g = AffineMap(matrix, b)
+    s, *y = spare[0]
+    t, b, rows = f.parts
+    ray = [s * t, *(s * a for a in b)]
+    for row, yj, bj in zip(rows, y, b):
+        ray += [s * a for a in row] + [t * yj - s * bj] * (m - n)
+    g = AffineMap.from_ray(tuple(_int_row(ray)), m, n)
     source_big = standard("crosspolytope", m)
     if map_rank(g) != n:
         return False, {"extended_rank": map_rank(g)}

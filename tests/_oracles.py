@@ -61,6 +61,15 @@ def _dot(u, v):
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
+def hom_rows(vertices, facets):
+    """The rows u . (A v + b) <= c of the affine maps A x + b, one per
+    vertex v and facet u . y <= c, vertex-major: u at b and u_j v_i at
+    A_{j,i}, A flattened row by row, all as Fractions."""
+    return [(tuple(Fraction(a) for a in u)
+             + tuple(Fraction(a) * Fraction(x) for a in u for x in v), Fraction(c))
+            for v in vertices for u, c in facets]
+
+
 def brute_force_vertices(ineqs, eqs, dim):
     """Vertex set by exhaustive basis enumeration.
 

@@ -1,8 +1,7 @@
 """Differential tests: the exact kernels against the brute-force oracles.
 
-`linalg.dot` is compared with the naive Fraction sum and `linalg.vec`
-checked to be idempotent, the integer rows of the reduced `linalg._echelon`
-sweep, `linalg.affine_hull` on the rays of rational points and the greedy
+`linalg.vec` is checked to be idempotent, the integer rows of the
+reduced `linalg._echelon` sweep, `linalg.affine_hull` on the rays of rational points and the greedy
 `linalg._independent_rows` with the oracle's textbook Fraction
 elimination (and its choice on each prefix of hom rows and
 rank-deficient rows with its choice on all of them), `linalg.int_det`
@@ -33,8 +32,12 @@ the target), the rank and crosspolytope flag of
 Fraction images, its isomorphism search and vertex count (m up to 5),
 `homs.image_polytope` (a hull of the images' primitive point rays)
 with `from_points` of the Fraction images,
-`polytope._contains_interior_ray` with `contains_interior` at vertices,
-midpoints, centroids and points outside or off the affine hull,
+`polytope._contains_ray`, strict and not, and `contains_interior` and
+`Polytope.contains` with the Fraction rows of P at vertices, midpoints,
+centroids and points outside or off the affine hull, `homs.build_hom`'s
+rows from vertex rays with a Fraction row builder on rational sources,
+`polytope.translate` and `negate`, which map rays and cached facet rows,
+with the hulls of the moved Fraction points,
 `linalg._int_row` on int rows with the same rows as Fractions, and the
 ray-held `homs.AffineMap` (its equality, hash, Fraction
 accessors, `map_rank` and `jsonio.map_to_json`) with the map built
@@ -58,8 +61,10 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from _oracles import (  # noqa: E402
+    _dot,
     brute_force_extreme_points,
     brute_force_vertices,
+    hom_rows,
     leibniz_det,
     oracle_rref,
     origin_inside_oracle,
@@ -77,25 +82,6 @@ rationals = st.one_of(
 
 # entries as callers pass them: Fractions, plain ints, or zeros of either type
 mixed_entries = st.one_of(rationals, st.integers(-9, 9), st.just(0))
-
-
-@st.composite
-def vector_pairs(draw):
-    """Two vectors of one length; either may be all zeros."""
-    n = draw(st.integers(0, 8))
-    vector = st.one_of(st.lists(mixed_entries, min_size=n, max_size=n),
-                       st.just([Fraction(0)] * n), st.just([0] * n))
-    return tuple(draw(vector)), tuple(draw(vector))
-
-
-@given(vector_pairs())
-def test_dot_matches_naive_sum(pair):
-    u, v = pair
-    got = linalg.dot(u, v)
-    assert type(got) is Fraction
-    assert got == sum((a * b for a, b in zip(u, v)), Fraction(0))
-    with pytest.raises(ValueError):
-        linalg.dot(u + (1,), v)
 
 
 @given(st.lists(st.one_of(mixed_entries, rationals.map(str)), max_size=8))
@@ -866,7 +852,7 @@ def polytopes_with_rays(draw):
     pushed out from the centroid, the centroid moved off the triangle's
     plane along the leading column of its equation (which no facet row
     reads), or drawn (often off the affine hull), times k so that the
-    ray is often not primitive."""
+    ray is often not primitive.  Returns the place drawn as well."""
     kind = draw(st.sampled_from(["simplex", "cube", "crosspolytope", "flat"]))
     if kind == "flat":
         P = polytope.from_points([(0, 0, 0), (2, 1, 0), (1, 3, 1)])
@@ -896,13 +882,84 @@ def polytopes_with_rays(draw):
         point = tuple(draw(st.lists(rationals, min_size=d, max_size=d)))
     t = lcm(*(Fraction(x).denominator for x in point))
     k = draw(st.sampled_from([1, 2, 6]))
-    return P, point, (k * t, *(int(k * t * x) for x in point))
+    return P, where, point, (k * t, *(int(k * t * x) for x in point))
 
 
 @given(polytopes_with_rays())
 def test_interior_ray_matches_contains_interior(case):
-    P, point, ray = case
-    assert polytope._contains_interior_ray(P, ray) == polytope.contains_interior(P, point)
+    """The one integer containment routine, through the ray and through
+    the point, strict and not, against the Fraction oracle on P's rows;
+    vertices and midpoints lie in P, and vertices on its boundary."""
+    P, where, point, ray = case
+    h = P.hrep
+    x = tuple(Fraction(a) for a in point)
+    on_hull = all(_dot(n, x) == c for n, c in h.equations)
+    interior = on_hull and all(_dot(n, x) < c for n, c in h.inequalities)
+    inside = on_hull and all(_dot(n, x) <= c for n, c in h.inequalities)
+    assert polytope._contains_ray(P, ray, strict=True) == interior
+    assert polytope.contains_interior(P, point) == interior
+    assert polytope._contains_ray(P, ray) == inside
+    assert P.contains(point) == inside
+    if where in ("vertex", "midpoint", "centroid"):
+        assert inside
+    if where == "vertex":
+        assert not interior
+
+
+@st.composite
+def rational_hom_pairs(draw):
+    """Full-dimensional P in R^1 .. R^3 with rational vertices (small
+    denominators, so some products u_j v_i are integral and some not)
+    and full-dimensional Q, standard or the hull of drawn integer
+    points, whose facet rows then have entries other than 0 and +-1."""
+    m = draw(st.integers(1, 3))
+    coord = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=6))
+    P = polytope.from_points(draw(st.lists(st.tuples(*[coord] * m),
+                                           min_size=m + 1, max_size=m + 3)), m)
+    assume(P.dim == m)
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        Q = polytope.standard(draw(st.sampled_from(["simplex", "cube", "crosspolytope"])), n)
+    else:
+        pts = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * n),
+                            min_size=n + 1, max_size=n + 3))
+        Q = polytope.from_points(pts, n)
+        assume(Q.dim == n)
+    return P, Q
+
+
+@given(rational_hom_pairs())
+def test_hom_rows_match_fraction_builder(pair):
+    """`build_hom`'s rows, built from P's vertex rays, are the Fraction
+    rows (u, u_j v_i; c) of P's Fraction vertices, in the same order, each
+    entry an int exactly where it is integral."""
+    P, Q = pair
+    H = homs.build_hom(P, Q)
+    facets = Q.hrep.inequalities
+    assert list(H.rows) == hom_rows(P.vertices, facets)
+    assert H.pairs == tuple((i, j) for i in range(P.n_vertices) for j in range(len(facets)))
+    for normal, offset in H.rows:
+        assert type(offset) is int
+        assert all((type(a) is int) == (Fraction(a).denominator == 1) for a in normal)
+
+
+@given(hull_point_lists(), st.lists(rationals, min_size=4, max_size=4), st.booleans())
+def test_translate_and_negate_match_fraction_points(case, shift, cached):
+    """P + t and -P, mapped ray by ray (and facet row by facet row when
+    P's facet system is cached), are the hulls of the Fraction points
+    v + t and -v, with the same sorted vertices, facet system and dim."""
+    points, d = case[0], case[1]
+    P = polytope.from_points(points, d)
+    if not cached:
+        P = polytope.Polytope(d, rays=P._vertex_rays())
+    t = tuple(shift[:d])
+    moved = polytope.translate(P, t)
+    flipped = polytope.negate(P)
+    for got, pts in ((moved, [tuple(a + b for a, b in zip(v, t)) for v in P.vertices]),
+                     (flipped, [tuple(-a for a in v) for v in P.vertices])):
+        assert got.vertices == tuple(sorted(pts))
+        expected = polytope.from_points(pts, d)
+        assert got == expected and got.hrep == expected.hrep and got.dim == P.dim
 
 
 # integers up to 2^70 in size, with small values and 0 drawn often

@@ -15,7 +15,7 @@ from hompoly.homs import (
     restrict_to_subcrosspolytope,
     structured_row_order,
 )
-from hompoly.linalg import vec, zero_vec
+from hompoly.linalg import vec
 from hompoly.polytope import (
     Polytope,
     combinatorially_equal,
@@ -31,11 +31,11 @@ F = Fraction
 
 def constant_map(point, m):
     point = vec(point)
-    return AffineMap(tuple(zero_vec(m) for _ in point), point)
+    return AffineMap(tuple((0,) * m for _ in point), point)
 
 
 def identity_map(n):
-    return AffineMap([[int(i == j) for j in range(n)] for i in range(n)], zero_vec(n))
+    return AffineMap([[int(i == j) for j in range(n)] for i in range(n)], (0,) * n)
 
 
 def test_build_hom_cube2_simplex2():
@@ -247,7 +247,7 @@ def test_restrict_identity_gives_axis_inclusion():
     f = identity_map(3)
     g = restrict_to_subcrosspolytope(f, [0, 1])
     assert g.matrix == ((F(1), F(0)), (F(0), F(1)), (F(0), F(0)))
-    assert g.offset == zero_vec(3)
+    assert g.offset == (0,) * 3
     # the restriction embeds the smaller crosspolytope into the larger
     assert is_vertex_map(g, standard("crosspolytope", 2), standard("crosspolytope", 3))
 

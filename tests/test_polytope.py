@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hompoly.errors import SizeGuardError, UnboundedPolytopeError
-from hompoly.linalg import dot, vec, zero_vec
+from hompoly.linalg import vec
 from hompoly.polytope import (
     Polytope,
     _incidence_masks,
@@ -70,7 +70,7 @@ def test_round_trip_standard(kind, n):
     P = standard(kind, n)
     Q = from_inequalities(P.hrep.inequalities, P.hrep.equations, P.ambient_dim)
     assert Q.vertices == P.vertices
-    R = Polytope(P.ambient_dim, P.vertices)
+    R = from_points(P.vertices)
     assert R.hrep == P.hrep
 
 

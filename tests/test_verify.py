@@ -8,6 +8,7 @@ from math import gcd
 
 import pytest
 
+from _oracles import _dot
 from hompoly import dd, homs, verify
 from hompoly.counts import beta, sigma
 from hompoly.homs import (
@@ -19,7 +20,7 @@ from hompoly.homs import (
     map_rank,
     restrict_to_subcrosspolytope,
 )
-from hompoly.linalg import dot, rank, vec
+from hompoly.linalg import rank, vec
 from hompoly.polytope import (
     combinatorially_equal,
     contains_interior,
@@ -197,6 +198,31 @@ def test_claims_make_no_fraction_maps_or_points(monkeypatch):
         assert (result.status, result.witness) == ("pass", None), (claim_id, params)
 
 
+def test_core_suite_and_table_never_read_fraction_vertices(monkeypatch):
+    """Hom rows, centroid checks, hulls, K = Q & (2b - Q) and containment
+    read vertex rays: with `Polytope.vertices` refused and cold hom
+    caches, every core-suite claim passes and the seed-1 table keeps its
+    pinned counts."""
+    from test_experiments import GENERIC_PERTURBED, TABLE_RANDOM_COUNTS
+
+    from hompoly.experiments import reproduce_table
+    from hompoly.polytope import Polytope
+
+    def refuse(self):
+        raise AssertionError("Fraction vertices read")
+
+    monkeypatch.setattr(Polytope, "vertices", property(refuse))
+    for cached in ("_hom", "_diamond_records"):
+        monkeypatch.setattr(verify, cached,
+                            lru_cache(maxsize=64)(getattr(verify, cached).__wrapped__))
+    results = run_suite("core")
+    assert len(results) == 69
+    assert [(r.claim_id, r.parameters) for r in results if not r.passed] == []
+    rows = reproduce_table(3, 8, seed=1)
+    assert [(r.n, r.random_count) for r in rows] == TABLE_RANDOM_COUNTS[1]
+    assert [r.perturbed_count for r in rows] == [GENERIC_PERTURBED[r.n] for r in rows]
+
+
 def test_vertex_image_law_single():
     assert run_claim("vertex-image-law",
                      {"m": 2, "target": "simplex", "n": 2}).passed
@@ -328,7 +354,7 @@ def _oracle_face_law(P, Q, maps, n):
     for f in maps:
         img = verify.image_polytope(f, P)
         active = [(u, c) for u, c in facet_rows
-                  if all(dot(u, v) == c for v in img.vertices)]
+                  if all(_dot(u, v) == c for v in img.vertices)]
         G = from_inequalities(facet_rows, active, n)
         g_dim = G.dim
         if g_dim != img.dim:
