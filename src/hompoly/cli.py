@@ -25,7 +25,6 @@ import logging
 import os
 import sys
 from collections import Counter
-from fractions import Fraction
 
 from . import counts as counts_mod
 from . import experiments, jsonio, verify
@@ -46,6 +45,16 @@ SPEC_SIZE_GUARD = 256
 STANDARD_SIZES = {"simplex": lambda n: (n + 1, n + 1),
                   "cube": lambda n: (2 ** n, 2 * n),
                   "crosspolytope": lambda n: (2 * n, 2 ** n)}
+
+
+def _load_json(path: str):
+    """The JSON value in the file at `path`; nesting too deep for the
+    parser is an input error, not a crash."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"JSON in {path!r} is nested too deeply") from None
 
 
 def parse_polytope_spec(spec: str, allow_large: bool = False) -> tuple[dict, Polytope]:
@@ -71,9 +80,7 @@ def parse_polytope_spec(spec: str, allow_large: bool = False) -> tuple[dict, Pol
                 f"facets; pass --allow-large to build it")
         return {"kind": kind, "n": n}, standard(kind, n)
     if kind == "file":
-        with open(arg) as fh:
-            data = json.load(fh)
-        return {"kind": "file", "path": arg}, jsonio.polytope_from_json(data)
+        return {"kind": "file", "path": arg}, jsonio.polytope_from_json(_load_json(arg))
     raise ValueError(f"unknown polytope kind {kind!r}")
 
 
@@ -117,24 +124,21 @@ def _check_large(args, dim: int, rows: int):
 def cmd_vertices(args) -> int:
     from . import dd
 
-    with open(args.hom) as fh:
-        data = json.load(fh)
-    rows, m, n, ambient = jsonio.hom_system_from_json(data)
+    rows, m, n, ambient = jsonio.hom_system_from_json(_load_json(args.hom))
     _check_large(args, ambient, len(rows))
     rays = dd.polytope_rays(rows, ambient)
     maps = [AffineMap.from_ray(ray, m, n) for ray in dd._sorted_rays(rays)]
     payload: dict = {"count": len(maps)}
     lines = [f"vertex maps: {len(maps)}"]
-    maps_payload = [jsonio.map_to_json(f) for f in maps] if args.out else None
+    ranks = None
+    if args.out:
+        with open(args.out, "w") as fh:
+            ranks = jsonio.write_maps(fh, maps)
     if args.ranks:
-        # with --out the payload already holds each map's rank
-        ranks = map(map_rank, maps) if maps_payload is None else (d["rank"] for d in maps_payload)
-        hist = dict(sorted(Counter(ranks).items()))
+        hist = dict(sorted(Counter(map(map_rank, maps) if ranks is None else ranks).items()))
         payload["rank_histogram"] = {str(k): v for k, v in hist.items()}
         lines.append("rank histogram: " + ", ".join(f"{k}: {v}" for k, v in hist.items()))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(jsonio.dumps_canonical(maps_payload))
         lines.append(f"wrote {len(maps)} maps to {args.out}")
     _emit(args, payload, lines)
     return 0
@@ -187,7 +191,7 @@ def cmd_sigma(args) -> int:
 
 
 def cmd_table(args) -> int:
-    eps = Fraction(args.eps)
+    eps = jsonio.str_to_rat(args.eps)
     rows = experiments.reproduce_table(args.n_min, args.n_max, args.seed, eps=eps)
     payload = jsonio.table_to_json(rows)
     lines = [f"{'n':>3} {'perturbed':>10} {'random':>8} {'bound':>10} {'pct':>8}"]

@@ -5,19 +5,25 @@ the denominator is 1.  All object keys are emitted sorted and vertex /
 inequality lists are in canonical order, so identical inputs always
 produce byte-identical JSON.
 
-A vertex map is written from the integers of its ray (t, t b, rows of
-t A; see `homs.AffineMap`): `map_to_json` builds each coordinate string
-of x = c / t from gcd(c, t) and hands the rows of t A it read to
-`homs.map_rank`, so no Fraction is made on the way from the kernel to
-the file and the ray is sliced once.  Facet and hom rows hold ints
-(see `polytope`), which `rat_to_str` writes without a Fraction.
+`dumps_canonical` writes every output but the maps file of `vertices
+--out`, which `write_maps` streams map by map with the same bytes.  It
+fills each map's text in from the integers of its ray (t, t b, rows of
+t A; see `homs.AffineMap`), each coordinate string of x = c / t read
+off gcd(c, t), and takes the rank from `homs.map_rank` on the rows of
+t A it read, so no Fraction, dict or payload list is made on the way
+from the kernel to the file and the ray is sliced once.  Facet and hom
+rows hold ints (see `polytope`), which `rat_to_str` writes without a
+Fraction.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterable
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
 from math import gcd
 from typing import TYPE_CHECKING
 
@@ -153,14 +159,47 @@ def _ray_str(c: int, t: int) -> str:
     return f"{c // g}/{t // g}"
 
 
-def map_to_json(f: AffineMap) -> dict:
-    t, b, rows = f.parts
-    rank = map_rank(f, rows)
-    if t == 1:
-        return {"A": [list(map(str, row)) for row in rows], "b": list(map(str, b)),
-                "rank": rank}
-    return {"A": [[_ray_str(c, t) for c in row] for row in rows],
-            "b": [_ray_str(c, t) for c in b], "rank": rank}
+def _array(items: list[str], indent: int) -> str:
+    """`json.dumps(..., indent=2)` of a list whose items' texts are
+    given, for a list that starts `indent` spaces in."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (indent + 2)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
+
+
+@lru_cache
+def _map_template(m: int, n: int) -> str:
+    """The text of one map R^m -> R^n in the maps file, as a `str.format`
+    template: a quoted field per entry of A, row by row, then of b, and
+    a bare field for the rank."""
+    A = _array([_array(['"{}"'] * m, 6)] * n, 4)
+    return ('  {{\n    "A": ' + A + ',\n    "b": ' + _array(['"{}"'] * n, 4)
+            + ',\n    "rank": {}\n  }}')
+
+
+def write_maps(fh, maps: Iterable[AffineMap]) -> list[int]:
+    """Write `dumps_canonical` of the maps' list of {"A", "b", "rank"}
+    objects to `fh`, map by map, and return the maps' ranks.
+
+    Each map's text is filled in from the integers of its ray (`str` of
+    each entry when t = 1, `_ray_str` otherwise) and its rank from
+    `map_rank` on the rows of t A.  Every string written matches
+    -?[0-9]+(/[0-9]+)?, so none needs escaping.
+    """
+    ranks = []
+    sep = "[\n"
+    for f in maps:
+        t, b, rows = f.parts
+        rank = map_rank(f, rows)
+        ranks.append(rank)
+        entries = chain(*rows, b)
+        if t != 1:
+            entries = [_ray_str(c, t) for c in entries]
+        fh.write(sep + _map_template(f.source_dim, f.target_dim).format(*entries, rank))
+        sep = ",\n"
+    fh.write("\n]\n" if ranks else "[]\n")
+    return ranks
 
 
 def hom_to_json(H: HomPolytope, source_desc: dict, target_desc: dict) -> dict:

@@ -184,6 +184,26 @@ def test_vertices_makes_no_fraction_maps(tmp_path, capsys, monkeypatch):
     assert len(json.loads(maps_file.read_text())) == 28
 
 
+def test_vertices_out_builds_no_payload(tmp_path, capsys, monkeypatch):
+    """Without --json, `vertices --out` writes the maps file straight
+    from the maps: `dumps_canonical` is never called, and the file holds
+    the oracle's bytes."""
+    hom_file = tmp_path / "hom.json"
+    maps_file = tmp_path / "maps.json"
+    run_cli(capsys, "construct", "crosspolytope:2", "crosspolytope:3", "--out", str(hom_file))
+    maps_text, _ = _oracle_vertices_output("crosspolytope:2", "crosspolytope:3")
+
+    def refuse(obj):
+        raise AssertionError("vertices built a payload for dumps_canonical")
+
+    monkeypatch.setattr(cli.jsonio, "dumps_canonical", refuse)
+    code, out, _ = run_cli(capsys, "vertices", str(hom_file), "--ranks",
+                           "--out", str(maps_file))
+    assert code == 0
+    assert maps_file.read_text() == maps_text
+    assert out.startswith(f"vertex maps: {len(json.loads(maps_text))}\n")
+
+
 def test_custom_polytope_file_round_trip(tmp_path, capsys):
     hom_file = tmp_path / "hom.json"
     poly_file = tmp_path
@@ -594,6 +614,30 @@ def test_table_without_a_usable_draw_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "table", "3", "3", "--eps", "1000")
     assert code == 2
     assert out == "" and "within 32 draws" in err
+
+
+@pytest.mark.parametrize("eps", [
+    "1e2000000",   # Fraction would build a 6.6 M-bit integer from it
+    "0.001", "1e-3", "1_000", " 1/1000 ", "1/0",
+])
+def test_table_eps_outside_the_number_grammar_is_usage_error(capsys, eps):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "table", "3", "3", "--eps", eps)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == "" and repr(eps) in err
+
+
+@pytest.mark.parametrize("command", ["vertices {path}", "dual file:{path}",
+                                     "construct file:{path} simplex:1"])
+def test_too_deeply_nested_json_is_usage_error(tmp_path, capsys, command):
+    """JSON nested past the parser's recursion limit exits 2 with a
+    message, not 1 with a RecursionError."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    code, out, err = run_cli(capsys, *command.format(path=path).split())
+    assert code == 2
+    assert out == "" and err == f"error: JSON in {str(path)!r} is nested too deeply\n"
 
 
 @pytest.mark.parametrize("claim,params,message", [

@@ -40,12 +40,15 @@ rows from vertex rays with a Fraction row builder on rational sources,
 with the hulls of the moved Fraction points,
 `linalg._int_row` on int rows with the same rows as Fractions, and the
 ray-held `homs.AffineMap` (its equality, hash, Fraction
-accessors, `map_rank` and `jsonio.map_to_json`) with the map built
-from the Fractions c / t, `linalg.rank` and `rat_to_str` (entries up
+accessors, `map_rank` and the maps file of `jsonio.write_maps`) with
+the map built from the Fractions c / t and stdlib `json.dumps` of its
+Fraction strings, `linalg.rank` and `rat_to_str` (entries up
 to 2^70, non-primitive rays, rank-deficient A), on generated inputs
 that stress the degenerate cases.
 """
 
+import io
+import json
 import logging
 import re
 from fractions import Fraction
@@ -1018,7 +1021,8 @@ def test_ray_map_matches_fraction_map(case, data):
     """`AffineMap.from_ray` of the primitive form of a drawn ray is the
     map built from the Fractions c / t: equal and hash-equal, with the
     same Fractions from its accessors, the rank of its Fraction matrix,
-    and the JSON of those Fractions."""
+    and, from `write_maps`, the bytes of stdlib `json.dumps` of those
+    Fractions' strings."""
     ray, m, n = case
     flat = tuple(Fraction(c, ray[0]) for c in ray[1:])
     b, A = flat[:n], tuple(flat[n + j * m: n + (j + 1) * m] for j in range(n))
@@ -1033,6 +1037,8 @@ def test_ray_map_matches_fraction_map(case, data):
     assert f.evaluate(x) == tuple(sum((a * y for a, y in zip(row, x)), c)
                                   for row, c in zip(A, b))
     assert homs.map_rank(f) == linalg.rank(A)
-    assert jsonio.map_to_json(f) == {"A": [jsonio.vec_to_json(row) for row in A],
-                                     "b": jsonio.vec_to_json(b),
-                                     "rank": linalg.rank(A)}
+    expected = {"A": [jsonio.vec_to_json(row) for row in A], "b": jsonio.vec_to_json(b),
+                "rank": linalg.rank(A)}
+    fh = io.StringIO()
+    assert jsonio.write_maps(fh, [f]) == [linalg.rank(A)]
+    assert fh.getvalue() == json.dumps([expected], sort_keys=True, indent=2) + "\n"

@@ -1,3 +1,4 @@
+import io
 import json
 from fractions import Fraction
 
@@ -55,22 +56,61 @@ def test_polytope_json_vertex_order_is_canonical():
     assert data["vertices"] == sorted(data["vertices"])
 
 
+F = Fraction
+
+# (A, b, rank) of maps R^m -> R^n
+MAP_CASES = [
+    (((F(1, 2), F(0)),), (F(-1),), 1),
+    # 2x3, negative, zero and mixed-denominator entries
+    (((F(-3, 4), F(0), F(5, 6)), (F(2), F(-1, 3), F(0))), (F(-7, 10), F(0)), 2),
+    # rank-deficient: the second row is -2 times the first
+    (((F(1, 2), F(-1), F(3, 4)), (F(-1), F(2), F(-3, 2))), (F(1, 3), F(-2, 9)), 1),
+    (((F(0), F(0), F(0)), (F(0), F(0), F(0))), (F(5, 3), F(-1)), 0),
+    # integral (t = 1), negative entries
+    (((F(2), F(-3)), (F(-4), F(6))), (F(0), F(-5)), 1),
+    # m = 0: a constant map to R^2
+    (((), ()), (F(-1, 3), F(1, 2)), 0),
+]
+
+
+def _map_cases():
+    """The cases as AffineMaps, plus a map R^2 -> R^0 (n = 0), with the
+    objects of the maps file built from their Fractions."""
+    maps = [AffineMap(A, b) for A, b, _ in MAP_CASES] + [AffineMap.from_ray((1,), 2, 0)]
+    objects = [{"A": [[jsonio.rat_to_str(x) for x in row] for row in A],
+                "b": [jsonio.rat_to_str(x) for x in b], "rank": rank}
+               for A, b, rank in [*MAP_CASES, ((), (), 0)]]
+    return maps, objects
+
+
+def _written(maps):
+    fh = io.StringIO()
+    ranks = jsonio.write_maps(fh, maps)
+    return fh.getvalue(), ranks
+
+
 def test_map_to_json():
-    F = Fraction
-    cases = [
-        (((F(1, 2), F(0)),), (F(-1),), 1),
-        # 2x3, negative, zero and mixed-denominator entries
-        (((F(-3, 4), F(0), F(5, 6)), (F(2), F(-1, 3), F(0))), (F(-7, 10), F(0)), 2),
-        # rank-deficient: the second row is -2 times the first
-        (((F(1, 2), F(-1), F(3, 4)), (F(-1), F(2), F(-3, 2))), (F(1, 3), F(-2, 9)), 1),
-        (((F(0), F(0), F(0)), (F(0), F(0), F(0))), (F(5, 3), F(-1)), 0),
-    ]
-    for A, b, rank in cases:
-        f = AffineMap(A, b)
-        data = jsonio.map_to_json(f)
-        assert data == {"A": [[jsonio.rat_to_str(x) for x in row] for row in A],
-                        "b": [jsonio.rat_to_str(x) for x in b],
-                        "rank": rank}
+    """`write_maps` writes stdlib json.dumps(sort_keys=True, indent=2) of
+    the Fraction-built objects, map by map and for all maps at once,
+    and returns the ranks."""
+    maps, objects = _map_cases()
+    for f, obj in zip(maps, objects):
+        assert _written([f]) == (json.dumps([obj], sort_keys=True, indent=2) + "\n",
+                                 [obj["rank"]])
+    assert _written(maps) == (json.dumps(objects, sort_keys=True, indent=2) + "\n",
+                              [obj["rank"] for obj in objects])
+    assert _written([]) == (json.dumps([], indent=2) + "\n", [])
+
+
+def test_map_round_trip():
+    """The maps file read back through `str_to_rat` gives the maps."""
+    maps, _ = _map_cases()
+    data = json.loads(_written(maps)[0])
+    assert len(data) == len(maps)
+    for f, obj in zip(maps, data):
+        A = tuple(jsonio.json_to_vec(row, f.source_dim) for row in obj["A"])
+        b = jsonio.json_to_vec(obj["b"], f.target_dim)
+        assert A == f.matrix and b == f.offset
 
 
 def test_hom_json_contents():
