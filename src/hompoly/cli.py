@@ -13,8 +13,9 @@ more than SPEC_SIZE_GUARD vertices or facets (cube:40 has 2^40
 vertices), refused before anything is built.  beta runs
 up to n = 5 (about a tenth of a second) without a flag and refuses
 larger n (exit 2); --allow-large is accepted there and has no effect.
---threads (or HOMPOLY_THREADS) controls worker processes for suite
-runs; results are independent of the thread count.
+--threads (or HOMPOLY_THREADS, an integer >= 1) controls worker
+processes for suite runs, at most one per claim; results are
+independent of the thread count.
 """
 
 from __future__ import annotations
@@ -244,6 +245,17 @@ def cmd_intersect(args) -> int:
     return 0
 
 
+def _thread_count(text: str) -> int:
+    """A worker count from --threads or HOMPOLY_THREADS: an integer >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return n
+
+
 _SPEC_GUARD_HELP = f"build standard polytopes of more than {SPEC_SIZE_GUARD} vertices or facets"
 
 
@@ -254,11 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    env_threads = os.environ.get("HOMPOLY_THREADS", os.cpu_count() or 1)
-    try:
-        default_threads = int(env_threads)
-    except ValueError:
-        raise ValueError(f"HOMPOLY_THREADS must be an integer, got {env_threads!r}") from None
+    default_threads = os.cpu_count() or 1
+    env_threads = os.environ.get("HOMPOLY_THREADS")
+    if env_threads is not None:
+        try:
+            default_threads = _thread_count(env_threads)
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"HOMPOLY_THREADS {exc}") from None
 
     p = sub.add_parser("construct", help="build a mapping polytope inequality system")
     p.add_argument("source")
@@ -314,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="claim parameter key=value (repeatable)")
     p.add_argument("--suite", choices=["core", "extended"], default="core")
     p.add_argument("--list", action="store_true", help="list registered claims")
-    p.add_argument("--threads", type=int, default=default_threads)
+    p.add_argument("--threads", type=_thread_count, default=default_threads,
+                   help="worker processes for --suite (at most one per claim)")
     p.add_argument("--timings", action="store_true",
                    help="include elapsed seconds in JSON output")
     p.add_argument("--json", action="store_true")

@@ -37,10 +37,16 @@ Representation choices, all in service of exactness and speed:
   the content; positive scalings only, so each inequality keeps its
   direction).  A row whose normal clears to zero reads 0 <= c: it is
   dropped for c >= 0 and makes the set empty for c < 0.
-- Initial basis selection and the initial simplicial cone use the
-  shared fraction-free elimination `linalg._echelon` (forward on the
-  transposed rows, reduced on [B | I]), so no Fraction arises in the
-  kernel.  `polytope_rays` returns the integer rays themselves, and
+- Two ways to start, one insertion loop.  Cold, for a bare inequality
+  system: a basis of rows is chosen and its simplicial cone built by
+  the shared fraction-free elimination `linalg._echelon` (forward on
+  the transposed rows, reduced on [B | I]), so no Fraction arises in
+  the kernel.  From a known cone (`start`): the caller hands over the
+  extreme rays of the cone cut out by a prefix of the rows, with each
+  ray's active-row bitset, and only the remaining rows are inserted;
+  `polytope.intersect` starts so from a full-dimensional operand's
+  vertex rays and facet incidences.  `polytope_rays` returns the
+  integer rays themselves, and
   `_sorted_rays` puts them in the lexicographic order of their points
   c / t without building those points.  A vertex map is such a ray
   (`homs.AffineMap.from_ray`, for `enumerate_vertex_maps` and `hompoly
@@ -48,7 +54,7 @@ Representation choices, all in service of exactness and speed:
   (sorted by `_sorted_rays`), so Fractions appear only in the input rows and,
   for `polytope_vertices` and `Polytope.vertices`, in the output
   points.
-- After the initial basis, functionals are inserted in exactly the
+- After the initial cone, functionals are inserted in exactly the
   order given.  The order is the caller's choice: it can change the
   intermediate ray counts by orders of magnitude, never the result.
   Hom systems come in `homs.structured_row_order` (facet by facet when
@@ -114,7 +120,9 @@ def _id_set(rays: list[_Ray], n_ids: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-def cone_extreme_rays(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+def cone_extreme_rays(rows: list[tuple[int, ...]],
+                      start: tuple[int, list[tuple[int, ...]], list[int]] | None = None,
+                      ) -> list[tuple[int, ...]]:
     """Extreme rays of the pointed cone {y : r . y >= 0 for all r in rows}.
 
     Rays come back as primitive integer tuples in no particular order.
@@ -123,40 +131,49 @@ def cone_extreme_rays(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
 
     The rows outside the initial basis are inserted in the order given,
     so the caller picks the insertion order by ordering the rows.
+
+    With `start` = (k, rays, masks) the kernel starts from a known cone
+    instead: `rays` are the extreme rays, primitive, of the pointed cone
+    that rows[:k] cut out, and masks[i] the bitset of the rows among
+    rows[:k] on which rays[i] is zero.  Only rows[k:] are inserted, in
+    the order given; no basis is chosen and no rank is checked.
     """
-    rows = [row for row in rows if any(row)]
-    if not rows:
-        raise UnboundedPolytopeError("no constraints: feasible cone is all of space")
-    dim = len(rows[0])
+    if start is None:
+        rows = [row for row in rows if any(row)]
+        if not rows:
+            raise UnboundedPolytopeError("no constraints: feasible cone is all of space")
+        dim = len(rows[0])
+        basis_idx = _independent_rows(rows, dim)
+        if len(basis_idx) < dim:
+            raise UnboundedPolytopeError("constraint rows do not span; cone contains a line")
+        # Initial simplicial cone from the basis rows B; its extreme rays
+        # are the columns of B^-1.  Reduced elimination of [B | I] leaves
+        # row k as D e_k | D (row k of B^-1) with D = +-det B, so column j
+        # of the right half times the sign of D is a positive multiple of
+        # ray j, active on every basis row but the j-th.
+        aug = [list(rows[i]) + [int(k == j) for j in range(dim)]
+               for k, i in enumerate(basis_idx)]
+        _echelon(aug, reduced=True)
+        sign = 1 if aug[0][0] > 0 else -1
+        all_basis = sum(1 << i for i in basis_idx)
+        seeds = [(tuple(_int_row([sign * row[dim + j] for row in aug])),
+                  all_basis ^ 1 << basis_idx[j]) for j in range(dim)]
+        rest = [i for i in range(len(rows)) if not all_basis >> i & 1]
+    else:
+        k, start_rays, masks = start
+        if not start_rays:
+            return []
+        dim = len(start_rays[0])
+        seeds = list(zip(start_rays, masks))
+        rest = list(range(k, len(rows)))
     n_rows = len(rows)
 
-    basis_idx = _independent_rows(rows, dim)
-    if len(basis_idx) < dim:
-        raise UnboundedPolytopeError("constraint rows do not span; cone contains a line")
-
-    # Initial simplicial cone from the basis rows B; its extreme rays are
-    # the columns of B^-1.  Reduced elimination of [B | I] leaves row k as
-    # D e_k | D (row k of B^-1) with D = +-det B, so column j of the right
-    # half times the sign of D is a positive multiple of ray j.
-    aug = [list(rows[i]) + [int(k == j) for j in range(dim)]
-           for k, i in enumerate(basis_idx)]
-    _echelon(aug, reduced=True)
-    sign = 1 if aug[0][0] > 0 else -1
-
-    basis = set(basis_idx)
-    rest = [i for i in range(n_rows) if i not in basis]
     rays: list[_Ray] = []
-    for j in range(dim):
-        coords = _int_row([sign * row[dim + j] for row in aug])
-        mask = 0
-        for i, bi in enumerate(basis_idx):
-            if i != j:
-                mask |= 1 << bi
+    for coords, mask in seeds:
         vals = [0] * n_rows
         for i in rest:
-            row = rows[i]
-            vals[i] = sum(r * c for r, c in zip(row, coords))
-        rays.append(_Ray(tuple(coords), mask, vals))
+            vals[i] = sum(r * c for r, c in zip(rows[i], coords))
+        rays.append(_Ray(coords, mask, vals))
 
     # Adjacency is tested on id bitsets: cols[i] holds the ids of the rays
     # active on row i (dead ids may linger), live the ids of current rays,

@@ -421,12 +421,34 @@ def negate(P: Polytope) -> Polytope:
 
 
 def intersect(P: Polytope, Q: Polytope) -> Polytope:
-    """Intersection; may be lower-dimensional or empty."""
-    if P.ambient_dim != Q.ambient_dim:
+    """Intersection; may be lower-dimensional or empty.
+
+    When an operand, say P, is full-dimensional, the DD starts from the
+    cone over P, which it already knows: P's facet rows (c, -n) cut out
+    a pointed cone whose extreme rays are P's vertex rays, each active
+    on the facets through it (`_incidence_masks`).  Only Q's rows are
+    inserted: each canonical equation as two opposite rows, then the
+    facet rows in canonical order.  The result's rays then lie in all
+    coordinates and are sorted on first read.  When neither operand is
+    full-dimensional, both facet systems go through `from_inequalities`.
+    """
+    d = P.ambient_dim
+    if d != Q.ambient_dim:
         raise ValueError("intersection of polytopes in different ambient spaces")
-    hp, hq = P.hrep, Q.hrep
-    return from_inequalities(hp.inequalities + hq.inequalities,
-                             hp.equations + hq.equations, P.ambient_dim)
+    hp, hq = P.hrep, Q.hrep  # with hrep cached, `dim` is a lookup
+    if P.dim != d:
+        P, Q, hp, hq = Q, P, hq, hp
+    if P.dim != d:
+        return from_inequalities(hp.inequalities + hq.inequalities,
+                                 hp.equations + hq.equations, d)
+    rows = [(c, *(-a for a in n)) for n, c in hp.inequalities]
+    for n, c in hq.equations:
+        rows.append((c, *(-a for a in n)))
+        rows.append((-c, *n))
+    rows.extend((c, *(-a for a in n)) for n, c in hq.inequalities)
+    rays = dd.cone_extreme_rays(
+        rows, start=(len(hp.inequalities), P._vertex_rays(), _incidence_masks(P)))
+    return Polytope(d, frame_rays=(rays, ()))
 
 
 def bipyramid(P: Polytope) -> Polytope:

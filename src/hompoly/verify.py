@@ -726,19 +726,25 @@ EXTENDED_SUITE: list[tuple[str, dict]] = CORE_SUITE + [
 
 
 def run_suite(level: str = "core", threads: int = 1) -> list[VerificationResult]:
-    """Run all claims of the chosen level; failures are recorded, not raised."""
+    """Run all claims of the chosen level; failures are recorded, not raised.
+
+    With threads > 1 the claims run in worker processes, never more of
+    them than there are claims."""
     if level == "core":
         plan = CORE_SUITE
     elif level == "extended":
         plan = EXTENDED_SUITE
     else:
         raise ValueError(f"unknown suite level {level!r}")
-    if threads > 1:
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    workers = min(threads, len(plan))
+    if workers > 1:
         # imported here: it pulls multiprocessing, pickle and socket into
         # every run that imports this module
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(run_claim, cid, params) for cid, params in plan]
             return [f.result() for f in futures]
     return [run_claim(cid, params) for cid, params in plan]

@@ -609,6 +609,33 @@ def test_bad_thread_environment_is_usage_error(capsys, monkeypatch, argv):
     assert out == "" and err.startswith("error:") and "HOMPOLY_THREADS" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "2.5"])
+def test_thread_count_that_is_not_a_positive_integer_is_usage_error(capsys, monkeypatch, recording_pool, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--threads", value])
+    assert exc.value.code == 2
+    assert f"--threads: must be an integer >= 1, got '{value}'" in capsys.readouterr().err
+    monkeypatch.setenv("HOMPOLY_THREADS", value)
+    code, out, err = run_cli(capsys, "verify", "--claim", "beta-value",
+                             "--param", "n=1", "--param", "expected=1")
+    assert code == 2
+    assert out == "" and err == f"error: HOMPOLY_THREADS must be an integer >= 1, got '{value}'\n"
+    assert recording_pool == []
+
+
+def test_verify_threads_beyond_the_claims_start_one_worker_per_claim(
+        capsys, monkeypatch, recording_pool):
+    from hompoly import verify
+
+    plan = [("beta-value", {"n": 1, "expected": 1}), ("beta-value", {"n": 2, "expected": 0})]
+    monkeypatch.setattr(verify, "CORE_SUITE", plan)
+    code, out, _ = run_cli(capsys, "verify", "--threads", "5000", "--json")
+    assert code == 0 and len(json.loads(out)) == 2
+    monkeypatch.setenv("HOMPOLY_THREADS", "5000")
+    assert run_cli(capsys, "verify", "--json")[:2] == (code, out)
+    assert recording_pool == [2, 2]
+
+
 def test_table_without_a_usable_draw_is_usage_error(capsys):
     # eps = 1000 pushes every jittered center out of the simplex
     code, out, err = run_cli(capsys, "table", "3", "3", "--eps", "1000")

@@ -43,8 +43,12 @@ ray-held `homs.AffineMap` (its equality, hash, Fraction
 accessors, `map_rank` and the maps file of `jsonio.write_maps`) with
 the map built from the Fractions c / t and stdlib `json.dumps` of its
 Fraction strings, `linalg.rank` and `rat_to_str` (entries up
-to 2^70, non-primitive rays, rank-deficient A), on generated inputs
-that stress the degenerate cases.
+to 2^70, non-primitive rays, rank-deficient A), `dd.cone_extreme_rays`
+started from a known cone (a cold run on a prefix of the rows) with the
+cold run on all of them, `polytope.intersect` from a full-dimensional
+operand's cone, and with no such operand through `from_inequalities`,
+with exhaustive basis enumeration of the joint facet system, on
+generated inputs that stress the degenerate cases.
 """
 
 import io
@@ -1042,3 +1046,152 @@ def test_ray_map_matches_fraction_map(case, data):
     fh = io.StringIO()
     assert jsonio.write_maps(fh, [f]) == [linalg.rank(A)]
     assert fh.getvalue() == json.dumps([expected], sort_keys=True, indent=2) + "\n"
+
+
+def _cone_rows(ineqs, dim):
+    """The DD's homogenized rows (c, -n) of a system, then 1 >= 0."""
+    return [tuple(linalg._int_row([c, *(-a for a in n)])) for n, c in ineqs] + \
+        [(1,) + (0,) * dim]
+
+
+def _known_start(rows, k):
+    """A cold run on rows[:k], as the start `cone_extreme_rays` takes."""
+    rays = dd.cone_extreme_rays(rows[:k])
+    masks = [sum(1 << i for i, row in enumerate(rows[:k])
+                 if sum(a * b for a, b in zip(row, ray)) == 0) for ray in rays]
+    return k, rays, masks
+
+
+@settings(max_examples=60)
+@given(st.one_of(bounded_systems(), degenerate_systems()), st.data())
+def test_known_start_matches_cold_start(system, data):
+    """Started from the cone of a prefix of its rows (any prefix of full
+    rank, all the rows included), the kernel finds the cold run's rays;
+    a next row t <= 0 leaves no ray.  The systems hold duplicated,
+    scaled and zero rows, degenerate vertices and empty sets."""
+    rows = _cone_rows(*system)
+    cold = set(dd.cone_extreme_rays(rows))
+    first = next(k for k in range(1, len(rows) + 1)
+                 if linalg.rank(rows[:k]) == len(rows[0]))
+    for k in {data.draw(st.integers(first, len(rows))), len(rows)}:
+        start = _known_start(rows, k)
+        assert set(dd.cone_extreme_rays(rows, start=start)) == cold
+        emptied = rows[:k] + [(-1,) + (0,) * (len(rows[0]) - 1)] + rows[k:]
+        assert dd.cone_extreme_rays(emptied, start=start) == []
+
+
+intersect_coords = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@st.composite
+def full_polytopes(draw, ambient):
+    """conv of ambient + 1 or ambient + 2 rational points, full-dimensional."""
+    point = st.lists(intersect_coords, min_size=ambient, max_size=ambient).map(tuple)
+    P = polytope.from_points(draw(st.lists(point, min_size=ambient + 1,
+                                           max_size=ambient + 2)), ambient)
+    assume(P.dim == ambient)
+    return P
+
+
+@st.composite
+def flat_polytopes(draw, ambient, normal=None):
+    """conv of one to four rational points of a hyperplane n . x = c
+    (drawn unless `normal` gives it), n_last in {1, -1, 2}."""
+    if normal is None:
+        normal = (*draw(st.lists(st.integers(-2, 2), min_size=ambient - 1,
+                                 max_size=ambient - 1)),
+                  draw(st.sampled_from([1, -1, 2]))), draw(intersect_coords)
+    n, c = normal
+    free = st.lists(intersect_coords, min_size=ambient - 1, max_size=ambient - 1)
+    pts = [(*x, (c - sum(a * b for a, b in zip(n, x))) / n[-1])
+           for x in draw(st.lists(free, min_size=1, max_size=4))]
+    return polytope.from_points(pts, ambient), normal
+
+
+def _reflect(P, facet):
+    """P mirrored in the hyperplane of its facet n . x <= c."""
+    n, c = facet
+    nn = sum(a * a for a in n)
+    return polytope.from_points(
+        [tuple(x - 2 * (sum(a * b for a, b in zip(n, v)) - c) * a / nn for a, x in zip(n, v))
+         for v in P.vertices], P.ambient_dim)
+
+
+def _intersect_routes(P, Q):
+    """intersect(P, Q) and, per DD call it made, whether that call
+    started from a known cone, and how many times it took the
+    `from_inequalities` route."""
+    starts, fallbacks = [], []
+    cold, from_ineqs = dd.cone_extreme_rays, polytope.from_inequalities
+
+    def spy_dd(rows, start=None):
+        starts.append(start is not None)
+        return cold(rows, start=start)
+
+    def spy_from_ineqs(*args):
+        fallbacks.append(args)
+        return from_ineqs(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dd, "cone_extreme_rays", spy_dd)
+        mp.setattr(polytope, "from_inequalities", spy_from_ineqs)
+        K = polytope.intersect(P, Q)
+    return K, starts, len(fallbacks)
+
+
+def _joint_vertices(P, Q):
+    hp, hq = P.hrep, Q.hrep
+    return brute_force_vertices(hp.inequalities + hq.inequalities,
+                                hp.equations + hq.equations, P.ambient_dim)
+
+
+@pytest.mark.parametrize("kind", ["full", "flat", "disjoint", "vertex", "facet", "self"])
+@settings(max_examples=30)
+@given(st.data())
+def test_intersect_from_known_cone_matches_brute_force(kind, data):
+    """With a full-dimensional operand P the DD starts from P's cone, in
+    either argument order, and the vertices are those of the joint
+    H-system: against a full-dimensional Q, points of a hyperplane, P
+    moved clear of itself, P mirrored through a vertex (they share that
+    point) or in a facet's hyperplane (they share the facet), and P."""
+    ambient = data.draw(st.integers(2, 3))
+    P = data.draw(full_polytopes(ambient))
+    if kind == "full":
+        Q = data.draw(full_polytopes(ambient))
+    elif kind == "flat":
+        Q, _ = data.draw(flat_polytopes(ambient))
+    elif kind == "disjoint":
+        xs = [v[0] for v in P.vertices]
+        Q = polytope.translate(P, [max(xs) - min(xs) + 1] + [0] * (ambient - 1))
+    elif kind == "vertex":
+        v = data.draw(st.sampled_from(P.vertices))
+        Q = polytope.translate(polytope.negate(P), [2 * x for x in v])
+    elif kind == "facet":
+        n, c = data.draw(st.sampled_from(P.hrep.inequalities))
+        Q = _reflect(P, (n, c))
+    else:
+        Q = P
+    expected = _joint_vertices(P, Q)
+    if kind == "disjoint":
+        assert expected == []
+    elif kind == "vertex":
+        assert expected == [v]
+    elif kind == "facet":
+        assert expected == [v for v in P.vertices if sum(a * b for a, b in zip(n, v)) == c]
+    for A, B in ((P, Q), (Q, P)):
+        K, starts, fallbacks = _intersect_routes(A, B)
+        assert (starts, fallbacks) == ([True], 0)
+        assert list(K.vertices) == expected
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_intersect_of_two_flat_polytopes_matches_brute_force(data):
+    """With no full-dimensional operand the rows go through
+    `from_inequalities`, which starts the DD cold."""
+    ambient = data.draw(st.integers(2, 3))
+    P, normal = data.draw(flat_polytopes(ambient))
+    Q, _ = data.draw(flat_polytopes(ambient, normal=data.draw(st.sampled_from([normal, None]))))
+    K, starts, fallbacks = _intersect_routes(P, Q)
+    assert fallbacks == 1 and True not in starts
+    assert list(K.vertices) == _joint_vertices(P, Q)

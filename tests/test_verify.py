@@ -166,6 +166,24 @@ def test_suite_results_do_not_depend_on_thread_count(monkeypatch):
     assert outcome(2) == serial
 
 
+def test_suite_starts_no_more_workers_than_claims(monkeypatch, recording_pool):
+    plan = [("beta-value", {"n": 1, "expected": 1}), ("beta-value", {"n": 3, "expected": 1}),
+            ("beta-value", {"n": 2, "expected": 0})]
+    monkeypatch.setattr(verify, "CORE_SUITE", plan)
+    for threads in (5000, 3, 2, 1):
+        results = run_suite("core", threads=threads)
+        assert [(r.claim_id, r.parameters, r.status) for r in results] == \
+            [(cid, params, "pass") for cid, params in plan]
+    assert recording_pool == [3, 3, 2]  # threads = 1 runs in this process
+    monkeypatch.setattr(verify, "CORE_SUITE", plan[:1])
+    run_suite("core", threads=5000)
+    assert recording_pool == [3, 3, 2]  # one claim: no pool
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            run_suite("core", threads=threads)
+    assert recording_pool == [3, 3, 2]
+
+
 def test_claims_make_no_fraction_maps_or_points(monkeypatch):
     """The hulls, images and vertex comparisons of these claims read
     integer rays: with a cold hom cache, none of them flattens a map to
