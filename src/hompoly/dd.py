@@ -12,6 +12,13 @@ Representation choices, all in service of exactness and speed:
 - Rays are primitive integer vectors (gcd 1).  New rays are positive
   integer combinations of an adjacent (positive, negative) pair, so no
   rational arithmetic happens in the loop.
+- Each ray keeps its values only on the rows still to insert, as a
+  stack with the next row last.  Every insertion pops the value on its
+  row from every live ray before any ray is made, and a new ray's stack
+  is the same combination of its parents' popped stacks, so all live
+  stacks hold the same rows in the same order and shrink as rows go in.
+  No memory goes to rows already inserted; a value is still computed
+  once per ray and row, at the seed or as a combination.
 - Active constraint sets are bitmasks over the row indices.  Two rays
   are adjacent iff no third extreme ray's active set contains the
   intersection of theirs (the standard combinatorial test, exact when
@@ -52,8 +59,7 @@ Representation choices, all in service of exactness and speed:
   (`homs.AffineMap.from_ray`, for `enumerate_vertex_maps` and `hompoly
   vertices` alike), and so is a vertex of a `polytope.Polytope`
   (sorted by `_sorted_rays`), so Fractions appear only in the input rows and,
-  for `polytope_vertices` and `Polytope.vertices`, in the output
-  points.
+  for `Polytope.vertices`, in the output points.
 - After the initial cone, functionals are inserted in exactly the
   order given.  The order is the caller's choice: it can change the
   intermediate ray counts by orders of magnitude, never the result.
@@ -75,22 +81,24 @@ import logging
 import time
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .errors import UnboundedPolytopeError
 from .linalg import Vec, _echelon, _independent_rows, _int_row
 
-__all__ = ["cone_extreme_rays", "polytope_rays", "polytope_vertices"]
+__all__ = ["cone_extreme_rays", "polytope_rays"]
 
 log = logging.getLogger(__name__)
 
 
 class _Ray:
-    __slots__ = ("coords", "mask", "vals", "id")
+    __slots__ = ("coords", "mask", "vals", "val", "id")
 
     def __init__(self, coords, mask, vals):
         self.coords = coords
         self.mask = mask
-        self.vals = vals
+        self.vals = vals  # values on the rows still to insert, the next last
+        self.val = 0  # value on the row being inserted
         self.id = -1
 
 
@@ -168,12 +176,8 @@ def cone_extreme_rays(rows: list[tuple[int, ...]],
         rest = list(range(k, len(rows)))
     n_rows = len(rows)
 
-    rays: list[_Ray] = []
-    for coords, mask in seeds:
-        vals = [0] * n_rows
-        for i in rest:
-            vals[i] = sum(r * c for r, c in zip(rows[i], coords))
-        rays.append(_Ray(coords, mask, vals))
+    rays = [_Ray(coords, mask, [sum(map(mul, rows[i], coords)) for i in reversed(rest)])
+            for coords, mask in seeds]
 
     # Adjacency is tested on id bitsets: cols[i] holds the ids of the rays
     # active on row i (dead ids may linger), live the ids of current rays,
@@ -186,7 +190,6 @@ def cone_extreme_rays(rows: list[tuple[int, ...]],
 
     trace = log.isEnabledFor(logging.DEBUG)
     for step, j in enumerate(rest, 1):
-        rem = rest[step:]  # the rows still to insert
         t_step = time.perf_counter() if trace else 0.0
 
         pos: list[_Ray] = []
@@ -194,7 +197,7 @@ def cone_extreme_rays(rows: list[tuple[int, ...]],
         zero: list[_Ray] = []
         bit_j = 1 << j
         for ray in rays:
-            v = ray.vals[j]
+            ray.val = v = ray.vals.pop()
             if v > 0:
                 pos.append(ray)
             elif v < 0:
@@ -245,7 +248,7 @@ def cone_extreme_rays(rows: list[tuple[int, ...]],
                 cands |= tied
             n_cands += cands.bit_count()
 
-            wv = w.vals[j]
+            wv = w.val
             w_coords = w.coords
             w_vals = w.vals
             others = live ^ (1 << w.id)
@@ -282,23 +285,17 @@ def cone_extreme_rays(rows: list[tuple[int, ...]],
                         cands &= keep
                     n_hits += n_left - cands.bit_count()
                     continue
-                uv = u.vals[j]
-                u_coords = u.coords
-                coords = [uv * wc - wv * uc for wc, uc in zip(w_coords, u_coords)]
+                uv = u.val
+                coords = [uv * wc - wv * uc for wc, uc in zip(w_coords, u.coords)]
                 g = gcd(*coords)
-                u_vals = u.vals
                 if g > 1:
                     coords = [a // g for a in coords]
-                    vals = [0] * n_rows
-                    for i in rem:
-                        vals[i] = (uv * w_vals[i] - wv * u_vals[i]) // g
+                    vals = [(uv * a - wv * b) // g for a, b in zip(w_vals, u.vals)]
                 else:
-                    vals = [0] * n_rows
-                    for i in rem:
-                        vals[i] = uv * w_vals[i] - wv * u_vals[i]
+                    vals = [uv * a - wv * b for a, b in zip(w_vals, u.vals)]
                 newborn.append(_Ray(tuple(coords), s | bit_j, vals))
 
-        rays = [r for r in rays if r.vals[j] >= 0] + newborn
+        rays = [r for r in rays if r.val >= 0] + newborn
         if trace:
             log.debug("insert %d/%d row %d: rays %d, negative %d, candidates %d, "
                       "witness hits %d, full tests %d, new %d, %.2fs",
@@ -366,9 +363,3 @@ def _ray_points(rays) -> list[Vec]:
     """The points c / t of integer rays (t, c) with t > 0, in the given
     order.  The rays need not be primitive."""
     return [tuple(Fraction(c, ray[0]) for c in ray[1:]) for ray in rays]
-
-
-def polytope_vertices(ineqs, dim: int) -> list[Vec]:
-    """The vertices of `polytope_rays(ineqs, dim)` as rational points,
-    sorted lexicographically."""
-    return _ray_points(_sorted_rays(polytope_rays(ineqs, dim)))

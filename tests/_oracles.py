@@ -1,13 +1,16 @@
 """Independent brute-force oracles used to cross-check the fast paths.
 
-Nothing here imports hompoly: the oracles do their own textbook
+The oracles use nothing from hompoly: they do their own textbook
 Fraction elimination, so a defect in `hompoly.linalg` cannot hide in
-both sides of a comparison.
+both sides of a comparison.  `dd_vertices` alone calls hompoly: it is
+the side under test, the DD kernel's rays put in the oracles' form.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
+
+from hompoly import dd
 
 
 def oracle_rref(rows):
@@ -90,6 +93,12 @@ def brute_force_vertices(ineqs, eqs, dim):
         if x is not None and all(_dot(n, x) <= c for n, c in ineqs):
             found.add(x)
     return sorted(found)
+
+
+def dd_vertices(ineqs, dim):
+    """The vertices of `dd.polytope_rays(ineqs, dim)` as rational points,
+    sorted lexicographically like `brute_force_vertices`."""
+    return dd._ray_points(dd._sorted_rays(dd.polytope_rays(ineqs, dim)))
 
 
 def vertex_certificate_ok(vertices, ineqs, eqs):

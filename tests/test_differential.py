@@ -6,7 +6,7 @@ reduced `linalg._echelon` sweep, `linalg.affine_hull` on the rays of rational po
 elimination (and its choice on each prefix of hom rows and
 rank-deficient rows with its choice on all of them), `linalg.int_det`
 with the Leibniz formula and the rank of integer matrices with the
-oracle's pivot count, `dd.polytope_vertices` with exhaustive basis
+oracle's pivot count, `dd.polytope_rays` (as sorted points) with exhaustive basis
 enumeration, each system as given and with its rows reversed
 (zero-normal rows included; unbounded
 systems must raise; small hom systems and degenerate systems in cone
@@ -71,6 +71,7 @@ from _oracles import (  # noqa: E402
     _dot,
     brute_force_extreme_points,
     brute_force_vertices,
+    dd_vertices,
     hom_rows,
     leibniz_det,
     oracle_rref,
@@ -244,7 +245,7 @@ ORDERS = {"given": list, "reversed": lambda rows: list(reversed(rows))}
 @given(bounded_systems())
 def test_polytope_vertices_match_brute_force(order, system):
     ineqs, dim = system
-    assert dd.polytope_vertices(ORDERS[order](ineqs), dim) == \
+    assert dd_vertices(ORDERS[order](ineqs), dim) == \
         brute_force_vertices(ineqs, [], dim)
 
 
@@ -261,7 +262,7 @@ def test_hom_vertices_match_brute_force(pair):
     H = homs.build_hom(polytope.standard(src, m), polytope.standard(tgt, n))
     expected = brute_force_vertices(H.rows, [], H.ambient_dim)
     for order in ORDERS.values():
-        assert dd.polytope_vertices(order(H.rows), H.ambient_dim) == expected
+        assert dd_vertices(order(H.rows), H.ambient_dim) == expected
 
 
 def assert_prefix_matches_full_sweep(rows):
@@ -338,7 +339,7 @@ def test_degenerate_vertices_match_brute_force(system):
     ineqs, dim = system
     expected = brute_force_vertices(ineqs, [], dim)
     for order in ORDERS.values():
-        assert dd.polytope_vertices(order(ineqs), dim) == expected
+        assert dd_vertices(order(ineqs), dim) == expected
 
 
 @st.composite
@@ -369,16 +370,16 @@ def test_vertices_are_sorted_exactly(triangle):
             normal, offset = (-normal[0], -normal[1]), -offset
         ineqs.append((normal, offset))
     for order in ORDERS.values():
-        assert dd.polytope_vertices(order(ineqs), 2) == sorted(triangle)
+        assert dd_vertices(order(ineqs), 2) == sorted(triangle)
 
 
 def test_dd_result_does_not_depend_on_log_level(caplog):
     H = homs.build_hom(polytope.standard("cube", 2), polytope.standard("crosspolytope", 2))
     with caplog.at_level(logging.WARNING, logger="hompoly.dd"):
-        quiet = dd.polytope_vertices(H.rows, H.ambient_dim)
+        quiet = dd_vertices(H.rows, H.ambient_dim)
     assert not caplog.records
     with caplog.at_level(logging.DEBUG, logger="hompoly.dd"):
-        loud = dd.polytope_vertices(H.rows, H.ambient_dim)
+        loud = dd_vertices(H.rows, H.ambient_dim)
     assert loud == quiet
     assert len(loud) == counts.bound_box_diamond(2, 2)
     # each candidate pair is refuted by a witness or gets one full test
@@ -413,7 +414,7 @@ def unbounded_systems(draw):
 def test_polytope_vertices_rejects_unbounded_systems(order, system):
     ineqs, dim = system
     with pytest.raises(UnboundedPolytopeError):
-        dd.polytope_vertices(ORDERS[order](ineqs), dim)
+        dd_vertices(ORDERS[order](ineqs), dim)
 
 
 @st.composite
@@ -663,13 +664,13 @@ def test_polytope_vertices_zero_normal_rows(system, offset):
     """A row 0 <= c is dropped for c >= 0 and empties the set for c < 0."""
     ineqs, dim = system
     rows = list(ineqs) + [((Fraction(0),) * dim, offset)]
-    got = dd.polytope_vertices(rows, dim)
+    got = dd_vertices(rows, dim)
     assert got == brute_force_vertices(rows, [], dim)
     if offset < 0:
         assert got == []
     else:
-        assert got == dd.polytope_vertices(ineqs, dim)
-    assert dd.polytope_vertices([((0,) * dim, -1)] + list(ineqs), dim) == []
+        assert got == dd_vertices(ineqs, dim)
+    assert dd_vertices([((0,) * dim, -1)] + list(ineqs), dim) == []
 
 
 @st.composite
