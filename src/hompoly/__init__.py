@@ -43,15 +43,11 @@ from .polytope import (
     Polytope,
     bipyramid,
     combinatorially_equal,
-    contains_interior,
-    empty_polytope,
     from_inequalities,
     from_points,
     intersect,
-    negate,
     polar_dual,
     standard,
-    translate,
 )
 from .verify import VerificationResult, run_claim, run_suite
 

@@ -4,7 +4,7 @@ A Polytope is its vertices plus one inequality representation, the
 canonical irredundant one: every inequality a facet, the equations the
 affine hull.  A vertex is held as its primitive integer ray (t, x),
 t > 0, the point x / t: the form the DD kernel returns and the one form
-in which this module takes, compares, moves and tests points; the
+in which this module takes, compares and tests points; the
 Fraction tuple `vertices` is built only when it is read.  Constructors
 pass the vertices as `rays`, or as the DD's `frame_rays`
 (`from_inequalities` converts its rows at once, so an unbounded system
@@ -150,12 +150,12 @@ class Polytope:
     `frame_rays`, the DD's rays in the frame of the canonical equations
     and those equations, lifted on first need (`_vertices_from_hrep`).
     `vertices` makes the Fraction points on first read
-    (`dd._ray_points`).  A constructor that passes `hrep` or `dim`
-    vouches for them."""
+    (`dd._ray_points`).  A constructor that passes `hrep` vouches for
+    it."""
 
     __slots__ = ("ambient_dim", "_vertices", "_rays", "_frame_rays", "_hrep", "_dim")
 
-    def __init__(self, ambient_dim: int, hrep: HRep | None = None, dim: int | None = None,
+    def __init__(self, ambient_dim: int, hrep: HRep | None = None,
                  rays: tuple[Ray, ...] | None = None,
                  frame_rays: tuple[list[Ray], tuple[IneqRow, ...]] | None = None):
         self.ambient_dim = ambient_dim
@@ -163,7 +163,7 @@ class Polytope:
         self._rays = rays
         self._frame_rays = frame_rays
         self._hrep = hrep
-        self._dim = dim
+        self._dim = None
 
     # -- representations -------------------------------------------------
 
@@ -226,10 +226,6 @@ class Polytope:
 
     def contains(self, x: Vec) -> bool:
         return _contains_ray(self, _point_ray(self, x))
-
-
-def empty_polytope(ambient_dim: int) -> Polytope:
-    return Polytope(ambient_dim, rays=())
 
 
 # -- conversions ---------------------------------------------------------
@@ -390,36 +386,6 @@ def polar_dual(P: Polytope) -> Polytope:
     return Polytope(d, hrep=_canonical_hrep(ineqs, ()), rays=rays)
 
 
-def _map_rows(P: Polytope, row):
-    """P's facet system with each row sent through `row`, if it is cached."""
-    h = P._hrep
-    if h is None:
-        return None
-    return _canonical_hrep([row(n, c) for n, c in h.inequalities],
-                           [row(n, c) for n, c in h.equations])
-
-
-def translate(P: Polytope, t) -> Polytope:
-    """P + t.  With t = y / d, a vertex ray (s, x) goes to the primitive
-    ray of (d s, d x + s y) and a facet row (n, c) to (d n, d c + n . y);
-    the points keep their order."""
-    if len(t) != P.ambient_dim:
-        raise ValueError("translation vector of wrong dimension")
-    d, *y = _int_row([1, *t])
-    rays = tuple(tuple(_int_row([d * s, *(d * a + s * b for a, b in zip(x, y))]))
-                 for s, *x in P._vertex_rays())
-    return Polytope(P.ambient_dim, _map_rows(
-        P, lambda n, c: ([d * a for a in n], d * c + sum(a * b for a, b in zip(n, y)))),
-        P._dim, rays=rays)
-
-
-def negate(P: Polytope) -> Polytope:
-    """-P: each vertex ray (s, x) goes to (s, -x), which reverses their
-    order, and each facet row (n, c) to (-n, c)."""
-    return Polytope(P.ambient_dim, _map_rows(P, lambda n, c: ([-a for a in n], c)), P._dim,
-                    rays=tuple((s, *(-a for a in x)) for s, *x in reversed(P._vertex_rays())))
-
-
 def intersect(P: Polytope, Q: Polytope) -> Polytope:
     """Intersection; may be lower-dimensional or empty.
 
@@ -463,11 +429,6 @@ def bipyramid(P: Polytope) -> Polytope:
     apexes = [(1,) + (0,) * d + (s,) for s in (-1, 1)]
     return Polytope(d + 1, rays=tuple(dd._sorted_rays([r + (0,) for r in P._vertex_rays()]
                                                       + apexes)))
-
-
-def contains_interior(P: Polytope, x) -> bool:
-    """Is x in the interior of P relative to its affine hull?"""
-    return _contains_ray(P, _point_ray(P, x), strict=True)
 
 
 def _point_ray(P: Polytope, x) -> tuple[int, ...]:

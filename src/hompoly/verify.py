@@ -6,23 +6,18 @@ them; a claim execution either passes or fails with a reproducible
 witness payload.  The core suite covers every claim at parameters that
 finish in minutes; the extended suite adds the long enumerations.
 
-Enumerated homs are cached per (source, m, target, n), and the
-enumerated count of a `counts.COUNT_FAMILIES` family is the length of
-that cached list (`enumerated_count`), for `count-agreement` and for
-`hompoly count --enumerate` alike.  The claims on
-Hom(crosspolytope_m, simplex_n) that need only each map's rank and
-whether its image is a crosspolytope read one cached record per map
-(`_diamond_records`) instead of building every image.
-
-Claims that still check maps one by one do each expensive check once
-per distinct value of what the check reads: the hit set f(vert P) for a
-check on the image conv(f(vert P)) (`face-law`, the first half of
-`vertex-image-law`), the offset b for the symmetric intersection
-Q & (2b - Q) (`vertex-image-law`), and the restriction itself for the
-sub-crosspolytope test (`diamond-subcross`).  Maps with the same value
-get the same verdict, so this is exact; the memo is a dict local to the
-call, and the maps are still visited in order, so a failure names the
-same first map as a check of every map would.
+Claims read two caches keyed by (source, m, target, n): `_hom`, the
+enumerated vertex maps (a family's `enumerated_count` is their number,
+for `count-agreement` and `hompoly count --enumerate` alike), and
+`_record`, what the claims read of each image f(P).  P being
+full-dimensional, the rank of A, whether f(P) is a crosspolytope and
+the facets of Q tight on f(P) depend on f only through its hit set
+f(vert P).  So the record numbers the distinct hit sets in order of
+first appearance, keeps one number per map and the data per hit set,
+and a claim that walks the hit sets in order names the same first
+failing map as a check of every map.  What reads more than the hit set
+has a memo local to the call: K = Q & (2b - Q) per offset b in
+`vertex-image-law`, the verdict per restriction in `diamond-subcross`.
 
 The per-map checks read the integers of each map's ray (t, t b, rows of
 t A) against Q's integer facet rows and vertex rays, with no Fraction
@@ -39,6 +34,7 @@ from __future__ import annotations
 import inspect
 import logging
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -78,6 +74,7 @@ from .polytope import (
 )
 
 log = logging.getLogger(__name__)
+_HitSet = namedtuple("_HitSet", "first rays rank tight cross")  # see `_record`
 
 
 @dataclass
@@ -147,11 +144,31 @@ def _cross_record(f: AffineMap) -> tuple[int, bool]:
 
 
 @lru_cache(maxsize=64)
-def _diamond_records(m: int, n: int) -> tuple[tuple[int, bool], ...]:
-    """`_cross_record` of each vertex map of Hom(crosspolytope_m, simplex_n),
-    in the order of `_hom`'s maps; small ints and bools only, no images."""
-    maps = _hom("crosspolytope", m, "simplex", n)[3]
-    return tuple(_cross_record(f) for f in maps)
+def _record(source: str, m: int, target: str, n: int):
+    """(number, hit_sets) for the maps of `_hom(source, m, target, n)`:
+    the distinct hit sets f(vert P) in order of first appearance, and
+    number[i] the index of map i's.  A `_HitSet` holds its first map's
+    index, the frozenset of its point rays (`homs._int_images`), the
+    rank of A, the mask of the rows of Q.hrep.inequalities tight on
+    every ray (bit k for row k) and, for Hom(crosspolytope_m, simplex_n),
+    the crosspolytope flag of `_cross_record` on the first map, else None."""
+    P, Q, _, maps = _hom(source, m, target, n)
+    terms = _vertex_terms(P)
+    facet_rows = Q.hrep.inequalities
+    diamond = (source, target) == ("crosspolytope", "simplex")
+    index, number, hit_sets = {}, [], []
+    for i, f in enumerate(maps):
+        rays = frozenset(_int_images(f, terms))
+        k = index.get(rays)
+        if k is None:
+            k = index[rays] = len(hit_sets)
+            r, cross = _cross_record(f) if diamond else (map_rank(f), None)
+            tight = sum(1 << j for j, (u, c) in enumerate(facet_rows)
+                        if all(sum([a * b for a, b in zip(u, y) if a]) == c * t
+                               for t, *y in rays))
+            hit_sets.append(_HitSet(i, rays, r, tight, cross))
+        number.append(k)
+    return tuple(number), tuple(hit_sets)
 
 
 def _map_witness(f: AffineMap) -> list[str]:
@@ -206,24 +223,26 @@ def _claim_box_simplex_rank(m: int, n: int):
     expected = (n + 1) * (m * n + 1)
     if len(maps) != expected:
         return False, {"count": len(maps), "expected": expected}
-    bad = [f for f in maps if map_rank(f) > 1]
+    number, hit_sets = _record("cube", m, "simplex", n)
+    bad = [i for i, k in enumerate(number) if hit_sets[k].rank > 1]
     if bad:
-        return False, {"rank_ge_2_maps": len(bad), "first": _map_witness(bad[0])}
+        return False, {"rank_ge_2_maps": len(bad), "first": _map_witness(maps[bad[0]])}
     return True, None
 
 
 def _claim_rank1_factorization(m: int, n: int):
     """Rank-1 vertex maps hit exactly two points, both vertices of the
     target or endpoints of a diagonal, with fibers split by a facet pair.
-    Images are point rays (`homs._int_images`), compared with Q's."""
+    Rank and hit set are read from `_record`, the fibers from each
+    rank-1 map's point rays (`homs._int_images`), compared with Q's."""
     P, Q, H, maps = _hom("cube", m, "simplex", n)
     vertex_set = set(Q._vertex_rays())
     terms = _vertex_terms(P)
-    for f in maps:
-        if map_rank(f) != 1:
+    number, hit_sets = _record("cube", m, "simplex", n)
+    for f, k in zip(maps, number):
+        if hit_sets[k].rank != 1:
             continue
-        hits = _int_images(f, terms)
-        images = set(hits)
+        images = hit_sets[k].rays
         if len(images) != 2:
             return False, {"map": _map_witness(f), "image_points": len(images)}
         if not images <= vertex_set:
@@ -231,7 +250,7 @@ def _claim_rank1_factorization(m: int, n: int):
             # so anything else is a failure here
             return False, {"map": _map_witness(f)}
         fibers = {y: [] for y in images}
-        for v, y in zip(P._vertex_rays(), hits):
+        for v, y in zip(P._vertex_rays(), _int_images(f, terms)):
             fibers[y].append(v)
         # each fiber must be a facet of the cube: all vertices sharing one
         # fixed coordinate value (entry i + 1 of the ray (1, v))
@@ -329,17 +348,16 @@ def _claim_diamond_subcross(m: int, n: int):
     P, Q, H, maps = _hom("crosspolytope", m, "simplex", n)
     sub = standard("crosspolytope", n)
     sub_hom = build_hom(sub, Q)
+    number, hit_sets = _record("crosspolytope", m, "simplex", n)
     verdicts = {}  # restriction -> rank n and a vertex map
-    for f, (r, _) in zip(maps, _diamond_records(m, n)):
-        if r != n:
+    for f, k in zip(maps, number):
+        if hit_sets[k].rank != n:
             continue
         for idx in combinations(range(m), n):
             g = restrict_to_subcrosspolytope(f, idx)
-            ok = verdicts.get(g)
-            if ok is None:
-                ok = verdicts[g] = (map_rank(g) == n
-                                    and is_vertex_map(g, sub, Q, hom=sub_hom))
-            if ok:
+            if g not in verdicts:
+                verdicts[g] = map_rank(g) == n and is_vertex_map(g, sub, Q, hom=sub_hom)
+            if verdicts[g]:
                 break
         else:
             return False, {"map": _map_witness(f)}
@@ -349,12 +367,13 @@ def _claim_diamond_subcross(m: int, n: int):
 def _claim_diamond_image_count(m: int, n: int):
     """sigma(m, n) beta(n) rank-n vertex maps have a crosspolytope image.
 
-    Read from `_diamond_records`: the image of a rank-n map is a
-    crosspolytope iff it has 2n vertices b +- a_s, decided by the
-    Cramer's-rule test of `_cross_record` without building the image.
+    Read from `_record`: the image of a rank-n map is a crosspolytope
+    iff it has 2n vertices b +- a_s, decided once per distinct hit set by
+    the Cramer's-rule test of `_cross_record` without building the image.
     """
     expected = sigma(m, n) * beta(n)
-    count = sum(cross for _, cross in _diamond_records(m, n))  # cross implies rank n
+    number, hit_sets = _record("crosspolytope", m, "simplex", n)
+    count = sum(hit_sets[k].cross for k in number)  # cross implies rank n
     if count != expected:
         return False, {"crosspolytope_image_maps": count, "expected": expected}
     return True, None
@@ -364,14 +383,13 @@ def _claim_diamond_image_shape(m: int, n: int):
     """Every full-rank vertex map image is a combinatorial crosspolytope
     (expected exactly when m == n or n == 3).
 
-    Read from `_diamond_records`: a rank-n image conv(b +- a_i) is a
-    crosspolytope iff it has 2n vertices, decided by the Cramer's-rule
-    test of `_cross_record`.  Only a failing map's image is built, for
-    the witness.
+    Read from `_record`, as `diamond-image-count`; only the first
+    failing map's image is built, for the witness.
     """
     P, Q, H, maps = _hom("crosspolytope", m, "simplex", n)
-    for f, (r, cross) in zip(maps, _diamond_records(m, n)):
-        if r == n and not cross:
+    for h in _record("crosspolytope", m, "simplex", n)[1]:
+        if h.rank == n and not h.cross:
+            f = maps[h.first]
             return False, {"map": _map_witness(f),
                            "image_vertices": image_polytope(f, P).n_vertices}
     return True, None
@@ -436,57 +454,39 @@ def _claim_diamond_image_shape_witness(m: int, n: int):
     return True, None
 
 
-def _hit_sets(maps, P: Polytope):
-    """(f, hit) for each map f, in order, where hit is the frozenset of
-    the vertex images f(v) as primitive point rays (`homs._int_images`),
-    one value per set f(vert P).  The image conv(f(vert P)) depends on f
-    only through that set, so a check that reads only the image has one
-    verdict per hit.
-    """
-    terms = _vertex_terms(P)
-    for f in maps:
-        yield f, frozenset(_int_images(f, terms))
-
-
 def _claim_vertex_image_law(m: int, target: str, n: int):
     """The image of each vertex map has exactly the vertex images as
     vertices, and they are vertices of K = Q & (2b - Q), b = f(0).
 
-    The first check depends only on the hit set and K only on the
-    offset b, so each distinct hit set's image and each distinct
-    offset's K are built once.  Both checks compare rays: the image's
+    The first check depends only on the hit set, so it runs on each hit
+    set's first map (`_record`), and K only on the offset b, so each
+    distinct offset's K is built once.  Both compare rays: the image's
     vertex count with the number of distinct image rays, and those rays
-    with K's vertex rays; K is cut out by rows in integers
-    (`_symmetric_core`).
+    with K's vertex rays, K cut out by integer rows (`_symmetric_core`).
     """
     P, Q, H, maps = _hom("crosspolytope", m, target, n)
-    image_ok = {}  # hit -> its hull has exactly these vertices
+    number, hit_sets = _record("crosspolytope", m, target, n)
     k_vertices = {}  # offset ray (t, t b), primitive -> vertex rays of K
-    for f, hit in _hit_sets(maps, P):
-        ok = image_ok.get(hit)
-        if ok is None:
-            ok = image_ok[hit] = image_polytope(f, P).n_vertices == len(hit)
-        if not ok:
+    for i, (f, k) in enumerate(zip(maps, number)):
+        hit = hit_sets[k].rays
+        if i == hit_sets[k].first and image_polytope(f, P).n_vertices != len(hit):
             return False, {"map": _map_witness(f),
                            "reason": "image vertices differ from vertex images"}
         offset = tuple(_int_row(f.ray[:n + 1]))
-        K = k_vertices.get(offset)
-        if K is None:
-            K = k_vertices[offset] = set(_symmetric_core(Q, offset)._vertex_rays())
-        if not hit <= K:
+        if offset not in k_vertices:
+            k_vertices[offset] = set(_symmetric_core(Q, offset)._vertex_rays())
+        if not hit <= k_vertices[offset]:
             return False, {"map": _map_witness(f),
                            "reason": "vertex image outside symmetric intersection"}
     return True, None
 
 
-def _face_law_failure(img: Polytope, hit, facet_rows, n: int):
-    """None if the smallest face G of the simplex containing img, the
-    hull of the point rays `hit`, has the dimension of img and each
-    facet of G cuts img in a facet of img; else the failure payload.  A
-    facet row u . x <= c is active on img iff u . y = c t at every ray
-    (t, y) of hit."""
-    active = [(u, c) for u, c in facet_rows
-              if all(sum([a * b for a, b in zip(u, y) if a]) == c * t for t, *y in hit)]
+def _face_law_failure(img: Polytope, tight: int, facet_rows, n: int):
+    """None if the smallest face G of the simplex containing img has the
+    dimension of img and each facet of G cuts img in a facet of img;
+    else the failure payload.  G is cut out by the facet rows tight on
+    img, bit k of `tight` for row k (`_HitSet.tight`)."""
+    active = [row for k, row in enumerate(facet_rows) if tight >> k & 1]
     G = from_inequalities(facet_rows, active, n)
     g_dim = G.dim
     if g_dim != img.dim:
@@ -505,16 +505,14 @@ def _claim_face_law(source: str, m: int, n: int):
     facet of that face in one dimension less.
 
     The check reads only the image and the simplex, so it depends only
-    on the hit set; each distinct hit set is checked once, on the first
-    map that has it.
+    on the hit set: each distinct hit set of `_record`, in order, is
+    checked on its first map, with its tight facet rows.
     """
     P, Q, H, maps = _hom(source, m, "simplex", n)
     facet_rows = Q.hrep.inequalities
-    failures = {}  # hit -> failure payload, or None if it passes
-    for f, hit in _hit_sets(maps, P):
-        if hit not in failures:
-            failures[hit] = _face_law_failure(image_polytope(f, P), hit, facet_rows, n)
-        failure = failures[hit]
+    for h in _record(source, m, "simplex", n)[1]:
+        f = maps[h.first]
+        failure = _face_law_failure(image_polytope(f, P), h.tight, facet_rows, n)
         if failure is not None:
             return False, {"map": _map_witness(f), **failure}
     return True, None
@@ -532,7 +530,8 @@ def _claim_count_agreement(family: str, m: int, n: int):
 
 def _claim_rank_sandwich(m: int, k: int):
     lo, hi = rank_k_sandwich(m, k)
-    middle = sum(r == k for r, _ in _diamond_records(m, k))
+    number, hit_sets = _record("crosspolytope", m, "simplex", k)
+    middle = sum(hit_sets[j].rank == k for j in number)
     if not (lo <= middle <= hi):
         return False, {"lower": lo, "enumerated": middle, "upper": hi}
     return True, None

@@ -2,7 +2,10 @@
 
 The oracles use nothing from hompoly: they do their own textbook
 Fraction elimination, so a defect in `hompoly.linalg` cannot hide in
-both sides of a comparison.  `dd_vertices` alone calls hompoly: it is
+both sides of a comparison.  Moved and reflected polytopes are built
+from their Fraction points (`moved_points`, `reflected_points`), and
+relative-interior tests read a facet system with Fraction dot products
+(`strictly_inside`).  `dd_vertices` alone calls hompoly: it is
 the side under test, the DD kernel's rays put in the oracles' form.
 """
 
@@ -161,3 +164,22 @@ def _in_hull(p, points):
             if lam is not None and all(x >= 0 for x in lam):
                 return True
     return False
+
+
+def moved_points(points, t):
+    """The points p + t, as Fractions."""
+    return [tuple(Fraction(a) + Fraction(b) for a, b in zip(p, t)) for p in points]
+
+
+def reflected_points(points, b):
+    """The points 2 b - p, the reflection of each p through b, as
+    Fractions; with a polytope's vertices, the vertices of 2 b - P."""
+    return [tuple(2 * Fraction(c) - Fraction(a) for a, c in zip(p, b)) for p in points]
+
+
+def strictly_inside(hrep, x):
+    """Is x in the relative interior of the polytope of a canonical
+    facet system (every inequality a facet): on every equation and
+    strictly inside every inequality?"""
+    return (all(_dot(n, x) == c for n, c in hrep.equations)
+            and all(_dot(n, x) < c for n, c in hrep.inequalities))

@@ -36,11 +36,10 @@ from hompoly.polytope import (
     from_points,
     polar_dual,
     standard,
-    translate,
 )
-from hompoly.verify import _diamond_records, _hom, run_claim
+from hompoly.verify import _hom, _record, run_claim
 
-from _oracles import surjections_inclusion_exclusion
+from _oracles import moved_points, surjections_inclusion_exclusion
 from test_counts import sigma_brute_force
 
 
@@ -166,7 +165,7 @@ def test_criterion_11_bounds():
 def test_criterion_13_property_suites():
     # duality involution
     for P in (standard("cube", 3), standard("crosspolytope", 3),
-              translate(standard("simplex", 2), [Fraction(-1, 3)] * 2)):
+              from_points(moved_points(standard("simplex", 2).vertices, [Fraction(-1, 3)] * 2))):
         assert polar_dual(polar_dual(P)).vertices == P.vertices
     # V <-> H round trips
     for kind in ("simplex", "cube", "crosspolytope"):
@@ -226,7 +225,8 @@ def test_criterion_06_extended_diamond_simplex_4_4():
     assert len(maps) == 4965
     assert rank_histogram(maps) == {0: 5, 1: 160, 3: 2880, 4: 1920}
     assert count_diamond_simplex(4, 4, {4: 1920}).closed_form == 4965
-    crosspolytope_images = sum(cross for _, cross in _diamond_records(4, 4))
+    number, hit_sets = _record("crosspolytope", 4, "simplex", 4)
+    crosspolytope_images = sum(hit_sets[k].cross for k in number)
     assert crosspolytope_images == sigma(4, 4) * beta(4) == 1920
     note("6-extended", "crosspolytope-to-simplex (4,4) count 4965 exact; all "
                        "1920 rank-4 images are crosspolytopes")

@@ -32,12 +32,10 @@ the target), the rank and crosspolytope flag of
 Fraction images, its isomorphism search and vertex count (m up to 5),
 `homs.image_polytope` (a hull of the images' primitive point rays)
 with `from_points` of the Fraction images,
-`polytope._contains_ray`, strict and not, and `contains_interior` and
+`polytope._contains_ray`, strict and not, on a ray and on a point, and
 `Polytope.contains` with the Fraction rows of P at vertices, midpoints,
 centroids and points outside or off the affine hull, `homs.build_hom`'s
 rows from vertex rays with a Fraction row builder on rational sources,
-`polytope.translate` and `negate`, which map rays and cached facet rows,
-with the hulls of the moved Fraction points,
 `linalg._int_row` on int rows with the same rows as Fractions, and the
 ray-held `homs.AffineMap` (its equality, hash, Fraction
 accessors, `map_rank` and the maps file of `jsonio.write_maps`) with
@@ -74,8 +72,10 @@ from _oracles import (  # noqa: E402
     dd_vertices,
     hom_rows,
     leibniz_det,
+    moved_points,
     oracle_rref,
     origin_inside_oracle,
+    reflected_points,
     vertex_certificate_ok,
 )
 from hompoly import counts, dd, groups, homs, jsonio, linalg, polytope, verify  # noqa: E402
@@ -717,7 +717,7 @@ def test_canonical_hrep_with_equations_matches_brute_force(system):
     assert all(type(x) is int for u, c in h.inequalities + h.equations for x in (*u, c))
     red, pivots = oracle_rref([list(u) + [c] for u, c in eqs])
     if dim in pivots:  # the equations alone reduce to 0 = 1
-        assert h == polytope.empty_polytope(dim).hrep
+        assert h == polytope.Polytope(dim, rays=()).hrep
     else:
         assert all(any(u) for u, _ in h.equations)
         # the oracle's RREF rows lead with 1, so clearing their
@@ -728,7 +728,7 @@ def test_canonical_hrep_with_equations_matches_brute_force(system):
             ints = [int(x * m) for x in row]
             canon.append((tuple(ints[:-1]), ints[-1]))
         assert polytope._canonical_hrep([], eqs).equations == tuple(canon)
-        if h != polytope.empty_polytope(dim).hrep:  # no row reduced to 0 <= c < 0
+        if h != polytope.Polytope(dim, rays=()).hrep:  # no row reduced to 0 <= c < 0
             assert h.equations == tuple(canon)
 
 
@@ -905,7 +905,7 @@ def test_interior_ray_matches_contains_interior(case):
     interior = on_hull and all(_dot(n, x) < c for n, c in h.inequalities)
     inside = on_hull and all(_dot(n, x) <= c for n, c in h.inequalities)
     assert polytope._contains_ray(P, ray, strict=True) == interior
-    assert polytope.contains_interior(P, point) == interior
+    assert polytope._contains_ray(P, polytope._point_ray(P, point), strict=True) == interior
     assert polytope._contains_ray(P, ray) == inside
     assert P.contains(point) == inside
     if where in ("vertex", "midpoint", "centroid"):
@@ -949,25 +949,6 @@ def test_hom_rows_match_fraction_builder(pair):
     for normal, offset in H.rows:
         assert type(offset) is int
         assert all((type(a) is int) == (Fraction(a).denominator == 1) for a in normal)
-
-
-@given(hull_point_lists(), st.lists(rationals, min_size=4, max_size=4), st.booleans())
-def test_translate_and_negate_match_fraction_points(case, shift, cached):
-    """P + t and -P, mapped ray by ray (and facet row by facet row when
-    P's facet system is cached), are the hulls of the Fraction points
-    v + t and -v, with the same sorted vertices, facet system and dim."""
-    points, d = case[0], case[1]
-    P = polytope.from_points(points, d)
-    if not cached:
-        P = polytope.Polytope(d, rays=P._vertex_rays())
-    t = tuple(shift[:d])
-    moved = polytope.translate(P, t)
-    flipped = polytope.negate(P)
-    for got, pts in ((moved, [tuple(a + b for a, b in zip(v, t)) for v in P.vertices]),
-                     (flipped, [tuple(-a for a in v) for v in P.vertices])):
-        assert got.vertices == tuple(sorted(pts))
-        expected = polytope.from_points(pts, d)
-        assert got == expected and got.hrep == expected.hrep and got.dim == P.dim
 
 
 # integers up to 2^70 in size, with small values and 0 drawn often
@@ -1163,10 +1144,11 @@ def test_intersect_from_known_cone_matches_brute_force(kind, data):
         Q, _ = data.draw(flat_polytopes(ambient))
     elif kind == "disjoint":
         xs = [v[0] for v in P.vertices]
-        Q = polytope.translate(P, [max(xs) - min(xs) + 1] + [0] * (ambient - 1))
+        Q = polytope.from_points(
+            moved_points(P.vertices, [max(xs) - min(xs) + 1] + [0] * (ambient - 1)), ambient)
     elif kind == "vertex":
         v = data.draw(st.sampled_from(P.vertices))
-        Q = polytope.translate(polytope.negate(P), [2 * x for x in v])
+        Q = polytope.from_points(reflected_points(P.vertices, v), ambient)
     elif kind == "facet":
         n, c = data.draw(st.sampled_from(P.hrep.inequalities))
         Q = _reflect(P, (n, c))

@@ -11,7 +11,9 @@ from hompoly.experiments import (
     reproduce_table,
 )
 from hompoly.linalg import vec
-from hompoly.polytope import contains_interior, intersect, negate, standard, translate
+from hompoly.polytope import from_points, intersect, standard
+
+from _oracles import reflected_points, strictly_inside
 
 
 def test_generator_state_recurrence():
@@ -48,7 +50,7 @@ def test_intersection_is_centrally_symmetric_about_z():
     gen = SeededGenerator(5)
     d = gen.draw_point(n)
     z = tuple(Fraction(1, n + 1) + eps * di for di in d)
-    K = intersect(simplex, translate(negate(simplex), [2 * zi for zi in z]))
+    K = intersect(simplex, from_points(reflected_points(simplex.vertices, z)))
     reflected = {tuple(2 * zi - xi for zi, xi in zip(z, v)) for v in K.vertices}
     assert reflected == set(K.vertices)
 
@@ -69,8 +71,8 @@ def test_full_dimensional_iff_center_strictly_inside(n):
         "far outside": [2] * n,
     }
     for name, z in centers.items():
-        K = intersect(simplex, translate(negate(simplex), [2 * Fraction(zi) for zi in z]))
-        inside = contains_interior(simplex, z)
+        K = intersect(simplex, from_points(reflected_points(simplex.vertices, z)))
+        inside = strictly_inside(simplex.hrep, z)
         assert inside == (K.dim == n), name
         assert inside == (name in ("interior", "near facet")), name
 

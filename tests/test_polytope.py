@@ -9,18 +9,20 @@ from hompoly.polytope import (
     _incidence_masks,
     bipyramid,
     combinatorially_equal,
-    contains_interior,
-    empty_polytope,
     from_inequalities,
     from_points,
     intersect,
-    negate,
     polar_dual,
     standard,
-    translate,
 )
 
-from _oracles import brute_force_vertices, vertex_certificate_ok
+from _oracles import (
+    brute_force_vertices,
+    moved_points,
+    reflected_points,
+    strictly_inside,
+    vertex_certificate_ok,
+)
 
 F = Fraction
 
@@ -128,7 +130,7 @@ def test_polar_dual_cube_crosspolytope():
 def test_polar_dual_involution_on_shifted_simplex():
     P = standard("simplex", 2)
     c = vec([F(1, 3), F(1, 3)])
-    P0 = translate(P, [-x for x in c])
+    P0 = from_points(moved_points(P.vertices, [-x for x in c]))
     assert polar_dual(polar_dual(P0)).vertices == P0.vertices
 
 
@@ -150,7 +152,7 @@ def test_intersect_diamond_with_shifted_diamond():
     # |x|+|y| <= 1 meets |x-1|+|y| <= 1 in the square with corners
     # (0,0), (1,0), (1/2, +-1/2); checked against the subset-solve oracle.
     D = standard("crosspolytope", 2)
-    S = translate(D, [1, 0])
+    S = from_points(moved_points(D.vertices, [1, 0]))
     K = intersect(D, S)
     rows = D.hrep.inequalities + S.hrep.inequalities
     assert list(K.vertices) == brute_force_vertices(rows, (), 2)
@@ -165,7 +167,7 @@ def test_intersect_diamond_with_shifted_diamond():
 
 def test_intersect_lower_dimensional_result_flagged():
     D = standard("crosspolytope", 2)
-    S = translate(D, [1, 1])
+    S = from_points(moved_points(D.vertices, [1, 1]))
     K = intersect(D, S)
     assert K.dim == 1
     assert K.vertices == (vec([0, 1]), vec([1, 0]))
@@ -173,33 +175,21 @@ def test_intersect_lower_dimensional_result_flagged():
 
 def test_intersect_empty():
     D = standard("crosspolytope", 2)
-    K = intersect(D, translate(D, [5, 5]))
+    K = intersect(D, from_points(moved_points(D.vertices, [5, 5])))
     assert K.is_empty
     assert K.dim == -1
 
 
 def test_intersect_commutative():
     P = standard("cube", 2)
-    Q = translate(standard("crosspolytope", 2), [F(1, 3), F(1, 5)])
+    Q = from_points(moved_points(standard("crosspolytope", 2).vertices, [F(1, 3), F(1, 5)]))
     assert intersect(P, Q).vertices == intersect(Q, P).vertices
-
-
-def test_translate_cube():
-    P = translate(standard("cube", 2), [1, 1])
-    assert set(P.vertices) == {vec([0, 0]), vec([0, 2]), vec([2, 0]), vec([2, 2])}
-    both_reps_agree(P)
-
-
-def test_negate_crosspolytope_symmetric():
-    P = standard("crosspolytope", 3)
-    assert negate(P).vertices == P.vertices
-    assert negate(P).hrep == P.hrep
 
 
 def test_point_reflection_of_simplex():
     P = standard("simplex", 2)
     c = vec([F(1, 3), F(1, 3)])
-    R = translate(negate(P), [2 * x for x in c])  # 2c - P
+    R = from_points(reflected_points(P.vertices, c))  # 2c - P
     assert sorted(R.vertices) == sorted(
         tuple(2 * ci - vi for ci, vi in zip(c, v)) for v in P.vertices
     )
@@ -233,12 +223,12 @@ def test_bipyramid_needs_the_origin_inside():
 
 def test_dimension_and_interior():
     t2 = standard("simplex", 2)
-    assert contains_interior(t2, [F(1, 3), F(1, 3)])
-    assert not contains_interior(t2, [0, 0])
+    assert strictly_inside(t2.hrep, [F(1, 3), F(1, 3)])
+    assert not strictly_inside(t2.hrep, [0, 0])
     assert from_points([[0, 0], [1, 1]]).dim == 1
     seg = from_points([[0, 0], [1, 1]])
-    assert contains_interior(seg, [F(1, 2), F(1, 2)])  # relative interior
-    assert not contains_interior(seg, [0, 0])
+    assert strictly_inside(seg.hrep, [F(1, 2), F(1, 2)])  # relative interior
+    assert not strictly_inside(seg.hrep, [0, 0])
 
 
 def test_vertex_facet_incidence_shape():
@@ -270,10 +260,10 @@ def test_combinatorial_guard():
 
 
 def test_empty_polytope_value():
-    E = empty_polytope(3)
+    E = Polytope(3, rays=())
     assert E.is_empty
     assert E.dim == -1
-    assert not contains_interior(E, [0, 0, 0])
+    assert not strictly_inside(E.hrep, [0, 0, 0])
 
 
 def test_unbounded_raises():
@@ -304,9 +294,9 @@ def test_intersect_counts_vertices_without_converting_them(monkeypatch):
     monkeypatch.setattr(polytope_mod, "_vertices_from_hrep", counted)
     S = standard("simplex", 3)
     z = [F(1, 4), F(1, 5), F(1, 6)]
-    K = intersect(S, translate(negate(S), [2 * x for x in z]))
+    K = intersect(S, from_points(reflected_points(S.vertices, z)))
     flat = intersect(S, from_points([[2, 0, -1], [0, 2, -1], [0, 0, 1]]))  # in x + y + z = 1
-    gone = intersect(S, translate(S, [5, 0, 0]))
+    gone = intersect(S, from_points(moved_points(S.vertices, [5, 0, 0])))
     assert (K.n_vertices, flat.n_vertices, gone.n_vertices) == (12, 3, 0)
     assert not K.is_empty and gone.is_empty
     assert repr(K) == "Polytope(R^3, 12 vertices)"
@@ -336,7 +326,7 @@ def test_infeasible_zero_normal_row_gives_canonical_empty_system():
     # 0 <= -1 holds nowhere; it used to be dropped, leaving the square
     P = from_inequalities(SQUARE_ROWS + [([0, 0], -1)], (), 2)
     assert P.is_empty
-    assert P.hrep == empty_polytope(2).hrep
+    assert P.hrep == Polytope(2, rays=()).hrep
     assert not P.contains([0, 0])
     # rows 0 <= c with c >= 0 are still dropped
     Q = from_inequalities(SQUARE_ROWS + [([0, 0], 0), ([0, 0], 3)], (), 2)
@@ -347,10 +337,10 @@ def test_contradictory_equation_gives_canonical_empty_system():
     # 0 = 1 used to stay as an equation and turn x <= 1 into x <= 0
     P = from_inequalities([([1, 0], 1)], [([0, 0], 1)], 2)
     assert P.is_empty
-    assert P.hrep == empty_polytope(2).hrep
+    assert P.hrep == Polytope(2, rays=()).hrep
     # x = 0 and 2x = 1 are each consistent, together 0 = 1
     Q = from_inequalities(SQUARE_ROWS, [([1, 0], 0), ([2, 0], 1)], 2)
-    assert Q.hrep == empty_polytope(2).hrep
+    assert Q.hrep == Polytope(2, rays=()).hrep
     # consistent dependent equations and 0 = 0 stay one equation
     R = from_inequalities(SQUARE_ROWS, [([1, 0], 0), ([2, 0], 0), ([0, 0], 0)], 2)
     assert R.hrep.equations == ((vec([1, 0]), F(0)),)
@@ -358,15 +348,9 @@ def test_contradictory_equation_gives_canonical_empty_system():
 
 
 def test_operations_keep_the_empty_polytope_empty():
-    E = empty_polytope(2)
+    E = Polytope(2, rays=())
     assert intersect(standard("cube", 2), E).is_empty
     assert intersect(E, standard("cube", 2)).is_empty
-    N = negate(E)
-    assert not N.contains([0, 0])
-    assert N.hrep == E.hrep
-    T = translate(E, [1, 2])
-    assert T.is_empty and not T.contains([1, 2])
-    assert T.hrep == E.hrep
 
 
 def test_single_point_from_equations():
@@ -442,7 +426,7 @@ def test_intersect_matches_brute_force_on_random_shifted_diamonds():
     rng = _random.Random(31)
     for _ in range(10):
         t = [F(rng.randrange(-3, 4), 4), F(rng.randrange(-3, 4), 4)]
-        S = translate(D, t)
+        S = from_points(moved_points(D.vertices, t))
         K = intersect(D, S)
         rows = D.hrep.inequalities + S.hrep.inequalities
         assert list(K.vertices) == brute_force_vertices(rows, (), 2)

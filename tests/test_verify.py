@@ -8,7 +8,7 @@ from math import gcd
 
 import pytest
 
-from _oracles import _dot
+from _oracles import _dot, reflected_points, strictly_inside
 from hompoly import dd, homs, verify
 from hompoly.counts import beta, sigma
 from hompoly.homs import (
@@ -23,13 +23,10 @@ from hompoly.homs import (
 from hompoly.linalg import rank, vec
 from hompoly.polytope import (
     combinatorially_equal,
-    contains_interior,
     from_inequalities,
     from_points,
     intersect,
-    negate,
     standard,
-    translate,
 )
 from hompoly.verify import CLAIMS, CORE_SUITE, VerificationResult, run_claim, run_suite
 
@@ -203,7 +200,7 @@ def test_claims_make_no_fraction_maps_or_points(monkeypatch):
     for accessor in ("matrix", "offset"):
         monkeypatch.setattr(AffineMap, accessor, property(refuse))
     monkeypatch.setattr(AffineMap, "evaluate", refuse)
-    for cached in ("_hom", "_diamond_records"):
+    for cached in ("_hom", "_record"):
         monkeypatch.setattr(verify, cached,
                             lru_cache(maxsize=64)(getattr(verify, cached).__wrapped__))
     claims = {"facet-form", "hom-into-cube", "cube-simplex-realization", "constant-maps",
@@ -230,7 +227,7 @@ def test_core_suite_and_table_never_read_fraction_vertices(monkeypatch):
         raise AssertionError("Fraction vertices read")
 
     monkeypatch.setattr(Polytope, "vertices", property(refuse))
-    for cached in ("_hom", "_diamond_records"):
+    for cached in ("_hom", "_record"):
         monkeypatch.setattr(verify, cached,
                             lru_cache(maxsize=64)(getattr(verify, cached).__wrapped__))
     results = run_suite("core")
@@ -253,17 +250,6 @@ def test_face_law_single():
 def test_result_dataclass():
     r = VerificationResult("x", {}, "pass")
     assert r.passed and r.witness is None
-
-
-@pytest.mark.parametrize("m, n", [(3, 3), (4, 3)])
-def test_diamond_records_match_image_oracle(m, n):
-    """The record agrees with the generic path, image H-rep plus
-    isomorphism search, on every vertex map at the core-suite sizes."""
-    P, _, _, maps = verify._hom("crosspolytope", m, "simplex", n)
-    model = standard("crosspolytope", n)
-    expected = tuple((map_rank(f), combinatorially_equal(image_polytope(f, P), model))
-                     for f in maps)
-    assert verify._diamond_records(m, n) == expected
 
 
 def _map(columns, offset):
@@ -295,7 +281,7 @@ def _non_crosspolytope_vertex_map():
     f = verify._full_rank_diamond_witness(4)
     b = f.offset
     target = standard("simplex", 4)
-    K = intersect(target, translate(negate(target), [2 * x for x in b]))
+    K = intersect(target, from_points(reflected_points(target.vertices, b)))
     hit = set(image_polytope(f, standard("crosspolytope", 4)).vertices)
     v = next(v for v in K.vertices if v not in hit)
     column = [vi - bi for vi, bi in zip(v, b)]
@@ -308,10 +294,9 @@ def test_diamond_image_claims_fail_with_the_generic_witness(monkeypatch):
     assert map_rank(g) == 4 and is_vertex_map(g, P, Q)
     img = image_polytope(g, P)
     assert not combinatorially_equal(img, standard("crosspolytope", 4))
-    monkeypatch.setattr(verify, "_hom", lambda *key: (P, Q, None, (g,)))
-    monkeypatch.setattr(verify, "_diamond_records",
-                        lru_cache(maxsize=64)(verify._diamond_records.__wrapped__))
-    assert verify._diamond_records(5, 4) == ((4, False),)
+    _patched_hom(monkeypatch, P, Q, [g])
+    number, hit_sets = verify._record("crosspolytope", 5, "simplex", 4)
+    assert number == (0,) and [(h.rank, h.cross) for h in hit_sets] == [(4, False)]
     shape = run_claim("diamond-image-shape", {"m": 5, "n": 4})
     assert not shape.passed
     assert shape.witness == {"map": [str(x) for x in flatten_map(g)],
@@ -360,7 +345,7 @@ def _oracle_vertex_image_law(P, Q, maps, cuts):
                            "reason": "image vertices differ from vertex images"}
         b = f.offset
         cuts.append(b)
-        K = intersect(Q, translate(negate(Q), [2 * x for x in b]))
+        K = intersect(Q, from_points(reflected_points(Q.vertices, b)))
         if not hit <= set(K.vertices):
             return False, {"map": [str(x) for x in flatten_map(f)],
                            "reason": "vertex image outside symmetric intersection"}
@@ -387,7 +372,7 @@ def _oracle_face_law(P, Q, maps, n):
     return True, None
 
 
-def _record(monkeypatch, name, key):
+def _calls(monkeypatch, name, key):
     """Replace `verify.<name>` by a wrapper that appends key(*args) of each
     call to the returned list."""
     calls = []
@@ -406,9 +391,10 @@ def _hit(f, P):
 
 
 def _patched_hom(monkeypatch, P, Q, maps):
+    """`_hom` gives these maps at every key, and `_record` starts empty
+    and fills a cache of its own, which the real cache never sees."""
     monkeypatch.setattr(verify, "_hom", lambda *key: (P, Q, None, tuple(maps)))
-    monkeypatch.setattr(verify, "_diamond_records",
-                        lru_cache(maxsize=64)(verify._diamond_records.__wrapped__))
+    monkeypatch.setattr(verify, "_record", lru_cache(maxsize=64)(verify._record.__wrapped__))
 
 
 def _outcome(oracle_result):
@@ -429,39 +415,86 @@ def _passing_and_failing_maps():
     eighth = Fraction(1, 8)
     q = _map([(eighth, 0, 0), (0, eighth, 0), (0, 0, eighth), (0, 0, 0)], p.offset)
     assert q.offset == p.offset == (Fraction(1, 4),) * 3 and map_rank(q) == 3
-    assert all(contains_interior(Q, q.evaluate(v)) for v in P.vertices)
+    assert all(strictly_inside(Q.hrep, q.evaluate(v)) for v in P.vertices)
     assert is_vertex_map(p, P, Q) and not is_vertex_map(q, P, Q)
     return P, Q, p, q
 
 
-def test_hit_sets_equal_the_evaluated_vertex_images():
-    """`_hit_sets` gives frozenset(f.evaluate(v)) in integers, as the
-    primitive rays (t, y), t > 0, of the points y / t, so equal sets of
-    images give equal hits and different sets different ones; on
-    enumerated homs of each source kind and on random maps of a polytope
-    with fractional vertices."""
+# -- the per-hom record ------------------------------------------------------
+# The `_record` key each record-reading claim reads, from its parameters.
+
+RECORD_READERS = {
+    "box-simplex-rank": lambda m, n: ("cube", m, "simplex", n),
+    "rank1-factorization": lambda m, n: ("cube", m, "simplex", n),
+    "diamond-subcross": lambda m, n: ("crosspolytope", m, "simplex", n),
+    "diamond-image-count": lambda m, n: ("crosspolytope", m, "simplex", n),
+    "diamond-image-shape": lambda m, n: ("crosspolytope", m, "simplex", n),
+    "rank-sandwich": lambda m, k: ("crosspolytope", m, "simplex", k),
+    "face-law": lambda source, m, n: (source, m, "simplex", n),
+    "vertex-image-law": lambda m, target, n: ("crosspolytope", m, target, n),
+}
+RECORD_KEYS = sorted({RECORD_READERS[c](**p) for c, p in CORE_SUITE if c in RECORD_READERS})
+
+
+def _check_record(key, P, Q, maps):
+    """`verify._record(*key)` against the evaluated Fraction images, map
+    by map: the hit set is frozenset(f.evaluate(v)), held as primitive
+    int rays (t, y), t > 0, of the points y / t, so equal sets of images
+    give one hit set and different sets different ones; the rank is
+    `map_rank(f)`; the tight mask is Q's facets on which every image
+    lies, by Fraction dot products; the crosspolytope flag, for
+    Hom(crosspolytope, simplex) only, is the isomorphism search on the
+    image.  Hit sets are numbered in order of first appearance."""
+    number, hit_sets = verify._record(*key)
+    assert len(number) == len(maps)
+    assert list(dict.fromkeys(number)) == list(range(len(hit_sets)))
+    assert [h.first for h in hit_sets] == [number.index(k) for k in range(len(hit_sets))]
+    facets = Q.hrep.inequalities
+    diamond = key[::2] == ("crosspolytope", "simplex")
+    model = standard("crosspolytope", Q.ambient_dim)
+    for f, k in zip(maps, number):
+        h = hit_sets[k]
+        images = [f.evaluate(v) for v in P.vertices]
+        assert frozenset(tuple(Fraction(x, t) for x in y) for t, *y in h.rays) == set(images)
+        assert h.rank == map_rank(f)
+        assert h.tight == sum(1 << j for j, (u, c) in enumerate(facets)
+                              if all(_dot(u, y) == c for y in images))
+        if diamond:
+            assert h.cross == combinatorially_equal(image_polytope(f, P), model)
+        else:
+            assert h.cross is None
+    assert all(type(x) is int for h in hit_sets for ray in h.rays for x in ray)
+    assert all(ray[0] > 0 and gcd(*ray) == 1 for h in hit_sets for ray in h.rays)
+    assert len({_hit(f, P) for f in maps}) == len(hit_sets)
+    return hit_sets
+
+
+@pytest.mark.parametrize("key", RECORD_KEYS, ids=lambda key: "-".join(map(str, key)))
+def test_record_matches_the_evaluated_oracle(key):
+    P, Q, _, maps = verify._hom(*key)
+    _check_record(key, P, Q, maps)
+
+
+def test_record_matches_the_evaluated_oracle_on_a_rational_polytope(monkeypatch):
+    """Random maps of a polytope with fractional vertices into the
+    triangle, with constant maps onto its vertices and maps onto the
+    line of its facet y >= 0 among them, so that masks are not all 0,
+    and with repeats."""
     rng = random.Random(0)
-    cases = []
-    for key in [("crosspolytope", 3, "simplex", 3), ("cube", 2, "simplex", 2),
-                ("simplex", 2, "crosspolytope", 2), ("cube", 2, "cube", 2)]:
-        P, _, _, maps = verify._hom(*key)
-        cases.append((P, maps))
 
     def rat():
         return Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 5, 12)))
 
     P = from_points([(rat(), rat(), rat()) for _ in range(7)])
-    cases.append((P, [_map([(rat(), rat()) for _ in range(3)], (rat(), rat()))
-                      for _ in range(40)]))
-    for P, maps in cases:
-        hits = [hit for _, hit in verify._hit_sets(maps, P)]
-        expected = [_hit(f, P) for f in maps]
-        assert [frozenset(tuple(Fraction(x, t) for x in y) for t, *y in hit)
-                for hit in hits] == expected
-        assert all(type(x) is int for hit in hits for ray in hit for x in ray)
-        assert all(ray[0] > 0 and gcd(*ray) == 1 for hit in hits for ray in hit)
-        assert len(set(hits)) == len(set(expected))
-    assert [f for f, _ in verify._hit_sets(maps, P)] == maps
+    Q = standard("simplex", 2)
+    assert P.dim == 3
+    maps = [_map([(rat(), rat()) for _ in range(3)], (rat(), rat())) for _ in range(40)]
+    maps += [_map([(0, 0)] * 3, v) for v in Q.vertices]
+    maps += [_map([(rat(), 0) for _ in range(3)], (rat(), 0)) for _ in range(3)]
+    maps += maps[::7]
+    _patched_hom(monkeypatch, P, Q, maps)
+    hit_sets = _check_record(("rational", 3, "simplex", 2), P, Q, maps)
+    assert {h.tight for h in hit_sets} >= {0, 0b011, 0b101, 0b110, 0b010}
 
 
 @pytest.mark.parametrize("failing", [0, 2])
@@ -469,7 +502,7 @@ def test_diamond_subcross_checks_each_restriction_once(monkeypatch, failing):
     P, Q, p, q = _passing_and_failing_maps()
     maps = [p] + [q] * failing
     _patched_hom(monkeypatch, P, Q, maps)
-    checked = _record(monkeypatch, "is_vertex_map", lambda g, *rest: g)
+    checked = _calls(monkeypatch, "is_vertex_map", lambda g, *rest: g)
     result = run_claim("diamond-subcross", {"m": 4, "n": 3})
     claim_calls, checked[:] = checked[:], []
     assert (result.status, result.witness) == _outcome(
@@ -495,8 +528,8 @@ def test_vertex_image_law_checks_each_hit_set_and_offset_once(monkeypatch, faili
     tail = {"none": None, "image": q, "intersection": r}[failing]
     maps = [p, p2] + [tail] * 2 * (tail is not None)
     _patched_hom(monkeypatch, P, Q, maps)
-    images = _record(monkeypatch, "image_polytope", _hit)
-    claim_cuts = _record(monkeypatch, "_symmetric_core",
+    images = _calls(monkeypatch, "image_polytope", _hit)
+    claim_cuts = _calls(monkeypatch, "_symmetric_core",
                          lambda Q, ray: tuple(Fraction(y, ray[0]) for y in ray[1:]))
     result = run_claim("vertex-image-law", {"m": 4, "target": "simplex", "n": 3})
     claim_images, images[:] = images[:], []
@@ -522,7 +555,7 @@ def test_face_law_checks_each_hit_set_once(monkeypatch, failing):
     P, Q, p, q = _passing_and_failing_maps()
     maps = [p] + [q] * failing
     _patched_hom(monkeypatch, P, Q, maps)
-    images = _record(monkeypatch, "image_polytope", _hit)
+    images = _calls(monkeypatch, "image_polytope", _hit)
     result = run_claim("face-law", {"source": "crosspolytope", "m": 4, "n": 3})
     claim_images, images[:] = images[:], []
     assert (result.status, result.witness) == _outcome(_oracle_face_law(P, Q, maps, 3))
@@ -533,17 +566,72 @@ def test_face_law_checks_each_hit_set_once(monkeypatch, failing):
         assert "facet_cut_dim" in result.witness
 
 
+def _oracle_diamond_image_shape(P, maps, n):
+    model = standard("crosspolytope", n)
+    for f in maps:
+        img = verify.image_polytope(f, P)
+        if map_rank(f) == n and not combinatorially_equal(img, model):
+            return False, {"map": [str(x) for x in flatten_map(f)],
+                           "image_vertices": img.n_vertices}
+    return True, None
+
+
+def test_claims_walking_hit_sets_name_the_first_failing_map(monkeypatch):
+    """q1 and q2 map into the interior of the simplex, with images that
+    are no crosspolytopes: a column e_1 + e_2, resp. e_1 + e_3, lies
+    outside the octahedron of the others.  Each fails face-law and
+    diamond-image-shape, on its own hit set.  Listed as [p, q2, q1],
+    both claims name q2, as a check of every map does."""
+    P, Q, p, _ = _passing_and_failing_maps()
+    d = Fraction(1, 16)
+    q1 = _map([(d, 0, 0), (0, d, 0), (0, 0, d), (d, d, 0)], p.offset)
+    q2 = _map([(d, 0, 0), (0, d, 0), (0, 0, d), (d, 0, d)], p.offset)
+    maps = [p, q2, q1]
+    _patched_hom(monkeypatch, P, Q, maps)
+    assert [h.first for h in verify._record("crosspolytope", 4, "simplex", 3)[1]] == [0, 1, 2]
+    face = run_claim("face-law", {"source": "crosspolytope", "m": 4, "n": 3})
+    assert (face.status, face.witness) == _outcome(_oracle_face_law(P, Q, maps, 3))
+    shape = run_claim("diamond-image-shape", {"m": 4, "n": 3})
+    assert (shape.status, shape.witness) == _outcome(_oracle_diamond_image_shape(P, maps, 3))
+    assert face.witness["map"] == shape.witness["map"] == [str(x) for x in flatten_map(q2)]
+    for q in (q1, q2):
+        assert map_rank(q) == 3
+        assert _oracle_face_law(P, Q, [q], 3)[0] is False
+        assert _oracle_diamond_image_shape(P, [q], 3)[0] is False
+
+
 @pytest.mark.parametrize("claim_id, params, name, calls", [
     ("diamond-subcross", {"m": 4, "n": 3}, "is_vertex_map", 48),
     ("face-law", {"source": "crosspolytope", "m": 3, "n": 3}, "image_polytope", 11),
     ("vertex-image-law", {"m": 3, "target": "simplex", "n": 3}, "image_polytope", 11),
     ("vertex-image-law", {"m": 3, "target": "simplex", "n": 3}, "_symmetric_core", 11),
+    ("diamond-image-count", {"m": 4, "n": 3}, "_cross_record", 11),
 ])
 def test_checks_run_once_per_distinct_key_on_the_core_suite(
         monkeypatch, claim_id, params, name, calls):
-    recorded = _record(monkeypatch, name, lambda *args: None)
+    """With `_record` cold, so that the checks it runs are counted too."""
+    monkeypatch.setattr(verify, "_record", lru_cache(maxsize=64)(verify._record.__wrapped__))
+    recorded = _calls(monkeypatch, name, lambda *args: None)
     assert run_claim(claim_id, params).passed
     assert len(recorded) == calls
+
+
+def test_each_core_claim_alone_gives_its_suite_result(monkeypatch):
+    """Each core-suite entry, run alone with `_hom` and `_record` cold,
+    returns the (status, witness) it returns in suite order, so no claim
+    depends on a record another claim filled; and it reads exactly the
+    record that `RECORD_READERS` names for it."""
+    in_order = [(r.status, r.witness) for r in run_suite("core")]
+    record, keys = verify._record, []
+    monkeypatch.setattr(verify, "_record", lambda *key: keys.append(key) or record(*key))
+    for (claim_id, params), expected in zip(CORE_SUITE, in_order):
+        verify._hom.cache_clear()
+        record.cache_clear()
+        keys.clear()
+        result = run_claim(claim_id, params)
+        assert (result.status, result.witness) == expected, (claim_id, params)
+        reads = {RECORD_READERS[claim_id](**params)} if claim_id in RECORD_READERS else set()
+        assert set(keys) == reads, (claim_id, params)
 
 
 @pytest.mark.extended
