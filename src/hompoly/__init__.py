@@ -24,7 +24,6 @@ from .experiments import (
     random_simplex_intersection_count,
     reproduce_table,
 )
-from .groups import SignedPermutation, act_point, act_tuple, enumerate_group, orbit_count
 from .homs import (
     AffineMap,
     HomPolytope,

@@ -30,7 +30,7 @@ from collections import Counter
 from . import counts as counts_mod
 from . import experiments, jsonio, verify
 from .errors import SizeGuardError, UnboundedPolytopeError
-from .homs import AffineMap, build_hom, map_rank
+from .homs import build_hom, map_rank, vertex_maps_from_rows
 from .polytope import Polytope, intersect, polar_dual, standard
 
 LARGE_DIM_GUARD = 16
@@ -123,12 +123,9 @@ def _check_large(args, dim: int, rows: int):
 
 
 def cmd_vertices(args) -> int:
-    from . import dd
-
     rows, m, n, ambient = jsonio.hom_system_from_json(_load_json(args.hom))
     _check_large(args, ambient, len(rows))
-    rays = dd.polytope_rays(rows, ambient)
-    maps = [AffineMap.from_ray(ray, m, n) for ray in dd._sorted_rays(rays)]
+    maps = vertex_maps_from_rows(rows, ambient, m, n)
     payload: dict = {"count": len(maps)}
     lines = [f"vertex maps: {len(maps)}"]
     ranks = None

@@ -29,7 +29,6 @@ elimination sweep each.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations, product
 from math import comb, factorial
 
@@ -39,16 +38,17 @@ from .linalg import cofactor_vector, int_det
 BETA_GUARD = 5
 
 
-@lru_cache(maxsize=None)
 def stirling2(m: int, n: int) -> int:
-    """Number of partitions of m labeled objects into n nonempty blocks."""
+    """Number of partitions of m labeled objects into n nonempty blocks, by
+    S(i, k) = k S(i-1, k) + S(i-1, k-1) bottom-up, one row of k <= n at a time."""
     if m < 0 or n < 0:
         raise ValueError("need m, n >= 0")
-    if m == n:
-        return 1
-    if n == 0 or n > m:
-        return 0
-    return n * stirling2(m - 1, n) + stirling2(m - 1, n - 1)
+    if n >= m:
+        return int(n == m)
+    row = [1] + [0] * n  # S(0, k)
+    for _ in range(m):
+        row = [0] + [k * row[k] + row[k - 1] for k in range(1, n + 1)]
+    return row[n]
 
 
 def surjections(m: int, n: int) -> int:

@@ -255,12 +255,16 @@ def structured_row_order(H: HomPolytope) -> list[int]:
                   key=lambda k: (H.pairs[k][0] not in chosen, H.pairs[k]))
 
 
+def vertex_maps_from_rows(rows, ambient_dim: int, m: int, n: int) -> tuple[AffineMap, ...]:
+    """The DD's vertex maps of hom `rows` inserted in the order given, sorted by point."""
+    rays = dd._sorted_rays(dd.polytope_rays(rows, ambient_dim))
+    return tuple(AffineMap.from_ray(ray, m, n) for ray in rays)
+
+
 def enumerate_vertex_maps(H: HomPolytope) -> tuple[AffineMap, ...]:
-    """All vertex maps, in canonical (lexicographic flattened) order,
-    each the DD's ray of it."""
-    m, n = H.source_dim, H.target_dim
-    rays = dd.polytope_rays([H.rows[k] for k in structured_row_order(H)], H.ambient_dim)
-    return tuple(AffineMap.from_ray(ray, m, n) for ray in dd._sorted_rays(rays))
+    """All vertex maps of H, its rows inserted in `structured_row_order`."""
+    return vertex_maps_from_rows([H.rows[k] for k in structured_row_order(H)],
+                                 H.ambient_dim, H.source_dim, H.target_dim)
 
 
 def is_vertex_map(f: AffineMap, P: Polytope, Q: Polytope,

@@ -5,12 +5,14 @@ Fraction elimination, so a defect in `hompoly.linalg` cannot hide in
 both sides of a comparison.  Moved and reflected polytopes are built
 from their Fraction points (`moved_points`, `reflected_points`), and
 relative-interior tests read a facet system with Fraction dot products
-(`strictly_inside`).  `dd_vertices` alone calls hompoly: it is
-the side under test, the DD kernel's rays put in the oracles' form.
+(`strictly_inside`).  Signed permutations are (perm, signs) pairs with
+their own action on points (`act_signed`), and `naive_orbit_count`
+sweeps point tuples under them.  `dd_vertices` alone calls hompoly: it
+is the side under test, the DD kernel's rays put in the oracles' form.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb
 
 from hompoly import dd
@@ -183,3 +185,39 @@ def strictly_inside(hrep, x):
     strictly inside every inequality?"""
     return (all(_dot(n, x) == c for n, c in hrep.equations)
             and all(_dot(n, x) < c for n, c in hrep.inequalities))
+
+
+def signed_permutations(n):
+    """All 2^n n! signed permutations of n axes as (perm, signs) pairs."""
+    return [(perm, signs) for perm in permutations(range(n))
+            for signs in product((-1, 1), repeat=n)]
+
+
+def act_signed(g, x):
+    """The signed permutation g = (perm, signs) applied to the point x:
+    y[perm[i]] = signs[i] * x[i]."""
+    perm, signs = g
+    y = [None] * len(x)
+    for i, (p, s) in enumerate(zip(perm, signs)):
+        y[p] = s * x[i]
+    return tuple(y)
+
+
+def naive_orbit_count(tuples, group):
+    """The number of orbits of a group of signed permutations on a set of
+    point tuples, acting on each point of a tuple, and whether every
+    orbit has the group's size.  Raises ValueError if an orbit leaves
+    the set."""
+    pool = set(tuples)
+    seen = set()
+    orbits = 0
+    free = True
+    for t in sorted(pool):
+        if t not in seen:
+            orbit = {tuple(act_signed(g, x) for x in t) for g in group}
+            if not orbit <= pool:
+                raise ValueError("tuple set is not closed under the group action")
+            orbits += 1
+            free = free and len(orbit) == len(group)
+            seen |= orbit
+    return orbits, free

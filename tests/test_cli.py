@@ -245,6 +245,18 @@ def test_beta_and_sigma(capsys):
     assert code == 0 and out.strip() == "48"
 
 
+@pytest.mark.parametrize("argv", [("sigma", "5000", "3"),
+                                  ("count", "diamond-simplex", "5000", "3")],
+                         ids=["sigma", "count"])
+def test_closed_forms_at_large_m_exit_0(argv):
+    # a RecursionError would exit 1, which means a failed verification
+    env = dict(os.environ, PYTHONPATH=str(Path(hompoly.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-m", "hompoly.cli", *argv], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout
+
+
 def test_beta_large_guard(capsys):
     code, out, _ = run_cli(capsys, "beta", "5")
     assert code == 0

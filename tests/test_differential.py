@@ -21,7 +21,6 @@ the cofactor-sign test of `counts.origin_strictly_inside` and the
 half-space mask search `counts._valid_subsets` (exhaustively for
 n <= 4) with a barycentric solve, `linalg.cofactor_vector` and the masks
 built from it with `int_det` on cube faces, singular ones included, the
-id-based `groups.orbit_count` with a sweep over point tuples, the
 canonical H-rep of systems with zero-normal and dependent equations with
 exhaustive basis enumeration (its rows ints, its equations the oracle's
 RREF rows made primitive), `homs.is_vertex_map` with
@@ -78,7 +77,7 @@ from _oracles import (  # noqa: E402
     reflected_points,
     vertex_certificate_ok,
 )
-from hompoly import counts, dd, groups, homs, jsonio, linalg, polytope, verify  # noqa: E402
+from hompoly import counts, dd, homs, jsonio, linalg, polytope, verify  # noqa: E402
 from hompoly.errors import UnboundedPolytopeError  # noqa: E402
 
 rationals = st.one_of(
@@ -595,68 +594,6 @@ def test_cofactor_vector_singular_faces():
     assert linalg.cofactor_vector([]) == (1,)
     assert linalg.cofactor_vector([(1, 0)]) == (0, 1)
     assert linalg.cofactor_vector([(1, 0, 0), (0, 1, 0)]) == (0, 0, 1)
-
-
-def _generated_group(gens, n):
-    """The subgroup generated by gens, by closing under composition."""
-    elements = {groups.identity_element(n)}
-    frontier = list(elements)
-    while frontier:
-        g = frontier.pop()
-        for h in gens:
-            gh = groups.compose(g, h)
-            if gh not in elements:
-                elements.add(gh)
-                frontier.append(gh)
-    return sorted(elements, key=lambda g: (g.perm, g.signs))
-
-
-def _naive_orbit_count(tuples, group):
-    pool = set(tuples)
-    seen = set()
-    orbits = 0
-    free = True
-    for t in sorted(pool):
-        if t not in seen:
-            orbit = {groups.act_tuple(g, t) for g in group}
-            assert orbit <= pool
-            orbits += 1
-            free = free and len(orbit) == len(group)
-            seen |= orbit
-    return orbits, free
-
-
-@st.composite
-def closed_tuple_sets(draw):
-    """A small signed-permutation group (generated by random elements)
-    and a set of point tuples closed under it."""
-    n = draw(st.integers(1, 3))
-    element = st.builds(groups.SignedPermutation,
-                        st.permutations(range(n)).map(tuple),
-                        st.lists(st.sampled_from((-1, 1)), min_size=n,
-                                 max_size=n).map(tuple))
-    group = _generated_group(draw(st.lists(element, max_size=3)), n)
-    size = draw(st.integers(1, 3))
-    point = st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(tuple)
-    seeds = draw(st.lists(st.lists(point, min_size=size, max_size=size).map(tuple),
-                          max_size=4))
-    return {groups.act_tuple(g, t) for g in group for t in seeds}, group
-
-
-@given(closed_tuple_sets())
-def test_orbit_count_matches_naive_sweep(case):
-    tuples, group = case
-    assert groups.orbit_count(tuples, group) == _naive_orbit_count(tuples, group)
-
-
-@given(closed_tuple_sets(), st.data())
-def test_orbit_count_rejects_a_set_that_is_not_closed(case, data):
-    tuples, group = case
-    moved = sorted(t for t in tuples if any(groups.act_tuple(g, t) != t for g in group))
-    assume(moved)
-    dropped = data.draw(st.sampled_from(moved))
-    with pytest.raises(ValueError, match="not closed"):
-        groups.orbit_count(tuples - {dropped}, group)
 
 
 @given(bounded_systems(), rationals)
