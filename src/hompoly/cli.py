@@ -6,13 +6,19 @@ output carrying exactly the same numbers as the text form; identical
 command lines produce byte-identical JSON.  Exit codes: 0 success (all
 verifications passed), 1 verification failure, 2 usage or input error.
 
-Heavy enumerations are gated: vertices and count --enumerate need
---allow-large when the inequality system exceeds the guard, and
-construct, dual and intersect need it for a standard polytope spec of
-more than SPEC_SIZE_GUARD vertices or facets (cube:40 has 2^40
-vertices), refused before anything is built.  beta runs
-up to n = 5 (about a tenth of a second) without a flag and refuses
-larger n (exit 2); --allow-large is accepted there and has no effect.
+Heavy enumerations are gated by the modules that build the systems:
+`polytope.standard` refuses a spec of more than 256 vertices or facets
+(cube:40 has 2^40), `homs.check_size` a hom over 95 rows or dimension
+15 (interactive) or a claim's fixed budget of 128 rows and dimension 20.
+
+| path | spec gate (256) | DD gate |
+| --- | --- | --- |
+| construct, dual, intersect | yes, unless --allow-large | none |
+| vertices | - | interactive, unless --allow-large |
+| count --enumerate | yes, unless --allow-large | interactive, unless --allow-large |
+| verify --claim, --suite | always | claim budget, always |
+
+beta refuses n > 5 (exit 2); --allow-large is accepted there and has no effect.
 --threads (or HOMPOLY_THREADS, an integer >= 1) controls worker
 processes for suite runs, at most one per claim; results are
 independent of the thread count.
@@ -29,23 +35,9 @@ from collections import Counter
 
 from . import counts as counts_mod
 from . import experiments, jsonio, verify
-from .errors import SizeGuardError, UnboundedPolytopeError
-from .homs import build_hom, map_rank, vertex_maps_from_rows
-from .polytope import Polytope, intersect, polar_dual, standard
-
-LARGE_DIM_GUARD = 16
-LARGE_ROWS_GUARD = 96
-
-STANDARD_KINDS = ("simplex", "cube", "crosspolytope")
-
-# vertices or facets of a standard polytope named by a spec: cube:8 and
-# crosspolytope:8 (256 of either) are the largest built without --allow-large
-SPEC_SIZE_GUARD = 256
-
-# (vertices, facets) of the standard n-polytope of each kind
-STANDARD_SIZES = {"simplex": lambda n: (n + 1, n + 1),
-                  "cube": lambda n: (2 ** n, 2 * n),
-                  "crosspolytope": lambda n: (2 * n, 2 ** n)}
+from .errors import UnboundedPolytopeError
+from .homs import INTERACTIVE_LIMIT, build_hom, check_size, map_rank, vertex_maps_from_rows
+from .polytope import SPEC_SIZE_GUARD, STANDARD_KINDS, Polytope, intersect, polar_dual, standard
 
 
 def _load_json(path: str):
@@ -59,13 +51,8 @@ def _load_json(path: str):
 
 
 def parse_polytope_spec(spec: str, allow_large: bool = False) -> tuple[dict, Polytope]:
-    """Parse "simplex:3", "cube:2", "crosspolytope:4", or "file:PATH".
-
-    A standard polytope with more than SPEC_SIZE_GUARD vertices or
-    facets raises SizeGuardError before anything is built, unless
-    `allow_large`.  Every such polytope has n >= SPEC_SIZE_GUARD or
-    sizes over it, so 2^n is computed only for n below the guard.
-    """
+    """Parse "simplex:3", "cube:2", "crosspolytope:4", or "file:PATH"; a
+    standard one is built by `standard`, gated unless `allow_large`."""
     kind, sep, arg = spec.partition(":")
     if not sep:
         raise ValueError(f"bad polytope spec {spec!r}; expected kind:arg")
@@ -74,12 +61,7 @@ def parse_polytope_spec(spec: str, allow_large: bool = False) -> tuple[dict, Pol
             n = int(arg)
         except ValueError:
             raise ValueError(f"bad dimension in spec {spec!r}") from None
-        if not allow_large and (n >= SPEC_SIZE_GUARD
-                                or max(STANDARD_SIZES[kind](n)) > SPEC_SIZE_GUARD):
-            raise SizeGuardError(
-                f"polytope {spec!r} has more than {SPEC_SIZE_GUARD} vertices or "
-                f"facets; pass --allow-large to build it")
-        return {"kind": kind, "n": n}, standard(kind, n)
+        return {"kind": kind, "n": n}, standard(kind, n, allow_large)
     if kind == "file":
         return {"kind": "file", "path": arg}, jsonio.polytope_from_json(_load_json(arg))
     raise ValueError(f"unknown polytope kind {kind!r}")
@@ -115,16 +97,9 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _check_large(args, dim: int, rows: int):
-    if (dim >= LARGE_DIM_GUARD or rows >= LARGE_ROWS_GUARD) and not args.allow_large:
-        raise SizeGuardError(
-            f"system of {rows} inequalities in dimension {dim} is a long "
-            f"exact-arithmetic run; pass --allow-large to proceed")
-
-
 def cmd_vertices(args) -> int:
     rows, m, n, ambient = jsonio.hom_system_from_json(_load_json(args.hom))
-    _check_large(args, ambient, len(rows))
+    check_size(ambient, len(rows), None if args.allow_large else INTERACTIVE_LIMIT)
     maps = vertex_maps_from_rows(rows, ambient, m, n)
     payload: dict = {"count": len(maps)}
     lines = [f"vertex maps: {len(maps)}"]
@@ -155,13 +130,10 @@ def cmd_count(args) -> int:
         _emit(args, {"family": family, "m": args.m, "n": args.n, "lower_bound": value},
               [str(value)])
         return 0
-    source, target, closed_form = counts_mod.COUNT_FAMILIES[family]
-    report = closed_form(args.m, args.n)
+    report = counts_mod.COUNT_FAMILIES[family][2](args.m, args.n)
     if args.enumerate:
-        # Hom(P, Q) has one row per (vertex of P, facet of Q) pair
-        rows = STANDARD_SIZES[source](args.m)[0] * STANDARD_SIZES[target](args.n)[1]
-        _check_large(args, args.n * (args.m + 1), rows)
-        report.enumerated = verify.enumerated_count(family, args.m, args.n)
+        report.enumerated = verify.enumerated_count(
+            family, args.m, args.n, None if args.allow_large else INTERACTIVE_LIMIT)
     payload = jsonio.count_report_to_json(report)
     lines = [f"{family}({args.m},{args.n}) closed form: {report.closed_form}"]
     for key, val in sorted(report.terms.items()):
@@ -169,11 +141,8 @@ def cmd_count(args) -> int:
     if report.enumerated is not None:
         lines.append(f"enumerated: {report.enumerated} "
                      f"({'agrees' if report.agreement else 'DISAGREES'})")
-        if not report.agreement:
-            _emit(args, payload, lines)
-            return 1
     _emit(args, payload, lines)
-    return 0
+    return 1 if report.agreement is False else 0
 
 
 def cmd_beta(args) -> int:
@@ -276,16 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target")
     p.add_argument("--out", help="write hom JSON here")
     p.add_argument("--allow-large", action="store_true", help=_SPEC_GUARD_HELP)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("vertices", help="enumerate vertex maps of a hom JSON file")
     p.add_argument("hom")
     p.add_argument("--ranks", action="store_true", help="print the rank histogram")
     p.add_argument("--out", help="write maps JSON here")
     p.add_argument("--allow-large", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_vertices)
 
     p = sub.add_parser("count", help="closed-form counts and bounds")
     p.add_argument("family", choices=[*counts_mod.COUNT_FAMILIES, "box-diamond-bound",
@@ -295,29 +260,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--enumerate", action="store_true",
                    help="cross-check against an enumeration run")
     p.add_argument("--allow-large", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("beta", help="orbit count of centered simplex tuples")
     p.add_argument("n", type=int)
     p.add_argument("--allow-large", action="store_true",
                    help="no effect; beta needs no gate up to its limit n = 5")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_beta)
 
     p = sub.add_parser("sigma", help="signed surjection count")
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_sigma)
 
     p = sub.add_parser("table", help="simplex intersection experiment table")
     p.add_argument("n_min", type=int)
     p.add_argument("n_max", type=int)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--eps", default="1/1000", help="perturbation size (rational)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="run verification claims")
     p.add_argument("--claim", help="single claim id")
@@ -329,24 +286,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes for --suite (at most one per claim)")
     p.add_argument("--timings", action="store_true",
                    help="include elapsed seconds in JSON output")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("dual", help="polar dual of a polytope")
     p.add_argument("polytope")
     p.add_argument("--out")
     p.add_argument("--allow-large", action="store_true", help=_SPEC_GUARD_HELP)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_dual)
 
     p = sub.add_parser("intersect", help="intersection of two polytopes")
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("--out")
     p.add_argument("--allow-large", action="store_true", help=_SPEC_GUARD_HELP)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_intersect)
 
+    for name, p in sub.choices.items():
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=globals()[f"cmd_{name}"])
     return parser
 
 

@@ -40,6 +40,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import dd
+from .errors import SizeGuardError
 from .linalg import Mat, Vec, _echelon, _independent_rows, _int_row, rank
 from .polytope import Polytope, _contains_ray, _from_rays
 
@@ -206,6 +207,22 @@ def build_hom(P: Polytope, Q: Polytope) -> HomPolytope:
     if not _contains_ray(Q, centroid, strict=True):
         raise ValueError("target centroid not strictly interior; bad facet system")
     return HomPolytope(P, Q, tuple(rows), tuple(pairs))
+
+
+# The largest (dimension, rows) enumerated without --allow-large, and a
+# claim's budget, which no flag lifts (see `verify`).
+INTERACTIVE_LIMIT = (15, 95)
+CLAIM_BUDGET = (20, 128)
+
+
+def check_size(dim: int, rows: int, limit: tuple[int, int] | None) -> None:
+    """Raise SizeGuardError if `rows` inequalities in dimension `dim` are
+    over `limit` (None: no limit), before anything is enumerated."""
+    if limit is not None and (dim > limit[0] or rows > limit[1]):
+        raise SizeGuardError(
+            f"system of {rows} inequalities in dimension {dim} is a long exact-arithmetic "
+            "run; " + ("pass --allow-large to proceed" if limit == INTERACTIVE_LIMIT else
+                       f"claims stop at {limit[1]} inequalities in dimension {limit[0]}"))
 
 
 def structured_row_order(H: HomPolytope) -> list[int]:

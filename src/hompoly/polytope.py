@@ -75,6 +75,8 @@ from .linalg import (
 IneqRow = tuple[tuple[int, ...], int]
 
 COMBINATORIAL_GUARD = 200  # vertices, in `combinatorially_equal`
+STANDARD_KINDS = ("simplex", "cube", "crosspolytope")
+SPEC_SIZE_GUARD = 256  # vertices or facets, in `standard`: cube:8 has 256
 
 
 @dataclass(frozen=True)
@@ -350,21 +352,33 @@ def from_points(points, ambient_dim: int | None = None) -> Polytope:
     return _from_rays(rays, ambient)
 
 
-def standard(kind: str, n: int) -> Polytope:
-    """The standard n-simplex, n-cube [-1,1]^n, or n-crosspolytope conv(+-e_i)."""
+def standard(kind: str, n: int, allow_large: bool = False) -> Polytope:
+    """The standard n-simplex, n-cube [-1,1]^n, or n-crosspolytope conv(+-e_i).
+
+    Unless `allow_large`, one of more than SPEC_SIZE_GUARD vertices or
+    facets (n + 1 for the simplex, else 2^n, computed only for n below
+    the guard) raises SizeGuardError before anything is built."""
     if n < 1:
         raise ValueError(f"standard polytope needs n >= 1, got {n}")
+    if kind not in STANDARD_KINDS:
+        raise ValueError(f"unknown polytope kind {kind!r}")
+    if not allow_large and (n >= SPEC_SIZE_GUARD
+                            or kind != "simplex" and 2 ** n > SPEC_SIZE_GUARD):
+        raise SizeGuardError(f"polytope '{kind}:{n}' has more than {SPEC_SIZE_GUARD} "
+                             f"vertices or facets; pass --allow-large to build it")
+    return _build_standard(kind, n)
+
+
+def _build_standard(kind: str, n: int) -> Polytope:
     if kind == "simplex":
         rays = [(1, *(int(j == i) for j in range(n))) for i in range(-1, n)]
         ineqs = [(tuple(-(j == i) for j in range(n)), 0) for i in range(n)] + [((1,) * n, 1)]
     elif kind == "cube":
         rays = [(1, *signs) for signs in product((-1, 1), repeat=n)]
         ineqs = [(tuple(s * (j == i) for j in range(n)), 1) for i in range(n) for s in (-1, 1)]
-    elif kind == "crosspolytope":
+    else:
         rays = [(1, *(s * (j == i) for j in range(n))) for i in range(n) for s in (-1, 1)]
         ineqs = [(signs, 1) for signs in product((-1, 1), repeat=n)]
-    else:
-        raise ValueError(f"unknown polytope kind {kind!r}")
     return Polytope(n, _canonical_hrep(ineqs, ()), rays=tuple(dd._sorted_rays(rays)))
 
 

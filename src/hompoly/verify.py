@@ -5,6 +5,10 @@ Each claim is data in a registry, so the CLI can list, select, and run
 them; a claim execution either passes or fails with a reproducible
 witness payload.  The core suite covers every claim at parameters that
 finish in minutes; the extended suite adds the long enumerations.
+Claims build no spec over the guard of `standard` and no hom over
+`homs.CLAIM_BUDGET`, 128 rows in dimension 20, which no flag lifts: the
+sizes of Hom(crosspolytope 4, crosspolytope 4) and Hom(cube 3,
+crosspolytope 4), the largest homs that EXTENDED_SUITE builds.
 
 Claims read two caches keyed by (source, m, target, n): `_hom`, the
 enumerated vertex maps (a family's `enumerated_count` is their number,
@@ -41,10 +45,12 @@ from itertools import combinations
 
 from .counts import COUNT_FAMILIES, beta, bound_box_diamond, rank_k_sandwich, sigma
 from .homs import (
+    CLAIM_BUDGET,
     AffineMap,
     _int_images,
     _vertex_terms,
     build_hom,
+    check_size,
     cube_simplex_realization,
     enumerate_vertex_maps,
     flatten_map,
@@ -90,18 +96,26 @@ class VerificationResult:
         return self.status == "pass"
 
 
+def _gate(source_kind: str, m: int, target_kind: str, n: int, limit=CLAIM_BUDGET):
+    """The standard P and Q once Hom(P, Q) passes the spec gate of
+    `standard` and `limit` (`homs.check_size`); `limit` None lifts both."""
+    P = standard(source_kind, m, allow_large=limit is None)
+    Q = standard(target_kind, n, allow_large=limit is None)
+    check_size(n * (m + 1), P.n_vertices * Q.n_facets, limit)
+    return P, Q
+
+
 @lru_cache(maxsize=64)
-def _hom(source_kind: str, m: int, target_kind: str, n: int):
-    P = standard(source_kind, m)
-    Q = standard(target_kind, n)
-    H = build_hom(P, Q)
-    return P, Q, H, enumerate_vertex_maps(H)
+def _hom(source_kind: str, m: int, target_kind: str, n: int, limit=CLAIM_BUDGET):
+    H = build_hom(*_gate(source_kind, m, target_kind, n, limit))
+    return H.source, H.target, H, enumerate_vertex_maps(H)
 
 
-def enumerated_count(family: str, m: int, n: int) -> int:
-    """Number of vertex maps of the family's hom, read from `_hom`."""
+def enumerated_count(family: str, m: int, n: int, *limit) -> int:
+    """Number of vertex maps of the family's hom, from `_hom`; a `limit`
+    goes on only when given, so a claim's call shares others' cache entry."""
     source, target, _ = COUNT_FAMILIES[family]
-    return len(_hom(source, m, target, n)[3])
+    return len(_hom(source, m, target, n, *limit)[3])
 
 
 def _cross_record(f: AffineMap) -> tuple[int, bool]:
@@ -265,6 +279,7 @@ def _claim_rank1_factorization(m: int, n: int):
 
 
 def _claim_cube_simplex_realization(m: int, n: int, compare: bool = False):
+    _gate("cube", m, "simplex", n)
     pts = cube_simplex_realization(m, n)
     if len(pts) != (n + 1) * (m * n + 1):
         return False, {"points": len(pts)}
@@ -428,6 +443,7 @@ def _claim_diamond_image_shape_witness(m: int, n: int):
     m - n entries t y_j - s (t b_j)."""
     if not (m > n > 3):
         raise ValueError(f"diamond-image-shape-witness needs m > n > 3, got m={m}, n={n}")
+    source_big = standard("crosspolytope", m)  # the spec gate, before g's m - n columns
     source_small = standard("crosspolytope", n)
     target = standard("simplex", n)
     f = _full_rank_diamond_witness(n)
@@ -443,7 +459,6 @@ def _claim_diamond_image_shape_witness(m: int, n: int):
     for row, yj, bj in zip(rows, y, b):
         ray += [s * a for a in row] + [t * yj - s * bj] * (m - n)
     g = AffineMap.from_ray(tuple(_int_row(ray)), m, n)
-    source_big = standard("crosspolytope", m)
     if map_rank(g) != n:
         return False, {"extended_rank": map_rank(g)}
     if not is_vertex_map(g, source_big, target):
@@ -521,16 +536,16 @@ def _claim_face_law(source: str, m: int, n: int):
 def _claim_count_agreement(family: str, m: int, n: int):
     if family not in COUNT_FAMILIES:
         raise ValueError(f"unknown count family {family!r}; known: {sorted(COUNT_FAMILIES)}")
+    enumerated = enumerated_count(family, m, n)  # the gate, before the closed form's 2^m
     closed_form = COUNT_FAMILIES[family][2](m, n).closed_form
-    enumerated = enumerated_count(family, m, n)
     if enumerated != closed_form:
         return False, {"closed_form": closed_form, "enumerated": enumerated}
     return True, None
 
 
 def _claim_rank_sandwich(m: int, k: int):
+    number, hit_sets = _record("crosspolytope", m, "simplex", k)  # the gate, before m!
     lo, hi = rank_k_sandwich(m, k)
-    number, hit_sets = _record("crosspolytope", m, "simplex", k)
     middle = sum(hit_sets[j].rank == k for j in number)
     if not (lo <= middle <= hi):
         return False, {"lower": lo, "enumerated": middle, "upper": hi}

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import hompoly
-from hompoly import cli, dd, homs, linalg
+from hompoly import cli, dd, homs, linalg, polytope
 from hompoly.cli import main, parse_polytope_spec
 from hompoly.homs import build_hom, enumerate_vertex_maps, map_rank
 from hompoly.jsonio import dumps_canonical, rat_to_str
@@ -411,14 +411,15 @@ def test_malformed_number_in_polytope_file_is_usage_error(tmp_path, capsys, numb
 
 
 class _Built(ValueError):
-    """Raised by the stand-in for `standard`: the spec passed the guard."""
+    """Raised by the stand-in for the building step of `standard`: the
+    spec passed the guard."""
 
 
 def _refuse_to_build(monkeypatch):
     def built(kind, n):
         raise _Built(f"built {kind}:{n}")
 
-    monkeypatch.setattr(cli, "standard", built)
+    monkeypatch.setattr(polytope, "_build_standard", built)
 
 
 @pytest.mark.parametrize("command, first, second", [
@@ -432,9 +433,9 @@ def _refuse_to_build(monkeypatch):
 ])
 def test_oversized_spec_is_refused_before_it_is_built(tmp_path, monkeypatch, capsys,
                                                       command, first, second):
-    """Over SPEC_SIZE_GUARD vertices or facets a spec exits 2 without a
-    call to `standard`; with --allow-large it reaches `standard`.  The
-    stand-in raises, so a broken guard allocates nothing."""
+    """Over SPEC_SIZE_GUARD vertices or facets a spec exits 2 before
+    `standard` builds it; with --allow-large it reaches the building
+    step.  The stand-in raises, so a broken guard allocates nothing."""
     segment = tmp_path / "segment.json"
     segment.write_text(json.dumps({"ambient_dim": 1, "vertices": [["0"], ["1"]]}))
     first = first.format(segment=segment)
@@ -766,7 +767,9 @@ def test_count_enumerate_is_size_guarded(capsys, monkeypatch):
     def no_enumeration(*args):
         raise AssertionError("enumerated past the size guard")
 
-    monkeypatch.setattr(verify, "_hom", no_enumeration)
+    # the gate runs inside `_hom`, before the hom is built
+    monkeypatch.setattr(verify, "_hom", verify._hom.__wrapped__)
+    monkeypatch.setattr(verify, "build_hom", no_enumeration)
     # Hom(crosspolytope_4, crosspolytope_4): 8 x 16 = 128 rows in dimension 20
     code, out, err = run_cli(capsys, "count", "diamond-diamond", "4", "4", "--enumerate")
     assert (code, out) == (2, "")
@@ -776,21 +779,40 @@ def test_count_enumerate_is_size_guarded(capsys, monkeypatch):
 def test_count_enumerate_allow_large_passes_the_guard(capsys, monkeypatch):
     from hompoly import verify
 
-    monkeypatch.setattr(verify, "enumerated_count", lambda family, m, n: 13704)
+    limits = []
+
+    def enumerated_count(family, m, n, limit):
+        limits.append(limit)
+        return 13704
+
+    monkeypatch.setattr(verify, "enumerated_count", enumerated_count)
     code, out, _ = run_cli(capsys, "count", "diamond-diamond", "4", "4", "--enumerate",
                            "--allow-large", "--json")
     assert code == 0
     assert json.loads(out)["enumerated"] == 13704
+    assert limits == [None]  # no limit: neither the spec gate nor the DD gate
 
 
-@pytest.mark.parametrize("kind", ["simplex", "cube", "crosspolytope"])
-def test_standard_sizes_match_standard_polytopes(kind):
-    from hompoly.cli import STANDARD_SIZES
-    from hompoly.polytope import standard
+def test_count_enumerate_disagreement_exits_1(capsys, monkeypatch):
+    from hompoly import verify
 
-    for n in range(1, 5):
-        P = standard(kind, n)
-        assert STANDARD_SIZES[kind](n) == (P.n_vertices, P.n_facets)
+    monkeypatch.setattr(verify, "enumerated_count", lambda family, m, n, limit: 0)
+    code, out, _ = run_cli(capsys, "count", "box-simplex", "2", "2", "--enumerate")
+    assert code == 1
+    assert out.endswith("enumerated: 0 (DISAGREES)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("box-simplex", "100000000000", "2"),
+    ("diamond-diamond", "3", "100000000000"),
+    ("box-simplex", "100000", "2"),  # 2^100000 has over 4,300 digits
+], ids=" ".join)
+def test_count_enumerate_of_an_oversized_spec_exits_2_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "count", *argv, "--enumerate")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "has more than 256 vertices or facets" in err and "--allow-large" in err
 
 
 def test_cli_import_leaves_out_the_process_pool():

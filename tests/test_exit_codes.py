@@ -1,4 +1,4 @@
-"""The exit-code contract on hostile input files.
+"""The exit-code contract on hostile input files and claim parameters.
 
 Valid hom and polytope files are mutated by dropping keys, changing
 list lengths, replacing values by values of other types, making
@@ -6,11 +6,17 @@ list lengths, replacing values by values of other types, making
 numbers go.  `vertices` and `dual` must answer each mutated file with
 exit 0 (it still describes a system) or 2 (bad input), never an
 uncaught exception, and each within the per-example deadline.
+
+Claims get oversized `m`, `n` and `k` with valid kinds and families:
+`verify --claim` must refuse each with exit 2 within 1 s, before it
+builds anything large.
 """
 
 import contextlib
+import inspect
 import io
 import json
+import time
 from datetime import timedelta
 
 import pytest
@@ -20,7 +26,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from hompoly import cli  # noqa: E402
+from hompoly import cli, verify  # noqa: E402
+from hompoly.counts import COUNT_FAMILIES  # noqa: E402
+from hompoly.polytope import STANDARD_KINDS  # noqa: E402
 
 # the polytope file of the CI checks: a quadrilateral listing a vertex
 # twice and an interior point
@@ -134,3 +142,35 @@ def test_mutated_polytope_file_exits_0_or_2(files, poly):
     path = files / "mutated-quad.json"
     path.write_text(json.dumps(poly))
     assert _exit_code(["dual", f"file:{path}", "--json"]) in (0, 2)
+
+
+@st.composite
+def oversized_claim(draw):
+    """`verify --claim` arguments: a claim id, its `m`, `n` and `k` each
+    in 9 .. 10^30, valid kinds and families, and any other parameter a
+    value of its type."""
+    claim_id = draw(st.sampled_from(sorted(verify.CLAIMS)))
+    argv = ["verify", "--claim", claim_id]
+    for name, param in inspect.signature(verify.CLAIMS[claim_id]).parameters.items():
+        if name in ("m", "n", "k"):
+            # half the draws within reach of the spec guard, which
+            # simplex:9 to simplex:255 pass
+            value = draw(st.one_of(st.integers(9, 300), st.integers(9, 10 ** 30)))
+        elif name in ("source", "target"):
+            value = draw(st.sampled_from(STANDARD_KINDS))
+        elif name == "family":
+            value = draw(st.sampled_from(sorted(COUNT_FAMILIES)))
+        elif param.annotation == "bool":
+            value = draw(st.sampled_from(["true", "false"]))
+        else:
+            value = draw(st.integers(0, 10 ** 6))
+        argv += ["--param", f"{name}={value}"]
+    return argv
+
+
+@FUZZ
+@given(argv=oversized_claim())
+def test_oversized_claim_parameters_exit_2(argv):
+    start = time.perf_counter()
+    assert _exit_code(argv) == 2
+    assert time.perf_counter() - start < 1

@@ -259,6 +259,17 @@ def test_combinatorial_guard():
         combinatorially_equal(P, P)
 
 
+@pytest.mark.parametrize("kind, largest", [("simplex", 255), ("cube", 8), ("crosspolytope", 8)])
+def test_standard_builds_up_to_the_spec_guard(kind, largest):
+    P = standard(kind, largest)
+    assert max(P.n_vertices, P.n_facets) == 256
+    with pytest.raises(SizeGuardError, match=f"'{kind}:{largest + 1}' has more than 256 "
+                                             "vertices or facets; pass --allow-large"):
+        standard(kind, largest + 1)
+    P = standard(kind, largest + 1, allow_large=True)
+    assert max(P.n_vertices, P.n_facets) > 256
+
+
 def test_empty_polytope_value():
     E = Polytope(3, rays=())
     assert E.is_empty
