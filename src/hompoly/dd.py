@@ -51,11 +51,11 @@ Representation choices, all in service of exactness and speed:
   the kernel.  From a known cone (`start`): the caller hands over the
   extreme rays of the cone cut out by a prefix of the rows, with each
   ray's active-row bitset, and only the remaining rows are inserted;
-  `polytope.intersect` starts so from a full-dimensional operand's
-  vertex rays and facet incidences.  `polytope_rays` returns the
-  integer rays themselves, and
-  `_sorted_rays` puts them in the lexicographic order of their points
-  c / t without building those points.  A vertex map is such a ray
+  `polytope.intersect` starts so from its first operand's vertex rays,
+  full-dimensional or not, and their incidences with that operand's
+  equation and facet rows.  `polytope_rays` returns the integer rays
+  themselves, and `_sorted_rays` puts them in the lexicographic order
+  of their points c / t without building those points.  A vertex map is such a ray
   (`homs.AffineMap.from_ray`, for `enumerate_vertex_maps` and `hompoly
   vertices` alike), and so is a vertex of a `polytope.Polytope`
   (sorted by `_sorted_rays`), so Fractions appear only in the input rows and,

@@ -90,10 +90,9 @@ def random_simplex_intersection_count(n: int, seed: int) -> int:
 
     The value depends on the seed (the generic count does not exist
     here); degenerate draws are rejected, and ValueError is raised when
-    every draw is.  An empty intersection counts zero vertices.  Both
-    simplices are full-dimensional, so `intersect` starts its DD from
-    the first one's vertex rays and inserts only the second one's
-    n + 1 facet rows.
+    every draw is.  An empty intersection counts zero vertices.
+    `intersect` starts its DD from the first simplex's vertex rays and
+    inserts only the second one's n + 1 facet rows.
     """
     if n < 2:
         raise ValueError("need n >= 2")

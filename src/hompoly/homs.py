@@ -28,8 +28,8 @@ certificate: f is a vertex iff its tight constraints span R^{nm+n}.
 This is the exact polyhedral form of the perturbation criterion (a
 point of a polytope admits a line segment through it inside the
 polytope iff its active constraints do not span).  `is_vertex_map`
-reads containment and tightness off the same pass over the rows, in
-the integers of the ray and of the rows.
+reads containment and tightness off one integer row pass
+(`polytope._incidence`), the one every test of rows at a point shares.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from math import gcd, lcm
 from . import dd
 from .errors import SizeGuardError
 from .linalg import Mat, Vec, _echelon, _independent_rows, _int_row, rank
-from .polytope import Polytope, _contains_ray, _from_rays
+from .polytope import Polytope, _contains_ray, _from_rays, _incidence
 
 __all__ = [
     "AffineMap",
@@ -289,25 +289,18 @@ def is_vertex_map(f: AffineMap, P: Polytope, Q: Polytope,
     """Active-set rank certificate for vertexhood of f in Hom(P, Q).
 
     One pass over the rows of `hom` (built when not given) in the
-    integers of f's ray (t, c): row n . x <= e holds at c / t iff
-    s = n . c <= t e, and is tight iff s = t e.  The rows are the
-    conditions f(v) in Q, so a failing row raises ValueError; f is a
+    integers of f's ray (`polytope._incidence`).  The rows are the
+    conditions f(v) in Q, so a row over at f raises ValueError; f is a
     vertex iff its tight rows have full rank.
     """
     if hom is None:
         hom = build_hom(P, Q)
-    t, x = f.ray[0], f.ray[1:]
-    if len(x) != hom.ambient_dim:
-        raise ValueError(f"map of {len(x)} coordinates, hom of {hom.ambient_dim}")
-    tight = []
-    for n, e in hom.rows:
-        s = sum([a * b for a, b in zip(n, x) if a])
-        te = t * e
-        if s > te:
-            raise ValueError("map does not send the source into the target")
-        if s == te:
-            tight.append(n)
-    return rank(tight) == hom.ambient_dim
+    if len(f.ray) - 1 != hom.ambient_dim:
+        raise ValueError(f"map of {len(f.ray) - 1} coordinates, hom of {hom.ambient_dim}")
+    tight, over = _incidence(hom.rows, f.ray)
+    if over:
+        raise ValueError("map does not send the source into the target")
+    return rank([n for k, (n, _) in enumerate(hom.rows) if tight >> k & 1]) == hom.ambient_dim
 
 
 def rank_histogram(maps) -> dict[int, int]:

@@ -22,9 +22,10 @@ matters:
 - equation rows are the primitive reduced row echelon form of the
   affine hull's equation system;
 - both are held as those integers: a row (normal, offset) is a tuple
-  of ints and an int, so checks against it (`homs.is_vertex_map`) and
-  the DD kernel read it without Fraction arithmetic.  The empty system
-  is the single row 0 . x <= -1.
+  of ints and an int, so checks against it and the DD kernel read it
+  without Fraction arithmetic.  One pass, `_incidence`, gives the rows
+  tight at a point and those it exceeds; every such check reads it.
+  The empty system is the single row 0 . x <= -1.
 
 Both conversions run in one coordinate frame: the columns that lead no
 canonical equation.  Each leading column is zero in every other
@@ -59,7 +60,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import lcm
-from operator import le, lt
 
 from . import dd
 from .errors import SizeGuardError
@@ -148,12 +148,12 @@ class Polytope:
     `_vertex_rays()` gives the vertices as rays sorted by their points,
     the form `hrep`, `dim`, equality, containment and
     `combinatorially_equal` read.  A constructor passes either `rays`,
-    primitive and sorted by their points, or (`from_inequalities`)
-    `frame_rays`, the DD's rays in the frame of the canonical equations
-    and those equations, lifted on first need (`_vertices_from_hrep`).
-    `vertices` makes the Fraction points on first read
-    (`dd._ray_points`).  A constructor that passes `hrep` vouches for
-    it."""
+    primitive and sorted by their points, or (`from_inequalities`,
+    `intersect`) `frame_rays`, the DD's rays in the frame of the
+    canonical equations and those equations, lifted on first need
+    (`_vertices_from_hrep`).  `vertices` makes the Fraction points on
+    first read (`dd._ray_points`).  A constructor that passes `hrep`
+    vouches for it."""
 
     __slots__ = ("ambient_dim", "_vertices", "_rays", "_frame_rays", "_hrep", "_dim")
 
@@ -403,32 +403,28 @@ def polar_dual(P: Polytope) -> Polytope:
 def intersect(P: Polytope, Q: Polytope) -> Polytope:
     """Intersection; may be lower-dimensional or empty.
 
-    When an operand, say P, is full-dimensional, the DD starts from the
-    cone over P, which it already knows: P's facet rows (c, -n) cut out
-    a pointed cone whose extreme rays are P's vertex rays, each active
-    on the facets through it (`_incidence_masks`).  Only Q's rows are
-    inserted: each canonical equation as two opposite rows, then the
-    facet rows in canonical order.  The result's rays then lie in all
-    coordinates and are sorted on first read.  When neither operand is
-    full-dimensional, both facet systems go through `from_inequalities`.
+    The DD starts from the cone over P, which it knows: P's rows
+    (`_halfspaces`) cut out a pointed cone whose extreme rays are P's
+    vertex rays, full-dimensional or not, each active on the rows tight
+    at it (`_incidence`), and only Q's rows are inserted.  An empty P has
+    no rays; an empty Q's row 0 . x <= -1 is negative on every ray.
     """
     d = P.ambient_dim
     if d != Q.ambient_dim:
         raise ValueError("intersection of polytopes in different ambient spaces")
-    hp, hq = P.hrep, Q.hrep  # with hrep cached, `dim` is a lookup
-    if P.dim != d:
-        P, Q, hp, hq = Q, P, hq, hp
-    if P.dim != d:
-        return from_inequalities(hp.inequalities + hq.inequalities,
-                                 hp.equations + hq.equations, d)
-    rows = [(c, *(-a for a in n)) for n, c in hp.inequalities]
-    for n, c in hq.equations:
-        rows.append((c, *(-a for a in n)))
-        rows.append((-c, *n))
-    rows.extend((c, *(-a for a in n)) for n, c in hq.inequalities)
-    rays = dd.cone_extreme_rays(
-        rows, start=(len(hp.inequalities), P._vertex_rays(), _incidence_masks(P)))
-    return Polytope(d, frame_rays=(rays, ()))
+    start = _halfspaces(P.hrep)
+    rays = P._vertex_rays()
+    masks = [_incidence(start, ray)[0] for ray in rays]
+    rows = [(c, *(-a for a in n)) for n, c in start + _halfspaces(Q.hrep)]
+    return Polytope(d, frame_rays=(
+        dd.cone_extreme_rays(rows, start=(len(start), rays, masks)), ()))
+
+
+def _halfspaces(h: HRep) -> list[IneqRow]:
+    """The rows n . x <= c of `h`: each equation as (n, c) and (-n, -c),
+    then the inequalities."""
+    return [r for n, c in h.equations for r in ((n, c), (tuple(-a for a in n), -c))
+            ] + list(h.inequalities)
 
 
 def bipyramid(P: Polytope) -> Polytope:
@@ -452,18 +448,32 @@ def _point_ray(P: Polytope, x) -> tuple[int, ...]:
     return tuple(_int_row([1, *x]))
 
 
+def _incidence(rows, ray) -> tuple[int, int]:
+    """(tight, over): bitsets over the rows (n, c), bit k for row k, of
+    those with n . x = c t and those with n . x > c t at the point x / t
+    of an integer ray (t, x), t > 0.  Row entries may be Fractions, as
+    the hom rows of a rational source are."""
+    t, *x = ray
+    tight = over = 0
+    for k, (n, c) in enumerate(rows):
+        s = sum([a * b for a, b in zip(n, x) if a])
+        ct = c * t
+        if s == ct:
+            tight |= 1 << k
+        elif s > ct:
+            over |= 1 << k
+    return tight, over
+
+
 def _contains_ray(P: Polytope, ray, strict: bool = False) -> bool:
     """Does P, or with `strict` its interior relative to its affine hull,
-    hold the point x / t of an integer ray (t, x), t > 0?  In integers:
-    n . x = c t on each canonical equation of P, and n . x <= c t (with
-    `strict`, n . x < c t) on each facet row.  The empty polytope's one
-    row 0 . x <= -1 holds nowhere."""
-    t, *x = ray
+    hold the point x / t of an integer ray (t, x), t > 0?  Iff every
+    equation of P is tight, no facet row over and, with `strict`, none
+    tight (`_incidence`); the empty P's row 0 . x <= -1 is over anywhere."""
     h = P.hrep
-    below = lt if strict else le
-    return (all(sum([a * b for a, b in zip(n, x) if a]) == c * t for n, c in h.equations)
-            and all(below(sum([a * b for a, b in zip(n, x) if a]), c * t)
-                    for n, c in h.inequalities))
+    on, _ = _incidence(h.equations, ray)
+    tight, over = _incidence(h.inequalities, ray)
+    return on.bit_count() == len(h.equations) and not over and not (strict and tight)
 
 
 def _symmetric_core(Q: Polytope, ray) -> Polytope:
@@ -477,19 +487,6 @@ def _symmetric_core(Q: Polytope, ray) -> Polytope:
         for n, c in rows), (), Q.ambient_dim)
 
 
-def _incidence_masks(P: Polytope) -> list[int]:
-    """Per vertex ray (t, x), the bitset of the facets n . x = c t on it."""
-    ineqs = P.hrep.inequalities
-    masks = []
-    for t, *x in P._vertex_rays():
-        m = 0
-        for j, (n, c) in enumerate(ineqs):
-            if sum([a * b for a, b in zip(n, x) if a]) == c * t:
-                m |= 1 << j
-        masks.append(m)
-    return masks
-
-
 def combinatorially_equal(P: Polytope, Q: Polytope) -> bool:
     """Vertex-facet incidence matrices agree up to row/column permutation.
 
@@ -501,23 +498,17 @@ def combinatorially_equal(P: Polytope, Q: Polytope) -> bool:
                              f"vertices; compare counts instead")
     if P.n_vertices != Q.n_vertices or P.n_facets != Q.n_facets:
         return False
-    mp = _incidence_masks(P)
-    mq = _incidence_masks(Q)
+    mp, mq = ([_incidence(X.hrep.inequalities, ray)[0] for ray in X._vertex_rays()]
+              for X in (P, Q))
     nf = P.n_facets
 
-    def facet_degrees(masks):
-        return [sum((m >> j) & 1 for m in masks) for j in range(nf)]
-
-    fdeg_p, fdeg_q = facet_degrees(mp), facet_degrees(mq)
+    fdeg_p, fdeg_q = ([sum(m >> j & 1 for m in masks) for j in range(nf)] for masks in (mp, mq))
     if sorted(fdeg_p) != sorted(fdeg_q):
         return False
 
     def colors(masks, fdeg):
-        cols = []
-        for m in masks:
-            inc = sorted(fdeg[j] for j in range(nf) if (m >> j) & 1)
-            cols.append((m.bit_count(), tuple(inc)))
-        return cols
+        return [(m.bit_count(), tuple(sorted(fdeg[j] for j in range(nf) if m >> j & 1)))
+                for m in masks]
 
     col_p, col_q = colors(mp, fdeg_p), colors(mq, fdeg_q)
     if sorted(col_p) != sorted(col_q):

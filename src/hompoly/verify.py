@@ -40,10 +40,12 @@ import logging
 import time
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import and_
 
 from .counts import COUNT_FAMILIES, beta, bound_box_diamond, rank_k_sandwich, sigma
+from .errors import SizeGuardError
 from .homs import (
     CLAIM_BUDGET,
     AffineMap,
@@ -66,10 +68,12 @@ from .linalg import (
     rank,
 )
 from .polytope import (
+    SPEC_SIZE_GUARD,
     Polytope,
     _canonical_hrep,
     _contains_ray,
     _from_rays,
+    _incidence,
     _symmetric_core,
     bipyramid,
     combinatorially_equal,
@@ -96,11 +100,23 @@ class VerificationResult:
         return self.status == "pass"
 
 
+def _standard(kind: str, n: int, limit=CLAIM_BUDGET) -> Polytope:
+    """`standard(kind, n)`, its spec gate lifted by `limit` None; under the
+    claim budget a refusal names that limit, as verify has no --allow-large."""
+    try:
+        return standard(kind, n, allow_large=limit is None)
+    except SizeGuardError as exc:
+        if limit != CLAIM_BUDGET:
+            raise
+        spec = str(exc).partition(";")[0]
+    raise SizeGuardError(f"{spec}; claims stop at {SPEC_SIZE_GUARD} vertices or facets")
+
+
 def _gate(source_kind: str, m: int, target_kind: str, n: int, limit=CLAIM_BUDGET):
-    """The standard P and Q once Hom(P, Q) passes the spec gate of
-    `standard` and `limit` (`homs.check_size`); `limit` None lifts both."""
-    P = standard(source_kind, m, allow_large=limit is None)
-    Q = standard(target_kind, n, allow_large=limit is None)
+    """The standard P and Q once Hom(P, Q) passes the spec gate
+    (`_standard`) and `limit` (`homs.check_size`); `limit` None lifts both."""
+    P = _standard(source_kind, m, limit)
+    Q = _standard(target_kind, n, limit)
     check_size(n * (m + 1), P.n_vertices * Q.n_facets, limit)
     return P, Q
 
@@ -164,8 +180,9 @@ def _record(source: str, m: int, target: str, n: int):
     number[i] the index of map i's.  A `_HitSet` holds its first map's
     index, the frozenset of its point rays (`homs._int_images`), the
     rank of A, the mask of the rows of Q.hrep.inequalities tight on
-    every ray (bit k for row k) and, for Hom(crosspolytope_m, simplex_n),
-    the crosspolytope flag of `_cross_record` on the first map, else None."""
+    every ray (bit k for row k, from `polytope._incidence`) and, for
+    Hom(crosspolytope_m, simplex_n), the crosspolytope flag of
+    `_cross_record` on the first map, else None."""
     P, Q, _, maps = _hom(source, m, target, n)
     terms = _vertex_terms(P)
     facet_rows = Q.hrep.inequalities
@@ -177,9 +194,7 @@ def _record(source: str, m: int, target: str, n: int):
         if k is None:
             k = index[rays] = len(hit_sets)
             r, cross = _cross_record(f) if diamond else (map_rank(f), None)
-            tight = sum(1 << j for j, (u, c) in enumerate(facet_rows)
-                        if all(sum([a * b for a, b in zip(u, y) if a]) == c * t
-                               for t, *y in rays))
+            tight = reduce(and_, (_incidence(facet_rows, y)[0] for y in rays))
             hit_sets.append(_HitSet(i, rays, r, tight, cross))
         number.append(k)
     return tuple(number), tuple(hit_sets)
@@ -399,14 +414,13 @@ def _claim_diamond_image_shape(m: int, n: int):
     (expected exactly when m == n or n == 3).
 
     Read from `_record`, as `diamond-image-count`; only the first
-    failing map's image is built, for the witness.
+    failing hit set's image is built, from its rays, for the witness.
     """
-    P, Q, H, maps = _hom("crosspolytope", m, "simplex", n)
+    _, _, _, maps = _hom("crosspolytope", m, "simplex", n)
     for h in _record("crosspolytope", m, "simplex", n)[1]:
         if h.rank == n and not h.cross:
-            f = maps[h.first]
-            return False, {"map": _map_witness(f),
-                           "image_vertices": image_polytope(f, P).n_vertices}
+            return False, {"map": _map_witness(maps[h.first]),
+                           "image_vertices": _from_rays(h.rays, n).n_vertices}
     return True, None
 
 
@@ -443,7 +457,7 @@ def _claim_diamond_image_shape_witness(m: int, n: int):
     m - n entries t y_j - s (t b_j)."""
     if not (m > n > 3):
         raise ValueError(f"diamond-image-shape-witness needs m > n > 3, got m={m}, n={n}")
-    source_big = standard("crosspolytope", m)  # the spec gate, before g's m - n columns
+    source_big = _standard("crosspolytope", m)  # the spec gate, before g's m - n columns
     source_small = standard("crosspolytope", n)
     target = standard("simplex", n)
     f = _full_rank_diamond_witness(n)
@@ -473,18 +487,19 @@ def _claim_vertex_image_law(m: int, target: str, n: int):
     """The image of each vertex map has exactly the vertex images as
     vertices, and they are vertices of K = Q & (2b - Q), b = f(0).
 
-    The first check depends only on the hit set, so it runs on each hit
-    set's first map (`_record`), and K only on the offset b, so each
-    distinct offset's K is built once.  Both compare rays: the image's
-    vertex count with the number of distinct image rays, and those rays
-    with K's vertex rays, K cut out by integer rows (`_symmetric_core`).
+    The first check depends only on the hit set, so it runs on the hull
+    of each hit set's rays (`_record`), and K only on the offset b, so
+    each distinct offset's K is built once.  Both compare rays: the
+    image's vertex count with the number of distinct image rays, and
+    those rays with K's vertex rays, K cut out by integer rows
+    (`_symmetric_core`).
     """
-    P, Q, H, maps = _hom("crosspolytope", m, target, n)
+    _, Q, _, maps = _hom("crosspolytope", m, target, n)
     number, hit_sets = _record("crosspolytope", m, target, n)
     k_vertices = {}  # offset ray (t, t b), primitive -> vertex rays of K
     for i, (f, k) in enumerate(zip(maps, number)):
         hit = hit_sets[k].rays
-        if i == hit_sets[k].first and image_polytope(f, P).n_vertices != len(hit):
+        if i == hit_sets[k].first and _from_rays(hit, n).n_vertices != len(hit):
             return False, {"map": _map_witness(f),
                            "reason": "image vertices differ from vertex images"}
         offset = tuple(_int_row(f.ray[:n + 1]))
@@ -521,15 +536,14 @@ def _claim_face_law(source: str, m: int, n: int):
 
     The check reads only the image and the simplex, so it depends only
     on the hit set: each distinct hit set of `_record`, in order, is
-    checked on its first map, with its tight facet rows.
+    checked on the hull of its rays, with its tight facet rows.
     """
-    P, Q, H, maps = _hom(source, m, "simplex", n)
+    _, Q, _, maps = _hom(source, m, "simplex", n)
     facet_rows = Q.hrep.inequalities
     for h in _record(source, m, "simplex", n)[1]:
-        f = maps[h.first]
-        failure = _face_law_failure(image_polytope(f, P), h.tight, facet_rows, n)
+        failure = _face_law_failure(_from_rays(h.rays, n), h.tight, facet_rows, n)
         if failure is not None:
-            return False, {"map": _map_witness(f), **failure}
+            return False, {"map": _map_witness(maps[h.first]), **failure}
     return True, None
 
 

@@ -815,6 +815,23 @@ def test_count_enumerate_of_an_oversized_spec_exits_2_at_once(capsys, argv):
     assert "has more than 256 vertices or facets" in err and "--allow-large" in err
 
 
+@pytest.mark.parametrize("claim, params", [
+    ("dim-formula", ("source=cube", "m=40", "target=simplex", "n=1")),
+    ("count-agreement", ("family=box-simplex", "m=9", "n=1")),
+    ("diamond-image-shape-witness", ("m=40", "n=5")),
+], ids=lambda x: x if isinstance(x, str) else " ".join(x))
+def test_oversized_claim_spec_names_the_claim_limit(capsys, claim, params):
+    """verify takes no --allow-large, so the spec gate's refusal on the
+    claim path names the claim limit instead, as the DD gate's does."""
+    argv = [x for kv in params for x in ("--param", kv)]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--claim", claim, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "has more than 256 vertices or facets; claims stop at 256 vertices or facets" in err
+    assert "--allow-large" not in err
+
+
 def test_cli_import_leaves_out_the_process_pool():
     # the process pool is imported only by `verify --threads N` with N > 1;
     # it would pull multiprocessing, pickle and socket into every run

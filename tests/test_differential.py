@@ -31,6 +31,8 @@ the target), the rank and crosspolytope flag of
 Fraction images, its isomorphism search and vertex count (m up to 5),
 `homs.image_polytope` (a hull of the images' primitive point rays)
 with `from_points` of the Fraction images,
+`polytope._incidence` (the tight and over rows at a ray) with Fraction
+evaluation of int polytope rows and of hom rows with Fraction entries,
 `polytope._contains_ray`, strict and not, on a ray and on a point, and
 `Polytope.contains` with the Fraction rows of P at vertices, midpoints,
 centroids and points outside or off the affine hull, `homs.build_hom`'s
@@ -42,10 +44,10 @@ the map built from the Fractions c / t and stdlib `json.dumps` of its
 Fraction strings, `linalg.rank` and `rat_to_str` (entries up
 to 2^70, non-primitive rays, rank-deficient A), `dd.cone_extreme_rays`
 started from a known cone (a cold run on a prefix of the rows) with the
-cold run on all of them, `polytope.intersect` from a full-dimensional
-operand's cone, and with no such operand through `from_inequalities`,
-with exhaustive basis enumeration of the joint facet system, on
-generated inputs that stress the degenerate cases.
+cold run on all of them, `polytope.intersect` from the first operand's
+cone, full-dimensional, flat or empty, in either order, with
+exhaustive basis enumeration of the joint facet system, on generated
+inputs that stress the degenerate cases.
 """
 
 import io
@@ -851,6 +853,31 @@ def test_interior_ray_matches_contains_interior(case):
         assert not interior
 
 
+def _fraction_incidence(rows, x):
+    """(tight, over) over the rows (n, c) at the Fraction point x, by
+    Fraction dot products: n . x = c and n . x > c."""
+    values = [(_dot(n, x), c) for n, c in rows]
+    return (sum(1 << k for k, (s, c) in enumerate(values) if s == c),
+            sum(1 << k for k, (s, c) in enumerate(values) if s > c))
+
+
+@given(st.one_of(
+    polytopes_with_rays().map(
+        lambda case: (case[0].hrep.equations + case[0].hrep.inequalities, case[2], case[3])),
+    small_homs_with_maps().map(
+        lambda case: (case[0].rows, homs.flatten_map(case[1]), case[1].ray))))
+def test_incidence_matches_fraction_evaluation(case):
+    """The one integer row pass against Fraction evaluation: the int
+    equation and facet rows of a polytope at vertices, midpoints,
+    centroids and points outside or off its hull, through rays that are
+    often not primitive, and the hom rows of integer and rational
+    sources, with Fraction entries, at vertex maps, points between two
+    and drawn rays that often leave the target."""
+    rows, point, ray = case
+    assert polytope._incidence(rows, ray) == \
+        _fraction_incidence(rows, tuple(Fraction(a) for a in point))
+
+
 @st.composite
 def rational_hom_pairs(draw):
     """Full-dimensional P in R^1 .. R^3 with rational vertices (small
@@ -1038,10 +1065,11 @@ def _reflect(P, facet):
 
 def _intersect_routes(P, Q):
     """intersect(P, Q) and, per DD call it made, whether that call
-    started from a known cone, and how many times it took the
-    `from_inequalities` route."""
+    started from a known cone, and how many times it called
+    `from_inequalities` or read a `dim`, which its one route needs not."""
     starts, fallbacks = [], []
     cold, from_ineqs = dd.cone_extreme_rays, polytope.from_inequalities
+    dim = polytope.Polytope.dim
 
     def spy_dd(rows, start=None):
         starts.append(start is not None)
@@ -1051,9 +1079,14 @@ def _intersect_routes(P, Q):
         fallbacks.append(args)
         return from_ineqs(*args)
 
+    def spy_dim(self):
+        fallbacks.append(self)
+        return dim.fget(self)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dd, "cone_extreme_rays", spy_dd)
         mp.setattr(polytope, "from_inequalities", spy_from_ineqs)
+        mp.setattr(polytope.Polytope, "dim", property(spy_dim))
         K = polytope.intersect(P, Q)
     return K, starts, len(fallbacks)
 
@@ -1064,21 +1097,26 @@ def _joint_vertices(P, Q):
                                 hp.equations + hq.equations, P.ambient_dim)
 
 
-@pytest.mark.parametrize("kind", ["full", "flat", "disjoint", "vertex", "facet", "self"])
+@pytest.mark.parametrize("kind", ["full", "flat", "empty", "disjoint", "vertex", "facet",
+                                  "self"])
 @settings(max_examples=30)
 @given(st.data())
 def test_intersect_from_known_cone_matches_brute_force(kind, data):
-    """With a full-dimensional operand P the DD starts from P's cone, in
-    either argument order, and the vertices are those of the joint
-    H-system: against a full-dimensional Q, points of a hyperplane, P
-    moved clear of itself, P mirrored through a vertex (they share that
-    point) or in a facet's hyperplane (they share the facet), and P."""
+    """The DD starts from the first operand's cone, in either argument
+    order, and the vertices are those of the joint H-system: a
+    full-dimensional P against a full-dimensional Q, points of a
+    hyperplane (flat, so flat & full and full & flat), the empty
+    polytope, P moved clear of itself, P mirrored through a vertex (they
+    share that point) or in a facet's hyperplane (they share the facet),
+    and P."""
     ambient = data.draw(st.integers(2, 3))
     P = data.draw(full_polytopes(ambient))
     if kind == "full":
         Q = data.draw(full_polytopes(ambient))
     elif kind == "flat":
         Q, _ = data.draw(flat_polytopes(ambient))
+    elif kind == "empty":
+        Q = polytope.from_points([], ambient)
     elif kind == "disjoint":
         xs = [v[0] for v in P.vertices]
         Q = polytope.from_points(
@@ -1092,7 +1130,7 @@ def test_intersect_from_known_cone_matches_brute_force(kind, data):
     else:
         Q = P
     expected = _joint_vertices(P, Q)
-    if kind == "disjoint":
+    if kind in ("empty", "disjoint"):
         assert expected == []
     elif kind == "vertex":
         assert expected == [v]
@@ -1107,11 +1145,14 @@ def test_intersect_from_known_cone_matches_brute_force(kind, data):
 @settings(max_examples=40)
 @given(st.data())
 def test_intersect_of_two_flat_polytopes_matches_brute_force(data):
-    """With no full-dimensional operand the rows go through
-    `from_inequalities`, which starts the DD cold."""
+    """With no full-dimensional operand the DD still starts from the
+    first operand's cone, its equations each as two opposite rows, in
+    either argument order; the operands share a hyperplane or not."""
     ambient = data.draw(st.integers(2, 3))
     P, normal = data.draw(flat_polytopes(ambient))
     Q, _ = data.draw(flat_polytopes(ambient, normal=data.draw(st.sampled_from([normal, None]))))
-    K, starts, fallbacks = _intersect_routes(P, Q)
-    assert fallbacks == 1 and True not in starts
-    assert list(K.vertices) == _joint_vertices(P, Q)
+    expected = _joint_vertices(P, Q)
+    for A, B in ((P, Q), (Q, P)):
+        K, starts, fallbacks = _intersect_routes(A, B)
+        assert (starts, fallbacks) == ([True], 0)
+        assert list(K.vertices) == expected

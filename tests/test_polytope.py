@@ -6,7 +6,7 @@ from hompoly.errors import SizeGuardError, UnboundedPolytopeError
 from hompoly.linalg import vec
 from hompoly.polytope import (
     Polytope,
-    _incidence_masks,
+    _incidence,
     bipyramid,
     combinatorially_equal,
     from_inequalities,
@@ -234,9 +234,10 @@ def test_dimension_and_interior():
 def test_vertex_facet_incidence_shape():
     P = standard("simplex", 2)
     assert P.n_facets == 3
-    masks = _incidence_masks(P)
-    assert len(masks) == 3 and all(m < 1 << 3 for m in masks)
-    assert all(m.bit_count() == 2 for m in masks)  # simple polygon: 2 facets per vertex
+    passes = [_incidence(P.hrep.inequalities, ray) for ray in P._vertex_rays()]
+    assert len(passes) == 3 and all(m < 1 << 3 for m, _ in passes)
+    assert all(m.bit_count() == 2 for m, _ in passes)  # simple polygon: 2 facets per vertex
+    assert all(over == 0 for _, over in passes)  # every vertex lies in P
 
 
 def test_combinatorially_equal_square_vs_diamond():

@@ -391,6 +391,12 @@ def _hit(f, P):
     return frozenset(f.evaluate(v) for v in P.vertices)
 
 
+def _ray_points(rays, ambient):
+    """The points y / t of the rays (t, y) that `verify._from_rays` hulls,
+    as the set `_hit` gives for the map whose hit set they are."""
+    return frozenset(tuple(Fraction(y, t) for y in ys) for t, *ys in rays)
+
+
 def _patched_hom(monkeypatch, P, Q, maps):
     """`_hom` gives these maps at every key, and `_record` starts empty
     and fills a cache of its own, which the real cache never sees."""
@@ -529,11 +535,12 @@ def test_vertex_image_law_checks_each_hit_set_and_offset_once(monkeypatch, faili
     tail = {"none": None, "image": q, "intersection": r}[failing]
     maps = [p, p2] + [tail] * 2 * (tail is not None)
     _patched_hom(monkeypatch, P, Q, maps)
+    claim_images = _calls(monkeypatch, "_from_rays", _ray_points)
     images = _calls(monkeypatch, "image_polytope", _hit)
     claim_cuts = _calls(monkeypatch, "_symmetric_core",
                          lambda Q, ray: tuple(Fraction(y, ray[0]) for y in ray[1:]))
     result = run_claim("vertex-image-law", {"m": 4, "target": "simplex", "n": 3})
-    claim_images, images[:] = images[:], []
+    assert images == []
     cuts = []
     assert (result.status, result.witness) == _outcome(
         _oracle_vertex_image_law(P, Q, maps, cuts))
@@ -556,9 +563,10 @@ def test_face_law_checks_each_hit_set_once(monkeypatch, failing):
     P, Q, p, q = _passing_and_failing_maps()
     maps = [p] + [q] * failing
     _patched_hom(monkeypatch, P, Q, maps)
+    claim_images = _calls(monkeypatch, "_from_rays", _ray_points)
     images = _calls(monkeypatch, "image_polytope", _hit)
     result = run_claim("face-law", {"source": "crosspolytope", "m": 4, "n": 3})
-    claim_images, images[:] = images[:], []
+    assert images == []
     assert (result.status, result.witness) == _outcome(_oracle_face_law(P, Q, maps, 3))
     assert result.passed == (not failing)
     assert claim_images == list(dict.fromkeys(images)) == [_hit(f, P) for f in maps[:2]]
@@ -603,8 +611,8 @@ def test_claims_walking_hit_sets_name_the_first_failing_map(monkeypatch):
 
 @pytest.mark.parametrize("claim_id, params, name, calls", [
     ("diamond-subcross", {"m": 4, "n": 3}, "is_vertex_map", 48),
-    ("face-law", {"source": "crosspolytope", "m": 3, "n": 3}, "image_polytope", 11),
-    ("vertex-image-law", {"m": 3, "target": "simplex", "n": 3}, "image_polytope", 11),
+    ("face-law", {"source": "crosspolytope", "m": 3, "n": 3}, "_from_rays", 11),
+    ("vertex-image-law", {"m": 3, "target": "simplex", "n": 3}, "_from_rays", 11),
     ("vertex-image-law", {"m": 3, "target": "simplex", "n": 3}, "_symmetric_core", 11),
     ("diamond-image-count", {"m": 4, "n": 3}, "_cross_record", 11),
 ])
