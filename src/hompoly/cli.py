@@ -10,10 +10,12 @@ Heavy enumerations are gated by the modules that build the systems:
 `polytope.standard` refuses a spec of more than 256 vertices or facets
 (cube:40 has 2^40), `homs.check_size` a hom over 95 rows or dimension
 15 (interactive) or a claim's fixed budget of 128 rows and dimension 20.
+construct meets the interactive gate before it builds the hom's rows.
 
 | path | spec gate (256) | DD gate |
 | --- | --- | --- |
-| construct, dual, intersect | yes, unless --allow-large | none |
+| construct | yes, unless --allow-large | interactive, unless --allow-large |
+| dual, intersect | yes, unless --allow-large | none |
 | vertices | - | interactive, unless --allow-large |
 | count --enumerate | yes, unless --allow-large | interactive, unless --allow-large |
 | verify --claim, --suite | always | claim budget, always |
@@ -90,6 +92,9 @@ def _emit_built(args, payload, summary, text_lines):
 def cmd_construct(args) -> int:
     src_desc, P = parse_polytope_spec(args.source, args.allow_large)
     tgt_desc, Q = parse_polytope_spec(args.target, args.allow_large)
+    # the hom has a row per (source vertex, target facet) in dimension n(m+1)
+    check_size(Q.ambient_dim * (P.ambient_dim + 1), P.n_vertices * Q.n_facets,
+               None if args.allow_large else INTERACTIVE_LIMIT)
     H = build_hom(P, Q)
     _emit_built(args, jsonio.hom_to_json(H, src_desc, tgt_desc),
                 {"ambient_dim": H.ambient_dim, "inequalities": len(H.rows)},
@@ -244,7 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source")
     p.add_argument("target")
     p.add_argument("--out", help="write hom JSON here")
-    p.add_argument("--allow-large", action="store_true", help=_SPEC_GUARD_HELP)
+    p.add_argument("--allow-large", action="store_true",
+                   help=_SPEC_GUARD_HELP + f", and homs of more than {INTERACTIVE_LIMIT[1]} "
+                   f"rows or dimension {INTERACTIVE_LIMIT[0]}")
 
     p = sub.add_parser("vertices", help="enumerate vertex maps of a hom JSON file")
     p.add_argument("hom")

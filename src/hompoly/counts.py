@@ -22,8 +22,9 @@ picked from a bitmask over the cube vertices: each determinant with the
 last point in it is the cofactor vector of an (n-1)-point face dotted
 with that point, so the admissible last points are an AND of one
 half-space mask per face.  At n = 5 the 169,911 anchored subsets come
-from 31,465 prefixes and about 4,400 cofactor vectors, one reduced
-elimination sweep each.
+from 31,465 prefixes and 4,391 cofactor vectors (264 distinct), each
+read by Laplace expansion off the minors of the face's proper row
+prefixes, which faces share: no elimination runs.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from itertools import combinations, product
 from math import comb, factorial
 
 from .errors import SizeGuardError
-from .linalg import cofactor_vector, int_det
+from .linalg import int_det
 
 BETA_GUARD = 5
 
@@ -109,6 +110,66 @@ def _half_space_masks(C, points) -> tuple[int, int]:
     return neg, pos
 
 
+def _laplace_steps(n: int) -> list[tuple]:
+    """The Laplace expansions that build cofactor vectors of n - 1 rows
+    of length n, one row at a time.
+
+    W_k[S] is the minor of the first k rows on the columns S = (s_0 <
+    ... < s_{k-1}); expanded along row k it is sum_p (-1)^(k-1+p)
+    r_k[s_p] W_{k-1}[S minus s_p].  Step k - 1 lists, per minor, its
+    terms (sign, s_p, position of S minus s_p among the (k-1)-subsets in
+    `combinations(range(n), k - 1)` order).  Steps k < n - 1 give every
+    W_k[S], S in `combinations` order; the last step gives the cofactors
+    C_j = (-1)^(n-1+j) W_{n-1}[range(n) minus j], j = 0..n-1, with that
+    sign folded into the terms.
+    """
+    steps = []
+    for k in range(1, n):
+        at = {S: i for i, S in enumerate(combinations(range(n), k - 1))}
+        if k < n - 1:
+            minors = [(0, S) for S in combinations(range(n), k)]
+        else:
+            minors = [(n - 1 + j, tuple(c for c in range(n) if c != j)) for j in range(n)]
+        steps.append(tuple(
+            tuple(((-1) ** (k - 1 + p + e), s, at[S[:p] + S[p + 1:]]) for p, s in enumerate(S))
+            for e, S in minors))
+    return steps
+
+
+def _expand(W, row, step) -> tuple[int, ...]:
+    """The minors (or cofactors) of one more row from those of its prefix."""
+    return tuple([sum([sign * row[s] * W[i] for sign, s, i in terms]) for terms in step])
+
+
+def _face_cofactors(n: int, rows):
+    """Function from a face, an index tuple of n - 1 of the rows (integer
+    rows of length n), to its cofactor vector: the integer C with C . v
+    = det(face rows + [v]) for every v, zero when the face is singular.
+
+    The minors of each proper prefix of a face are kept for the length
+    of the returned function's life, so faces that share a prefix share
+    its minors, and a face whose proper prefixes are all known costs
+    n (n - 1) products.  The faces themselves are not kept.
+    """
+    steps = _laplace_steps(n)
+    if not steps:  # n = 1: the empty face, det([v]) = v
+        return lambda face: (1,)
+    leaf = steps.pop()
+    minors = {(): (1,)}
+
+    def cofactor(face):
+        k = len(face) - 1
+        j = k
+        while face[:j] not in minors:
+            j -= 1
+        W = minors[face[:j]]
+        for r in range(j, k):
+            W = minors[face[:r + 1]] = _expand(W, rows[face[r]], steps[r])
+        return _expand(W, rows[face[k]], leaf)
+
+    return cofactor
+
+
 def _valid_subsets(n: int, require_first=None):
     """(n+1)-subsets of cube vertices spanning a centered simplex.
 
@@ -125,12 +186,16 @@ def _valid_subsets(n: int, require_first=None):
     points are one AND of bitmasks over the cube vertices: the indices
     above the prefix, and per face F_i the half-space {v : sign(C_i . v)
     = (-1)^(n-i) sign(D_n)}.  Each face's cofactor vector is computed
-    once and each vector's two half-space masks once, cached for the
-    length of the call.  The faces holding the anchor are shared by many
-    prefixes and tested first; F_0, the face without it, comes last and
-    is computed only while candidates are left.  Candidate bits are read
-    in ascending order, so the subsets come in the order of
-    `combinations`, the order the per-subset test visited them in.
+    once, by `_face_cofactors` from the minors of the face's proper
+    prefixes (faces holding the anchor all start with it, and the
+    prefixes of one (n-1)-subset are shared by every face extending
+    them), and each vector's two half-space masks once, cached for the
+    length of the call; no elimination runs.  The faces holding the
+    anchor are shared by many prefixes and tested first; F_0, the face
+    without it, comes last and is computed only while candidates are
+    left.  Candidate bits are read in ascending order, so the subsets
+    come in the order of `combinations`, the order the per-subset test
+    visited them in.
     """
     verts = cube_vertices(n)
     if require_first is None:
@@ -139,33 +204,36 @@ def _valid_subsets(n: int, require_first=None):
         a = verts.index(tuple(require_first))
         head, pool = (a,), [k for k in range(len(verts)) if k != a]
     pool_mask = sum(1 << k for k in pool)
+    cofactor = _face_cofactors(n, verts)
     faces = {}  # face index tuple -> half-space masks of its cofactor vector
     halves = {}  # cofactor vector -> (mask of C . v < 0, mask of C . v > 0)
 
     def half_spaces(face):
-        masks = faces.get(face)
+        C = cofactor(face)
+        masks = halves.get(C)
         if masks is None:
-            C = cofactor_vector([verts[k] for k in face])
-            masks = halves.get(C)
-            if masks is None:
-                masks = halves[C] = _half_space_masks(C, verts)
-            faces[face] = masks
+            masks = halves[C] = _half_space_masks(C, verts)
+        faces[face] = masks
         return masks
 
+    # face i needs the sign (-1)^(n-i) sign(D_n), so it takes the mask
+    # C . v > 0 iff (n - i even) == (D_n > 0); face 0 comes last
+    order = {positive: [(i, ((n - i) % 2 == 0) == positive) for i in range(n - 1, -1, -1)]
+             for positive in (False, True)}
     for rest in combinations(pool, n - len(head)):
         cand = pool_mask >> (rest[-1] + 1) << (rest[-1] + 1) if rest else pool_mask
         if not cand:
             continue
         prefix = head + rest
         # D_n = C_{n-1} . p_{n-1}: its sign is the side of p_{n-1}
-        neg, pos = half_spaces(prefix[:-1])
+        face = prefix[:-1]
+        neg, pos = faces.get(face) or half_spaces(face)
         last = 1 << prefix[-1]
         if not (neg | pos) & last:
             continue
-        positive = bool(pos & last)
-        # face i needs the sign (-1)^(n-i) sign(D_n); face 0 comes last
-        for i in range(n - 1, -1, -1):
-            cand &= half_spaces(prefix[:i] + prefix[i + 1:])[((n - i) % 2 == 0) == positive]
+        for i, side in order[bool(pos & last)]:
+            face = prefix[:i] + prefix[i + 1:]
+            cand &= (faces.get(face) or half_spaces(face))[side]
             if not cand:
                 break
         else:

@@ -71,8 +71,10 @@ Representation choices, all in service of exactness and speed:
 The kernel requires a pointed cone, which is automatic for the
 homogenization of a bounded (possibly lower-dimensional or empty)
 polytope.  A rank-deficient input system means the cone contains a
-line, i.e. the feasible set is unbounded or an affine subspace; that is
-reported as UnboundedPolytopeError.
+line, so the feasible set is empty or unbounded; `cone_extreme_rays`
+raises UnboundedPolytopeError, and `polytope_rays` tells the two apart
+by a second DD on the rows restricted to their pivot columns, giving []
+for an empty set and re-raising for an unbounded one.
 """
 
 from __future__ import annotations
@@ -326,9 +328,10 @@ def polytope_rays(ineqs, dim: int) -> list[tuple[int, ...]]:
     Inequalities are (normal, offset) pairs with integer-valued rational
     entries accepted.  Rays come back in no particular order; raises
     UnboundedPolytopeError if the feasible set has a recession direction.
-    An empty feasible set yields an empty list.  The kernel inserts the
-    inequalities in the order given (the homogenizing row 1 >= 0 last),
-    so their order changes only the running time.
+    An empty feasible set yields an empty list, also when the normals do
+    not span (only then does a second, smaller DD run).  The kernel
+    inserts the inequalities in the order given (the homogenizing row
+    1 >= 0 last), so their order changes only the running time.
     """
     rows: list[tuple[int, ...]] = []
     for normal, offset in ineqs:
@@ -343,7 +346,18 @@ def polytope_rays(ineqs, dim: int) -> list[tuple[int, ...]]:
     if dim == 0:
         return [(1,)]
 
-    rays = cone_extreme_rays(rows)
+    try:
+        rays = cone_extreme_rays(rows)
+    except UnboundedPolytopeError:
+        # The cone is C + L with L the nullspace of the rows and C the
+        # pointed cone of the rows restricted to their pivot columns.  The
+        # row 1 >= 0 makes column 0 a pivot and t = 0 on L, so the set is
+        # empty iff no extreme ray of C has t > 0; otherwise it holds a line.
+        pivots = _echelon([list(row) for row in rows])[0]
+        if any(ray[0] > 0 for ray in
+               cone_extreme_rays([tuple(row[c] for c in pivots) for row in rows])):
+            raise
+        return []
     if any(ray[0] <= 0 for ray in rays):
         raise UnboundedPolytopeError("feasible set has a recession direction")
     return rays

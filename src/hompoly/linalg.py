@@ -21,8 +21,8 @@ leaves every pivot entry equal to the last pivot d, so its integer rows
 are d times the reduced row echelon form.  Those rows are the result:
 the canonical equations of `polytope`, the integer nullspace that
 `affine_hull` (of the rays (t, x) of points x / t, the vertex form of
-`polytope`) and `cofactor_vector` read off them, and the DD kernel's
-inverse of its initial basis; no elimination hands back Fraction rows.
+`polytope`) reads off them, and the DD kernel's inverse of its initial
+basis; no elimination hands back Fraction rows.
 """
 
 from __future__ import annotations
@@ -152,34 +152,6 @@ def int_det(rows) -> int:
     if len(pivots) < len(rows):
         return 0
     return sign * rows[-1][-1] if rows else 1
-
-
-def cofactor_vector(rows) -> tuple[int, ...]:
-    """Generalised cross product of n - 1 integer rows of length n.
-
-    The integer vector C with C . v = det(rows + [v]) for every v: its
-    entry j is (-1)^(n-1+j) times the minor of the rows without column j.
-    Zero when the rows are dependent.  One reduced `_echelon` sweep: with
-    f the one non-pivot column and d the last pivot, the reduced rows
-    read d x_c + a_c x_f = 0, so (d at f, -a_c at each pivot column c)
-    spans the nullspace, and C is that vector times the sign of the minor
-    at f, (-1)^(n-1+f) times the sweep's row-permutation sign.
-    """
-    n = len(rows) + 1
-    work = [list(row) for row in rows]
-    if any(len(row) != n for row in work):
-        raise ValueError(f"cofactor vector of {n - 1} rows needs rows of length {n}")
-    pivots, sign = _echelon(work, reduced=True)
-    if len(pivots) < n - 1:
-        return (0,) * n
-    f = next(j for j, c in enumerate(pivots + [n]) if j != c)
-    if (n - 1 + f) % 2:
-        sign = -sign
-    out = [0] * n
-    out[f] = sign * work[-1][pivots[-1]] if work else sign
-    for row, c in zip(work, pivots):
-        out[c] = -sign * row[f]
-    return tuple(out)
 
 
 def rank(M) -> int:

@@ -462,6 +462,29 @@ def test_spec_at_the_size_guard_is_built(monkeypatch, capsys, spec):
         assert f"error: built {spec}" in err
 
 
+def test_oversized_hom_is_refused_before_its_rows_are_built(tmp_path, monkeypatch, capsys):
+    """construct meets the interactive gate once both polytopes are
+    built: Hom(cube 8, simplex 60) has 256 x 61 rows in dimension 540.
+    With --allow-large the call reaches `build_hom`; the stand-in raises,
+    so a broken gate writes nothing."""
+    out_file = tmp_path / "hom.json"
+    argv = ["construct", "cube:8", "simplex:60", "--out", str(out_file)]
+
+    def built(P, Q):
+        raise ValueError("built the hom")
+
+    monkeypatch.setattr(cli, "build_hom", built)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "15616 inequalities in dimension 540" in err and "--allow-large" in err
+    assert not out_file.exists()
+    code, _, err = run_cli(capsys, *argv, "--allow-large")
+    assert code == 2 and "error: built the hom" in err
+    assert not out_file.exists()
+
+
 def test_polytope_file_interior_point_is_not_a_vertex(tmp_path, capsys):
     # (1, 1) lies inside the triangle: 3 source vertices x 2 segment facets
     poly_file = tmp_path / "tri.json"
@@ -520,6 +543,20 @@ def test_polytope_file_with_infeasible_zero_normal_row_is_empty(tmp_path, capsys
     code, out, err = run_cli(capsys, "construct", f"file:{poly_file}", "simplex:1")
     assert code == 2
     assert out == "" and "full-dimensional" in err
+
+
+def test_polytope_file_empty_with_normals_that_do_not_span(tmp_path, capsys):
+    # x <= -1 and -x <= -1 in the plane: empty, though the normals span
+    # only a line; with room between the rows the strip is unbounded
+    for offset, code_want, out_want in (("-1", 0, "intersection: 0 vertices, dim -1"),
+                                        ("1", 2, "")):
+        rows = [{"normal": ["1", "0"], "offset": offset},
+                {"normal": ["-1", "0"], "offset": offset}]
+        poly_file = tmp_path / f"rows{offset}.json"
+        poly_file.write_text(json.dumps({"ambient_dim": 2, "inequalities": rows}))
+        code, out, err = run_cli(capsys, "intersect", f"file:{poly_file}", "cube:2")
+        assert (code, out.strip()) == (code_want, out_want)
+        assert "Traceback" not in err
 
 
 # a quadrilateral with rational vertices; its facet offsets are 10, 7, 1

@@ -10,6 +10,7 @@ from _oracles import (
     signed_permutations,
     surjections_inclusion_exclusion,
 )
+from hompoly import linalg
 from hompoly.counts import (
     COUNT_FAMILIES,
     _valid_subsets,
@@ -179,6 +180,21 @@ def test_valid_subsets_5_pinned():
     assert all(i[1:] == tuple(sorted(set(i[1:]))) and i[0] not in i[1:] for i in indices)
     assert all(a < b for a, b in zip(indices, indices[1:]))
     assert hashlib.sha256(repr(subsets).encode()).hexdigest() == VALID_SUBSETS_5_SHA256
+
+
+def test_valid_subsets_5_run_no_elimination(monkeypatch):
+    # the faces' cofactor vectors come from shared prefix minors, not from
+    # one elimination per face (4,391 of them before)
+    calls = []
+    echelon = linalg._echelon
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return echelon(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    assert sum(1 for _ in _valid_subsets(5, (-1,) * 5)) == 408
+    assert not calls
 
 
 @pytest.mark.extended

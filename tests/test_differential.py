@@ -19,8 +19,10 @@ reads off its facets (points inside edges and faces, duplicates, the
 centroid, one and two points) with the extreme-point oracle,
 the cofactor-sign test of `counts.origin_strictly_inside` and the
 half-space mask search `counts._valid_subsets` (exhaustively for
-n <= 4) with a barycentric solve, `linalg.cofactor_vector` and the masks
-built from it with `int_det` on cube faces, singular ones included, the
+n <= 4) with a barycentric solve, the cofactor vectors of
+`counts._face_cofactors` (from cached prefix minors and from the face
+alone) and the masks built from them with `int_det` on cube faces,
+singular ones included, the
 canonical H-rep of systems with zero-normal and dependent equations with
 exhaustive basis enumeration (its rows ints, its equations the oracle's
 RREF rows made primitive), `homs.is_vertex_map` with
@@ -572,14 +574,27 @@ def cube_faces(draw):
     return rows
 
 
+def _cofactor_vector(rows):
+    """The cofactor vector of the n - 1 rows alone, by `counts._face_cofactors`."""
+    n = len(rows) + 1
+    return counts._face_cofactors(n, rows)(tuple(range(n - 1)))
+
+
 @given(cube_faces())
 def test_cofactor_vector_matches_int_det(rows):
     """C . v == det(rows + [v]) for every cube vertex v, and the
     half-space masks of `_valid_subsets` are the signs of those
-    determinants; a singular face has C = 0 and empty masks."""
+    determinants; a singular face has C = 0 and empty masks.  C is read
+    as `_valid_subsets` reads it, off minors cached by a face with the
+    same proper prefixes, and off the face's rows alone."""
     n = len(rows) + 1
     verts = counts.cube_vertices(n)
-    C = linalg.cofactor_vector(rows)
+    cofactor = counts._face_cofactors(n, verts)
+    face = tuple(verts.index(v) for v in rows)
+    if face:
+        cofactor(face[:-1] + (len(verts) - 1 - face[-1],))
+    C = cofactor(face)
+    assert _cofactor_vector(rows) == C
     dets = [linalg.int_det(rows + [v]) for v in verts]
     assert [sum(c * x for c, x in zip(C, v)) for v in verts] == dets
     neg, pos = counts._half_space_masks(C, verts)
@@ -590,12 +605,16 @@ def test_cofactor_vector_matches_int_det(rows):
 
 
 def test_cofactor_vector_singular_faces():
-    assert linalg.cofactor_vector([(1, 1, -1), (1, 1, -1)]) == (0, 0, 0)
-    assert linalg.cofactor_vector([(1, -1, 1), (-1, 1, -1)]) == (0, 0, 0)
-    assert linalg.cofactor_vector([(1, 1, 1, 1), (1, -1, 1, -1), (1, 1, 1, 1)]) == (0,) * 4
-    assert linalg.cofactor_vector([]) == (1,)
-    assert linalg.cofactor_vector([(1, 0)]) == (0, 1)
-    assert linalg.cofactor_vector([(1, 0, 0), (0, 1, 0)]) == (0, 0, 1)
+    faces = [[(1, 1, -1), (1, 1, -1)], [(1, -1, 1), (-1, 1, -1)],
+             [(1, 1, 1, 1), (1, -1, 1, -1), (1, 1, 1, 1)], [], [(1, 0)], [(1, 0, 0), (0, 1, 0)],
+             [(2, -3, 5, 7), (0, 4, -1, 6), (3, 3, 0, -2)]]
+    assert [_cofactor_vector(rows) for rows in faces[:-1]] == [
+        (0, 0, 0), (0, 0, 0), (0,) * 4, (1,), (0, 1), (0, 0, 1)]
+    for rows in faces:
+        n = len(rows) + 1
+        C = _cofactor_vector(rows)
+        for v in product(range(-2, 3), repeat=n):
+            assert sum(c * x for c, x in zip(C, v)) == linalg.int_det(rows + [list(v)])
 
 
 @given(bounded_systems(), rationals)

@@ -293,6 +293,21 @@ def test_unbounded_raises_at_construction_not_on_read():
         from_inequalities([([-1, 0, 0], 0), ([0, -1, 0], 0)], [([1, 1, 1], 1)], 3)
 
 
+def test_empty_system_whose_normals_do_not_span():
+    # x <= -1 and -x <= -1: empty, though the normals span only a line
+    E = from_inequalities([([1, 0], -1), ([-1, 0], -1)], (), 2)
+    assert E.n_vertices == 0 and E.dim == -1
+    E = from_inequalities([([1, 1, 0], 0), ([-1, -1, 0], -1), ([1, -1, 0], 5)], (), 3)
+    assert E.n_vertices == 0 and E.dim == -1
+    # the same normals with room between them: a strip, and a prism
+    # over a square, both unbounded
+    with pytest.raises(UnboundedPolytopeError):
+        from_inequalities([([1, 0], 1), ([-1, 0], 1)], (), 2)
+    with pytest.raises(UnboundedPolytopeError):
+        from_inequalities([([1, 1, 0], 1), ([-1, -1, 0], 1), ([1, -1, 0], 1),
+                           ([-1, 1, 0], 1)], (), 3)
+
+
 def test_intersect_counts_vertices_without_converting_them(monkeypatch):
     import hompoly.polytope as polytope_mod
 
