@@ -6,6 +6,12 @@ per-rank term breakdown.  `COUNT_FAMILIES` names each family's source
 and target kinds next to its closed form; the enumeration that checks it
 is the cached vertex-map list in `verify`, not code here.
 
+The crosspolytope families sum r_k(m), the number of rank-k vertex maps
+of the m-crosspolytope onto a k-simplex, over the target's faces: r_0 =
+1, and r_k(m) = sigma(m, k) beta(k) for k <= 3 and for k = m, where
+every rank-k image is a crosspolytope; any other r_k(m), such as r_4(5),
+comes from a `high_rank_table` of enumerated counts.
+
 `beta(n)` counts the orbits of the signed permutation group on ordered
 (n+1)-tuples of cube vertices whose convex hull is a full-dimensional
 simplex with the origin strictly inside.  The group acts freely on these
@@ -297,22 +303,16 @@ def count_box_simplex(m: int, n: int) -> CountReport:
 
 
 def _diamond_rank_counts(m: int, n_cap: int, high_rank_table) -> dict[int, int]:
-    """#(rank-k vertex maps from the m-crosspolytope onto a k-simplex)."""
-    counts = {}
-    for k in range(0, n_cap + 1):
-        if k == 0:
-            counts[k] = 1
-        elif k == 1:
-            counts[k] = 2**m
-        elif k == 2:
-            counts[k] = 0
-        elif k == 3:
-            counts[k] = sigma(m, 3) if m >= 3 else 0
+    """r_k(m) for k = 0..n_cap, by the rule of the module docstring."""
+    counts = {0: 1}
+    for k in range(1, n_cap + 1):
+        if k <= 3 or k == m:  # 2^m, 0 and sigma(m, 3) for k = 1, 2, 3
+            counts[k] = sigma(m, k) * beta(k)
+        elif high_rank_table is None or k not in high_rank_table:
+            raise ValueError(
+                f"rank-{k} vertex count required; supply high_rank_table[{k}] "
+                f"from an enumeration run")
         else:
-            if high_rank_table is None or k not in high_rank_table:
-                raise ValueError(
-                    f"rank-{k} vertex count required; supply high_rank_table[{k}] "
-                    f"from an enumeration run")
             counts[k] = high_rank_table[k]
     return counts
 

@@ -6,11 +6,11 @@ affine hull.  A vertex is held as its primitive integer ray (t, x),
 t > 0, the point x / t: the form the DD kernel returns and the one form
 in which this module takes, compares and tests points; the
 Fraction tuple `vertices` is built only when it is read.  Constructors
-pass the vertices as `rays`, or as the DD's `frame_rays`
-(`from_inequalities` converts its rows at once, so an unbounded system
-raises there); the facet system is derived from them on first use and
-cached.  Each cache fill-in is idempotent, so concurrent readers are
-safe; values are otherwise immutable.
+pass the vertices as `rays` (`from_inequalities` converts its rows and
+lifts the DD's rays at once, so an unbounded system raises there); the
+facet system is derived from them on first use and cached.  Each
+cache fill-in is idempotent, so concurrent readers are safe; values are
+otherwise immutable.
 
 Canonical forms, used everywhere set comparison or reproducible output
 matters:
@@ -33,9 +33,9 @@ equation and in every canonical inequality, so a point of the affine
 hull is its frame coordinates plus one solved entry per equation.
 
 - H -> V restricts the inequalities to the frame and enumerates the
-  vertices there as integer rays (t, c), the point c / t.  On first
-  use each is lifted, still in integers, with x_p = (e - n . x) / n_p
-  for each equation n . x = e with leading column p.
+  vertices there as integer rays (t, c), the point c / t.  Each is
+  lifted at once, still in integers, with x_p = (e - n . x) / n_p for
+  each equation n . x = e with leading column p.
 - V -> H is one cone call on the rays (`_hrep_from_rays`): by
   homogenization the facets of conv(V) are the extreme rays (c, a) of
   the cone {(c, a) : c t + a . x[frame] >= 0 for all rays (t, x) of V},
@@ -147,23 +147,20 @@ class Polytope:
 
     `_vertex_rays()` gives the vertices as rays sorted by their points,
     the form `hrep`, `dim`, equality, containment and
-    `combinatorially_equal` read.  A constructor passes either `rays`,
-    primitive and sorted by their points, or (`from_inequalities`,
-    `intersect`) `frame_rays`, the DD's rays in the frame of the
-    canonical equations and those equations, lifted on first need
-    (`_vertices_from_hrep`).  `vertices` makes the Fraction points on
-    first read (`dd._ray_points`).  A constructor that passes `hrep`
-    vouches for it."""
+    `combinatorially_equal` read.  A constructor passes them as `rays`,
+    primitive and sorted by their points (`from_inequalities` and
+    `intersect` lift the DD's rays with `_vertices_from_hrep`).
+    `vertices` makes the Fraction points on first read
+    (`dd._ray_points`).  A constructor that passes `hrep` vouches for
+    it."""
 
-    __slots__ = ("ambient_dim", "_vertices", "_rays", "_frame_rays", "_hrep", "_dim")
+    __slots__ = ("ambient_dim", "_vertices", "_rays", "_hrep", "_dim")
 
-    def __init__(self, ambient_dim: int, hrep: HRep | None = None,
-                 rays: tuple[Ray, ...] | None = None,
-                 frame_rays: tuple[list[Ray], tuple[IneqRow, ...]] | None = None):
+    def __init__(self, ambient_dim: int, hrep: HRep | None = None, *,
+                 rays: tuple[Ray, ...]):
         self.ambient_dim = ambient_dim
         self._vertices = None
         self._rays = rays
-        self._frame_rays = frame_rays
         self._hrep = hrep
         self._dim = None
 
@@ -172,8 +169,6 @@ class Polytope:
     def _vertex_rays(self) -> tuple[Ray, ...]:
         """The vertices as primitive integer rays (t, x), t > 0, sorted
         by their points x / t."""
-        if self._rays is None:
-            self._rays = _vertices_from_hrep(*self._frame_rays, self.ambient_dim)
         return self._rays
 
     @property
@@ -195,21 +190,14 @@ class Polytope:
     @property
     def dim(self) -> int:
         if self._dim is None:
-            if self.is_empty:
-                self._dim = -1
-            elif self._hrep is not None:  # its equations are the affine hull's
+            if self._hrep is not None and self._rays:  # the equations are the affine hull's
                 self._dim = self.ambient_dim - len(self._hrep.equations)
-            elif self._rays is None:
-                # the DD's rays: the lift out of the frame is linear and injective
-                self._dim = rank(self._frame_rays[0]) - 1
-            else:  # the rays (t, x) are homogeneous
-                self._dim = rank(self._vertex_rays()) - 1
+            else:  # the rays (t, x) are homogeneous; rank([]) is 0
+                self._dim = rank(self._rays) - 1
         return self._dim
 
     @property
     def n_vertices(self) -> int:
-        if self._rays is None:
-            return len(self._frame_rays[0])
         return len(self._rays)
 
     @property
@@ -319,8 +307,8 @@ def from_inequalities(ineqs, eqs, ambient_dim: int) -> Polytope:
     """Polytope from (normal, offset) inequality and equation rows.
 
     The rows may be redundant: they are canonicalised and converted by
-    double description at once, the vertices kept as the DD's integer
-    rays until first needed, and `hrep` is then derived from the
+    double description at once, the DD's integer rays lifted to vertex
+    rays (`_vertices_from_hrep`), and `hrep` is then derived from the
     vertices.  Raises UnboundedPolytopeError if the rows cut out an
     unbounded set.
     """
@@ -328,7 +316,7 @@ def from_inequalities(ineqs, eqs, ambient_dim: int) -> Polytope:
     frame, _ = _frame(hrep.equations, ambient_dim)
     rays = dd.polytope_rays([(tuple(n[i] for i in frame), c) for n, c in hrep.inequalities],
                             len(frame))
-    return Polytope(ambient_dim, frame_rays=(rays, hrep.equations))
+    return Polytope(ambient_dim, rays=_vertices_from_hrep(rays, hrep.equations, ambient_dim))
 
 
 def _from_rays(rays, ambient: int) -> Polytope:
@@ -416,8 +404,8 @@ def intersect(P: Polytope, Q: Polytope) -> Polytope:
     rays = P._vertex_rays()
     masks = [_incidence(start, ray)[0] for ray in rays]
     rows = [(c, *(-a for a in n)) for n, c in start + _halfspaces(Q.hrep)]
-    return Polytope(d, frame_rays=(
-        dd.cone_extreme_rays(rows, start=(len(start), rays, masks)), ()))
+    return Polytope(d, rays=_vertices_from_hrep(
+        dd.cone_extreme_rays(rows, start=(len(start), rays, masks)), (), d))
 
 
 def _halfspaces(h: HRep) -> list[IneqRow]:

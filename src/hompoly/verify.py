@@ -13,24 +13,24 @@ crosspolytope 4), the largest homs that EXTENDED_SUITE builds.
 Claims read two caches keyed by (source, m, target, n): `_hom`, the
 enumerated vertex maps (a family's `enumerated_count` is their number,
 for `count-agreement` and `hompoly count --enumerate` alike), and
-`_record`, what the claims read of each image f(P).  P being
-full-dimensional, the rank of A, whether f(P) is a crosspolytope and
-the facets of Q tight on f(P) depend on f only through its hit set
-f(vert P).  So the record numbers the distinct hit sets in order of
-first appearance, keeps one number per map and the data per hit set,
-and a claim that walks the hit sets in order names the same first
-failing map as a check of every map.  What reads more than the hit set
-has a memo local to the call: K = Q & (2b - Q) per offset b in
-`vertex-image-law`, the verdict per restriction in `diamond-subcross`.
+`_record`, what the claims read of each image f(P).  The image
+f(P) = conv f(vert P) and the facets of Q tight on it depend on f only
+through its hit set f(vert P).  So the record numbers the distinct hit
+sets in order of first appearance, keeps one number per map and, per
+hit set, its tight facets and its image, hulled once; the rank of A and
+whether f(P) is a crosspolytope are read off that image.  A claim that
+walks the hit sets in order names the same first failing map as a
+check of every map.  What reads more than the hit set has a memo local
+to the call: K = Q & (2b - Q) per offset b in `vertex-image-law`, the
+verdict per restriction in `diamond-subcross`.
 
 The per-map checks read the integers of each map's ray (t, t b, rows of
 t A) against Q's integer facet rows and vertex rays, with no Fraction
-per map: `diamond-center` tests t b and the columns of t A,
-`_cross_record` eliminates the rows of t A, hit sets and
-`rank1-factorization`'s images are point rays (`homs._int_images`), K
-above is cut out by integer rows (`_symmetric_core`), and the hulls of a
-hom's maps take their rays (`polytope._from_rays`).  Fractions appear
-only in failure witnesses (`_map_witness`).
+per map: `diamond-center` tests t b and the columns of t A, hit sets
+and `rank1-factorization`'s images are point rays (`homs._int_images`),
+K above is cut out by integer rows (`_symmetric_core`), and the hulls
+of a hit set or of a hom's maps take their rays (`polytope._from_rays`).
+Fractions appear only in failure witnesses (`_map_witness`).
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ from .polytope import (
 )
 
 log = logging.getLogger(__name__)
-_HitSet = namedtuple("_HitSet", "first rays rank tight cross")  # see `_record`
+_HitSet = namedtuple("_HitSet", "first rays tight image")  # see `_record`
 
 
 @dataclass
@@ -134,70 +134,39 @@ def enumerated_count(family: str, m: int, n: int, *limit) -> int:
     return len(_hom(source, m, target, n, *limit)[3])
 
 
-def _cross_record(f: AffineMap) -> tuple[int, bool]:
-    """(rank, is_cross) of f(x) = A x + b on the m-crosspolytope.
-
-    The lemma: the image conv(b +- a_i), with a_i the columns of A, is
-    centrally symmetric about b.  If A has rank n, the image is
-    combinatorially the n-crosspolytope iff it has exactly 2n vertices,
-    iff some n columns a_S have det(a_S) != 0 and every other column has
-    |a_S^-1 a_j|_1 <= 1.  Indeed 2n vertices b +- v_k, each v_k one of
-    the +-a_i, span R^n, so the image is b + V(crosspolytope_n) for the
-    invertible V with columns v_k, and every a_j lies in it; S is the
-    set of columns behind the v_k.  Conversely such an S makes the image
-    b + a_S(crosspolytope_n).  Below rank n, is_cross is False.
-
-    The test runs on the integer rows of t A (it is homogeneous).  The
-    rank is one forward `_echelon` of those rows.  For each n-subset S,
-    one reduced `_echelon` of the rows of [a_S | a_rest] has pivots
-    0 .. n-1 iff det(a_S) != 0, and then leaves d I on the left, with
-    |d| = |det(a_S)|, and d a_S^-1 a_rest on the right: by Cramer's rule
-    entry (k, j) there is +-D_k(j), the determinant of a_S with column k
-    replaced by a_j, all with one sign (Bareiss 1968).  The test is
-    sum_k |D_k(j)| <= |d| for each column j of the right block.
-    """
-    n, m = f.target_dim, f.source_dim
-    rows = f.parts[2]
-    r = map_rank(f, rows)
-    if r < n:
-        return r, False
-    left = list(range(n))
-    for S in combinations(range(m), n):
-        rest = [j for j in range(m) if j not in S]
-        work = [[row[s] for s in S] + [row[j] for j in rest] for row in rows]
-        if _echelon(work, reduced=True)[0] != left:
-            continue  # det(a_S) = 0
-        bound = abs(work[-1][n - 1])
-        if all(sum(abs(row[c]) for row in work) <= bound for c in range(n, m)):
-            return r, True
-    return r, False
-
-
 @lru_cache(maxsize=64)
 def _record(source: str, m: int, target: str, n: int):
     """(number, hit_sets) for the maps of `_hom(source, m, target, n)`:
     the distinct hit sets f(vert P) in order of first appearance, and
     number[i] the index of map i's.  A `_HitSet` holds its first map's
     index, the frozenset of its point rays (`homs._int_images`), the
-    rank of A, the mask of the rows of Q.hrep.inequalities tight on
-    every ray (bit k for row k, from `polytope._incidence`) and, for
-    Hom(crosspolytope_m, simplex_n), the crosspolytope flag of
-    `_cross_record` on the first map, else None."""
+    mask of the rows of Q.hrep.inequalities tight on every ray (bit k
+    for row k, from `polytope._incidence`) and `image`, their hull.
+
+    P being full-dimensional, the rank of A is `image.dim`.  For P the
+    m-crosspolytope, the image conv(b +- a_i), a_i the columns of A, is
+    centrally symmetric about b, so it is combinatorially the
+    n-crosspolytope iff it has dimension n and 2n vertices
+    (`_is_crosspolytope`): these come in n pairs b +- v_k, the v_k span
+    R^n, and the image is b + V(crosspolytope_n), V with columns v_k."""
     P, Q, _, maps = _hom(source, m, target, n)
     terms = _vertex_terms(P)
     facet_rows = Q.hrep.inequalities
-    diamond = (source, target) == ("crosspolytope", "simplex")
     index, number, hit_sets = {}, [], []
     for i, f in enumerate(maps):
         rays = frozenset(_int_images(f, terms))
         k = index.get(rays)
         if k is None:
             k = index[rays] = len(hit_sets)
-            r, cross = _cross_record(f) if diamond else (map_rank(f), None)
             tight = reduce(and_, (_incidence(facet_rows, y)[0] for y in rays))
-            hit_sets.append(_HitSet(i, rays, r, tight, cross))
+            hit_sets.append(_HitSet(i, rays, tight, _from_rays(rays, Q.ambient_dim)))
         number.append(k)
     return tuple(number), tuple(hit_sets)
+
+
+def _is_crosspolytope(image: Polytope, n: int) -> bool:
+    """Is a crosspolytope's image the n-crosspolytope?  See `_record`."""
+    return image.dim == n and image.n_vertices == 2 * n
 
 
 def _map_witness(f: AffineMap) -> list[str]:
@@ -253,7 +222,7 @@ def _claim_box_simplex_rank(m: int, n: int):
     if len(maps) != expected:
         return False, {"count": len(maps), "expected": expected}
     number, hit_sets = _record("cube", m, "simplex", n)
-    bad = [i for i, k in enumerate(number) if hit_sets[k].rank > 1]
+    bad = [i for i, k in enumerate(number) if hit_sets[k].image.dim > 1]
     if bad:
         return False, {"rank_ge_2_maps": len(bad), "first": _map_witness(maps[bad[0]])}
     return True, None
@@ -269,7 +238,7 @@ def _claim_rank1_factorization(m: int, n: int):
     terms = _vertex_terms(P)
     number, hit_sets = _record("cube", m, "simplex", n)
     for f, k in zip(maps, number):
-        if hit_sets[k].rank != 1:
+        if hit_sets[k].image.dim != 1:
             continue
         images = hit_sets[k].rays
         if len(images) != 2:
@@ -381,7 +350,7 @@ def _claim_diamond_subcross(m: int, n: int):
     number, hit_sets = _record("crosspolytope", m, "simplex", n)
     verdicts = {}  # restriction -> rank n and a vertex map
     for f, k in zip(maps, number):
-        if hit_sets[k].rank != n:
+        if hit_sets[k].image.dim != n:
             continue
         for idx in combinations(range(m), n):
             g = restrict_to_subcrosspolytope(f, idx)
@@ -397,13 +366,13 @@ def _claim_diamond_subcross(m: int, n: int):
 def _claim_diamond_image_count(m: int, n: int):
     """sigma(m, n) beta(n) rank-n vertex maps have a crosspolytope image.
 
-    Read from `_record`: the image of a rank-n map is a crosspolytope
-    iff it has 2n vertices b +- a_s, decided once per distinct hit set by
-    the Cramer's-rule test of `_cross_record` without building the image.
+    Read from `_record`: the image of a map is a crosspolytope iff it
+    has dimension n and 2n vertices (`_is_crosspolytope`), read off the
+    image of its hit set, hulled once.
     """
     expected = sigma(m, n) * beta(n)
     number, hit_sets = _record("crosspolytope", m, "simplex", n)
-    count = sum(hit_sets[k].cross for k in number)  # cross implies rank n
+    count = sum(_is_crosspolytope(hit_sets[k].image, n) for k in number)
     if count != expected:
         return False, {"crosspolytope_image_maps": count, "expected": expected}
     return True, None
@@ -413,14 +382,14 @@ def _claim_diamond_image_shape(m: int, n: int):
     """Every full-rank vertex map image is a combinatorial crosspolytope
     (expected exactly when m == n or n == 3).
 
-    Read from `_record`, as `diamond-image-count`; only the first
-    failing hit set's image is built, from its rays, for the witness.
+    Read from `_record`, as `diamond-image-count`, the witness's vertex
+    count too.
     """
     _, _, _, maps = _hom("crosspolytope", m, "simplex", n)
     for h in _record("crosspolytope", m, "simplex", n)[1]:
-        if h.rank == n and not h.cross:
+        if h.image.dim == n and not _is_crosspolytope(h.image, n):
             return False, {"map": _map_witness(maps[h.first]),
-                           "image_vertices": _from_rays(h.rays, n).n_vertices}
+                           "image_vertices": h.image.n_vertices}
     return True, None
 
 
@@ -487,8 +456,8 @@ def _claim_vertex_image_law(m: int, target: str, n: int):
     """The image of each vertex map has exactly the vertex images as
     vertices, and they are vertices of K = Q & (2b - Q), b = f(0).
 
-    The first check depends only on the hit set, so it runs on the hull
-    of each hit set's rays (`_record`), and K only on the offset b, so
+    The first check depends only on the hit set, so it runs on each hit
+    set's image (`_record`), and K only on the offset b, so
     each distinct offset's K is built once.  Both compare rays: the
     image's vertex count with the number of distinct image rays, and
     those rays with K's vertex rays, K cut out by integer rows
@@ -499,7 +468,7 @@ def _claim_vertex_image_law(m: int, target: str, n: int):
     k_vertices = {}  # offset ray (t, t b), primitive -> vertex rays of K
     for i, (f, k) in enumerate(zip(maps, number)):
         hit = hit_sets[k].rays
-        if i == hit_sets[k].first and _from_rays(hit, n).n_vertices != len(hit):
+        if i == hit_sets[k].first and hit_sets[k].image.n_vertices != len(hit):
             return False, {"map": _map_witness(f),
                            "reason": "image vertices differ from vertex images"}
         offset = tuple(_int_row(f.ray[:n + 1]))
@@ -536,12 +505,12 @@ def _claim_face_law(source: str, m: int, n: int):
 
     The check reads only the image and the simplex, so it depends only
     on the hit set: each distinct hit set of `_record`, in order, is
-    checked on the hull of its rays, with its tight facet rows.
+    checked on its image, with its tight facet rows.
     """
     _, Q, _, maps = _hom(source, m, "simplex", n)
     facet_rows = Q.hrep.inequalities
     for h in _record(source, m, "simplex", n)[1]:
-        failure = _face_law_failure(_from_rays(h.rays, n), h.tight, facet_rows, n)
+        failure = _face_law_failure(h.image, h.tight, facet_rows, n)
         if failure is not None:
             return False, {"map": _map_witness(maps[h.first]), **failure}
     return True, None
@@ -560,7 +529,7 @@ def _claim_count_agreement(family: str, m: int, n: int):
 def _claim_rank_sandwich(m: int, k: int):
     number, hit_sets = _record("crosspolytope", m, "simplex", k)  # the gate, before m!
     lo, hi = rank_k_sandwich(m, k)
-    middle = sum(hit_sets[j].rank == k for j in number)
+    middle = sum(hit_sets[j].image.dim == k for j in number)
     if not (lo <= middle <= hi):
         return False, {"lower": lo, "enumerated": middle, "upper": hi}
     return True, None

@@ -37,7 +37,7 @@ from hompoly.polytope import (
     polar_dual,
     standard,
 )
-from hompoly.verify import _hom, _record, run_claim
+from hompoly.verify import _hom, _is_crosspolytope, _record, run_claim
 
 from _oracles import moved_points, surjections_inclusion_exclusion
 from test_counts import sigma_brute_force
@@ -226,7 +226,7 @@ def test_criterion_06_extended_diamond_simplex_4_4():
     assert rank_histogram(maps) == {0: 5, 1: 160, 3: 2880, 4: 1920}
     assert count_diamond_simplex(4, 4, {4: 1920}).closed_form == 4965
     number, hit_sets = _record("crosspolytope", 4, "simplex", 4)
-    crosspolytope_images = sum(hit_sets[k].cross for k in number)
+    crosspolytope_images = sum(_is_crosspolytope(hit_sets[k].image, 4) for k in number)
     assert crosspolytope_images == sigma(4, 4) * beta(4) == 1920
     note("6-extended", "crosspolytope-to-simplex (4,4) count 4965 exact; all "
                        "1920 rank-4 images are crosspolytopes")

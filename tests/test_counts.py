@@ -268,8 +268,8 @@ def test_count_diamond_simplex_displayed_form():
 
 def test_count_diamond_simplex_needs_table_for_high_rank():
     with pytest.raises(ValueError, match="rank-4"):
-        count_diamond_simplex(4, 4)
-    r = count_diamond_simplex(4, 4, high_rank_table={4: 111})
+        count_diamond_simplex(5, 4)
+    r = count_diamond_simplex(5, 4, high_rank_table={4: 111})
     assert r.terms["rank-4"] == comb(5, 5) * 111
 
 

@@ -28,9 +28,10 @@ exhaustive basis enumeration (its rows ints, its equations the oracle's
 RREF rows made primitive), `homs.is_vertex_map` with
 the vertex-certificate oracle on small homs from integer and rational
 sources (vertex maps, points between two, drawn rays that often leave
-the target), the rank and crosspolytope flag of
-`verify._cross_record` with the Fraction rank of A and the hull of the
-Fraction images, its isomorphism search and vertex count (m up to 5),
+the target), the image that `verify._record` keeps per hit set, its
+dimension and its crosspolytope flag with the hull of the Fraction
+images, the Fraction rank of A, the isomorphism search and the vertex
+count (m up to 5),
 `homs.image_polytope` (a hull of the images' primitive point rays)
 with `from_points` of the Fraction images,
 `polytope._incidence` (the tight and over rows at a ray) with Fraction
@@ -60,6 +61,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, lcm
+from unittest import mock
 
 import pytest
 
@@ -669,7 +671,9 @@ def test_canonical_hrep_with_equations_matches_brute_force(system):
     P = polytope.from_inequalities(ineqs, eqs, dim)
     expected = brute_force_vertices(ineqs, eqs, dim)
     assert P.n_vertices == len(expected)
-    assert dd._ray_points(polytope._vertices_from_hrep(*P._frame_rays, dim)) == expected
+    # the DD's rays, lifted out of the frame at once, are primitive vertex rays
+    assert all(r[0] > 0 and gcd(*r) == 1 for r in P._vertex_rays())
+    assert dd._ray_points(P._vertex_rays()) == expected
     assert list(P.vertices) == expected
     h = polytope._canonical_hrep(ineqs, eqs)
     assert all(type(x) is int for u, c in h.inequalities + h.equations for x in (*u, c))
@@ -731,18 +735,23 @@ def crosspolytope_maps(draw, max_m=4):
 
 @given(crosspolytope_maps(max_m=5))
 def test_cross_record_matches_image_oracle(f):
-    """The record's rank is the Fraction rank of A, and its flag says
-    that the hull of the Fraction images f(+-e_i) is combinatorially the
-    n-crosspolytope, which for rank n is having 2n vertices (m up to 5,
-    rank-deficient and non-vertex maps)."""
+    """The dimension of the record's image is the Fraction rank of A,
+    and its crosspolytope flag says that the hull of the Fraction images
+    f(+-e_i) is combinatorially the n-crosspolytope, which for rank n is
+    having 2n vertices (m up to 5, rank-deficient and non-vertex maps).
+    The record is built uncached, for a hom whose one map is f."""
     P = polytope.standard("crosspolytope", f.source_dim)
     n = f.target_dim
+    Q = polytope.standard("simplex", n)
     model = polytope.standard("crosspolytope", n)
     image = polytope.from_points([f.evaluate(v) for v in P.vertices], n)
     r = linalg.rank(f.matrix)
     cross = polytope.combinatorially_equal(image, model)
     assert cross == (r == n and image.n_vertices == 2 * n)
-    assert verify._cross_record(f) == (r, cross)
+    with mock.patch.object(verify, "_hom", lambda *key: (P, Q, None, (f,))):
+        (h,) = verify._record.__wrapped__("crosspolytope", f.source_dim, "simplex", n)[1]
+    assert h.image == image
+    assert (h.image.dim, verify._is_crosspolytope(h.image, n)) == (r, cross)
 
 
 @st.composite

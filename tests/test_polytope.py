@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from hompoly import dd
 from hompoly.errors import SizeGuardError, UnboundedPolytopeError
 from hompoly.linalg import vec
 from hompoly.polytope import (
@@ -309,28 +310,38 @@ def test_empty_system_whose_normals_do_not_span():
 
 
 def test_intersect_counts_vertices_without_converting_them(monkeypatch):
+    """`intersect` lifts the DD's rays to vertex rays once, as it builds
+    the polytope; counting them, emptiness and repr make no Fraction
+    point, which is made once per polytope, on first read."""
     import hompoly.polytope as polytope_mod
 
-    calls = []
-    convert = polytope_mod._vertices_from_hrep
+    lifts, points = [], []
+    lift, to_points = polytope_mod._vertices_from_hrep, dd._ray_points
 
-    def counted(*args):
-        calls.append(args)
-        return convert(*args)
+    def counted_lift(*args):
+        lifts.append(args)
+        return lift(*args)
 
-    monkeypatch.setattr(polytope_mod, "_vertices_from_hrep", counted)
+    def counted_points(rays):
+        points.append(rays)
+        return to_points(rays)
+
     S = standard("simplex", 3)
     z = [F(1, 4), F(1, 5), F(1, 6)]
-    K = intersect(S, from_points(reflected_points(S.vertices, z)))
-    flat = intersect(S, from_points([[2, 0, -1], [0, 2, -1], [0, 0, 1]]))  # in x + y + z = 1
-    gone = intersect(S, from_points(moved_points(S.vertices, [5, 0, 0])))
+    operands = [from_points(reflected_points(S.vertices, z)),
+                from_points([[2, 0, -1], [0, 2, -1], [0, 0, 1]]),  # in x + y + z = 1
+                from_points(moved_points(S.vertices, [5, 0, 0]))]
+    monkeypatch.setattr(polytope_mod, "_vertices_from_hrep", counted_lift)
+    monkeypatch.setattr(dd, "_ray_points", counted_points)
+    K, flat, gone = (intersect(S, X) for X in operands)
+    assert len(lifts) == 3 and all(equations == () for _, equations, _ in lifts)
     assert (K.n_vertices, flat.n_vertices, gone.n_vertices) == (12, 3, 0)
     assert not K.is_empty and gone.is_empty
     assert repr(K) == "Polytope(R^3, 12 vertices)"
-    assert calls == []
+    assert points == []
     assert flat.vertices == (vec([0, 0, 1]), vec([0, 1, 0]), vec([1, 0, 0]))
     assert K.vertices == K.vertices and K.vertices == tuple(sorted(K.vertices))
-    assert len(calls) == 2  # one per polytope read, cached after that
+    assert len(points) == 2 and len(lifts) == 3  # one per polytope read, cached after that
     assert all(S.contains(v) for v in K.vertices)
 
 

@@ -10,7 +10,7 @@ from math import gcd
 import pytest
 
 from _oracles import _dot, reflected_points, strictly_inside
-from hompoly import dd, homs, verify
+from hompoly import dd, homs, polytope, verify
 from hompoly.counts import beta, sigma
 from hompoly.homs import (
     AffineMap,
@@ -268,11 +268,16 @@ def _map(columns, offset):
     ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)], (3, False)),
     ([(1, 0, 0), (0, 1, 0)], (2, False)),       # m < n
 ])
-def test_cross_record_on_hand_picked_maps(columns, record):
+def test_cross_record_on_hand_picked_maps(monkeypatch, columns, record):
+    """(rank, crosspolytope flag) read off the image that `_record` keeps
+    for a hom whose one map is f."""
     f = _map(columns, (0,) * len(columns[0]))
-    assert verify._cross_record(f) == record
-    P = standard("crosspolytope", f.source_dim)
-    model = standard("crosspolytope", f.target_dim)
+    m, n = f.source_dim, f.target_dim
+    P, model = standard("crosspolytope", m), standard("crosspolytope", n)
+    _patched_hom(monkeypatch, P, standard("simplex", n), [f])
+    (h,) = verify._record("crosspolytope", m, "simplex", n)[1]
+    assert (h.image.dim, verify._is_crosspolytope(h.image, n)) == record
+    assert rank(f.matrix) == record[0]
     assert combinatorially_equal(image_polytope(f, P), model) == record[1]
 
 
@@ -297,7 +302,8 @@ def test_diamond_image_claims_fail_with_the_generic_witness(monkeypatch):
     assert not combinatorially_equal(img, standard("crosspolytope", 4))
     _patched_hom(monkeypatch, P, Q, [g])
     number, hit_sets = verify._record("crosspolytope", 5, "simplex", 4)
-    assert number == (0,) and [(h.rank, h.cross) for h in hit_sets] == [(4, False)]
+    assert number == (0,) and hit_sets[0].image == img
+    assert (img.dim, verify._is_crosspolytope(img, 4)) == (4, False)
     shape = run_claim("diamond-image-shape", {"m": 5, "n": 4})
     assert not shape.passed
     assert shape.witness == {"map": [str(x) for x in flatten_map(g)],
@@ -447,11 +453,12 @@ def _check_record(key, P, Q, maps):
     """`verify._record(*key)` against the evaluated Fraction images, map
     by map: the hit set is frozenset(f.evaluate(v)), held as primitive
     int rays (t, y), t > 0, of the points y / t, so equal sets of images
-    give one hit set and different sets different ones; the rank is
-    `map_rank(f)`; the tight mask is Q's facets on which every image
-    lies, by Fraction dot products; the crosspolytope flag, for
-    Hom(crosspolytope, simplex) only, is the isomorphism search on the
-    image.  Hit sets are numbered in order of first appearance."""
+    give one hit set and different sets different ones; the image is
+    `from_points` of the images, and its dimension the Fraction rank of
+    A; the tight mask is Q's facets on which every image lies, by
+    Fraction dot products; the crosspolytope flag, for
+    Hom(crosspolytope, simplex), is the isomorphism search on the image.
+    Hit sets are numbered in order of first appearance."""
     number, hit_sets = verify._record(*key)
     assert len(number) == len(maps)
     assert list(dict.fromkeys(number)) == list(range(len(hit_sets)))
@@ -463,13 +470,13 @@ def _check_record(key, P, Q, maps):
         h = hit_sets[k]
         images = [f.evaluate(v) for v in P.vertices]
         assert frozenset(tuple(Fraction(x, t) for x in y) for t, *y in h.rays) == set(images)
-        assert h.rank == map_rank(f)
+        assert h.image == from_points(images, Q.ambient_dim)
+        assert h.image.dim == rank(f.matrix)
         assert h.tight == sum(1 << j for j, (u, c) in enumerate(facets)
                               if all(_dot(u, y) == c for y in images))
         if diamond:
-            assert h.cross == combinatorially_equal(image_polytope(f, P), model)
-        else:
-            assert h.cross is None
+            assert (verify._is_crosspolytope(h.image, Q.ambient_dim)
+                    == combinatorially_equal(image_polytope(f, P), model))
     assert all(type(x) is int for h in hit_sets for ray in h.rays for x in ray)
     assert all(ray[0] > 0 and gcd(*ray) == 1 for h in hit_sets for ray in h.rays)
     assert len({_hit(f, P) for f in maps}) == len(hit_sets)
@@ -614,7 +621,7 @@ def test_claims_walking_hit_sets_name_the_first_failing_map(monkeypatch):
     ("face-law", {"source": "crosspolytope", "m": 3, "n": 3}, "_from_rays", 11),
     ("vertex-image-law", {"m": 3, "target": "simplex", "n": 3}, "_from_rays", 11),
     ("vertex-image-law", {"m": 3, "target": "simplex", "n": 3}, "_symmetric_core", 11),
-    ("diamond-image-count", {"m": 4, "n": 3}, "_cross_record", 11),
+    ("diamond-image-count", {"m": 4, "n": 3}, "_from_rays", 11),
 ])
 def test_checks_run_once_per_distinct_key_on_the_core_suite(
         monkeypatch, claim_id, params, name, calls):
@@ -623,6 +630,41 @@ def test_checks_run_once_per_distinct_key_on_the_core_suite(
     recorded = _calls(monkeypatch, name, lambda *args: None)
     assert run_claim(claim_id, params).passed
     assert len(recorded) == calls
+
+
+def test_image_claims_build_no_hull_once_the_record_is_warm(monkeypatch):
+    """The four claims on images read the image `_record` keeps per hit
+    set: once the records they read are filled, no binding of
+    `_from_rays` is called, and each core case of them passes."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a claim built a hull of its own")
+
+    plan = [("face-law", {"source": "crosspolytope", "m": 3, "n": 3}),
+            ("vertex-image-law", {"m": 3, "target": "simplex", "n": 3}),
+            ("diamond-image-shape", {"m": 4, "n": 3}),
+            ("diamond-image-count", {"m": 4, "n": 3})]
+    assert all(item in CORE_SUITE for item in plan)
+    for claim_id, params in plan:
+        verify._record(*RECORD_READERS[claim_id](**params))
+    original = polytope._from_rays
+    for name, mod in list(sys.modules.items()):
+        if name == "hompoly" or name.startswith("hompoly."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, refuse)
+    assert verify._from_rays is refuse
+    for claim_id, params in plan:
+        result = run_claim(claim_id, params)
+        assert (result.status, result.witness) == ("pass", None), (claim_id, params)
+
+
+def test_count_agreement_diamond_simplex_4_4():
+    """The rank-4 count of Hom(crosspolytope_4, simplex_4) is the m = n
+    shape law sigma(4, 4) beta(4) = 1920, so the closed form needs no
+    table and agrees with the 4965 enumerated maps."""
+    assert run_claim("count-agreement",
+                     {"family": "diamond-simplex", "m": 4, "n": 4}).passed
 
 
 def test_each_core_claim_alone_gives_its_suite_result(monkeypatch):
